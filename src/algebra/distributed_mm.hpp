@@ -293,47 +293,33 @@ std::vector<typename S::Value> mm_distributed_3d(
   const unsigned B = ctx.bandwidth();
   CCQ_CHECK(row_a.size() == n && row_b.size() == n);
 
-  auto slice = [&](const std::vector<V>& row, NodeId t) {
-    std::vector<V> s;
-    s.reserve(L.range_size(t));
-    for (NodeId c = L.range_begin(t); c < L.range_end(t); ++c)
-      s.push_back(row[c]);
-    return s;
-  };
-
   // ---- Step A: distribute input blocks.
   // Sender v: A_v[R_k] -> worker (range_of(v), j, k) for all j, k;
   //           B_v[R_j] -> worker (i, j, range_of(v)) for all i, j.
-  std::vector<std::pair<NodeId, Word>> phase_a;
+  // The A payload for destination (iv, j, k) depends only on k, and the
+  // B payload for (i, j, iv) only on j: each slice is encoded once and
+  // every destination's run points at that encoding. A destination owed
+  // both gets its A run first (the A loop deposits first), which is the
+  // order Step B decodes in.
+  std::vector<std::vector<Word>> a_words(L.d), b_words(L.d);
+  std::vector<WordRun> phase_a;
   {
     const NodeId iv = L.range_of(me);
-    // The A payload for destination (iv, j, k) depends only on k, and the
-    // B payload for (i, j, iv) only on j — pack each slice once and replay
-    // the words per destination (d× fewer pack calls). The emission order
-    // below is identical to packing inside the loops, so the word stream
-    // and every meter are unchanged.
-    std::vector<std::vector<Word>> a_words(L.d), b_words(L.d);
+    const std::span<const V> ra(row_a), rb(row_b);
     for (NodeId t = 0; t < L.d; ++t) {
-      const auto sa = slice(row_a, t);
-      a_words[t] =
-          encode_bits(pack_entries<S>(std::span<const V>(sa), entry_bits), B);
-      const auto sb = slice(row_b, t);
-      b_words[t] =
-          encode_bits(pack_entries<S>(std::span<const V>(sb), entry_bits), B);
+      const NodeId lo = L.range_begin(t), len = L.range_size(t);
+      a_words[t] = encode_bits(
+          pack_entries<S>(ra.subspan(lo, len), entry_bits), B);
+      b_words[t] = encode_bits(
+          pack_entries<S>(rb.subspan(lo, len), entry_bits), B);
     }
-    for (NodeId j = 0; j < L.d; ++j) {
-      for (NodeId k = 0; k < L.d; ++k) {
-        // A slice to worker (iv, j, k).
-        const NodeId dst_a = L.worker(iv, j, k);
-        for (const Word& w : a_words[k]) phase_a.emplace_back(dst_a, w);
-      }
-    }
-    for (NodeId i = 0; i < L.d; ++i) {
-      for (NodeId j = 0; j < L.d; ++j) {
-        const NodeId dst_b = L.worker(i, j, iv);
-        for (const Word& w : b_words[j]) phase_a.emplace_back(dst_b, w);
-      }
-    }
+    phase_a.reserve(2 * static_cast<std::size_t>(L.d) * L.d);
+    for (NodeId j = 0; j < L.d; ++j)
+      for (NodeId k = 0; k < L.d; ++k)
+        phase_a.push_back({L.worker(iv, j, k), a_words[k]});
+    for (NodeId i = 0; i < L.d; ++i)
+      for (NodeId j = 0; j < L.d; ++j)
+        phase_a.push_back({L.worker(i, j, iv), b_words[j]});
   }
   const FlatInbox inbox_a = ctx.exchange_flat(phase_a);
 
@@ -381,17 +367,20 @@ std::vector<typename S::Value> mm_distributed_3d(
   }
 
   // ---- Step C: return partial rows to their owners and reduce.
-  std::vector<std::pair<NodeId, Word>> phase_c;
+  std::vector<std::vector<Word>> c_words;
+  std::vector<WordRun> phase_c;
   if (L.is_worker(me)) {
     const NodeId i = L.wi(me);
+    c_words.resize(partial.rows());
     for (NodeId r = L.range_begin(i); r < L.range_end(i); ++r) {
       const NodeId lr = r - L.range_begin(i);
       // Pack straight from the row (contiguous row-major storage).
-      BitVector payload = pack_entries<S>(
-          std::span<const V>(partial.row_data(lr), partial.cols()),
-          entry_bits);
-      for (const Word& w : encode_bits(payload, B))
-        phase_c.emplace_back(r, w);
+      c_words[lr] = encode_bits(
+          pack_entries<S>(
+              std::span<const V>(partial.row_data(lr), partial.cols()),
+              entry_bits),
+          B);
+      phase_c.push_back({r, c_words[lr]});
     }
   }
   const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
@@ -558,30 +547,31 @@ std::vector<typename S::Value> mm_distributed_rect(
   CCQ_TRACE_SPAN(ctx, "mm-rect");
 
   // ---- Step A: distribute input slices (A first, then B, so a worker
-  // receiving both from one source decodes positionally).
-  std::vector<std::pair<NodeId, Word>> phase_a;
+  // receiving both from one source decodes positionally). Each slice is
+  // encoded once; every destination's run points at that encoding.
+  std::vector<std::vector<Word>> a_words(holds_a ? L.d[1] : 0);
+  std::vector<std::vector<Word>> b_words(holds_b ? L.d[2] : 0);
+  std::vector<WordRun> phase_a;
   if (holds_a) {
     const NodeId iv = L.of(0, me);
     for (NodeId k = 0; k < L.d[1]; ++k) {
-      const auto words = encode_bits(
+      a_words[k] = encode_bits(
           pack_entries<S>(row_a.subspan(L.begin(1, k), L.size(1, k)),
                           entry_bits),
           B);
       for (NodeId j = 0; j < L.d[2]; ++j)
-        for (const Word& w : words)
-          phase_a.emplace_back(L.worker(iv, j, k), w);
+        phase_a.push_back({L.worker(iv, j, k), a_words[k]});
     }
   }
   if (holds_b) {
     const NodeId kv = L.of(1, me);
     for (NodeId j = 0; j < L.d[2]; ++j) {
-      const auto words = encode_bits(
+      b_words[j] = encode_bits(
           pack_entries<S>(row_b.subspan(L.begin(2, j), L.size(2, j)),
                           entry_bits),
           B);
       for (NodeId i = 0; i < L.d[0]; ++i)
-        for (const Word& w : words)
-          phase_a.emplace_back(L.worker(i, j, kv), w);
+        phase_a.push_back({L.worker(i, j, kv), b_words[j]});
     }
   }
   const FlatInbox inbox_a = ctx.exchange_flat(phase_a);
@@ -625,16 +615,19 @@ std::vector<typename S::Value> mm_distributed_rect(
   }
 
   // ---- Step C: return partial rows to their owners and reduce.
-  std::vector<std::pair<NodeId, Word>> phase_c;
+  std::vector<std::vector<Word>> c_words;
+  std::vector<WordRun> phase_c;
   if (L.is_worker(me)) {
     const NodeId i = L.wi(me);
+    c_words.resize(partial.rows());
     for (NodeId r = L.begin(0, i); r < L.end(0, i); ++r) {
       const NodeId lr = r - L.begin(0, i);
-      BitVector payload = pack_entries<S>(
-          std::span<const V>(partial.row_data(lr), partial.cols()),
-          entry_bits);
-      for (const Word& w : encode_bits(payload, B))
-        phase_c.emplace_back(r, w);
+      c_words[lr] = encode_bits(
+          pack_entries<S>(
+              std::span<const V>(partial.row_data(lr), partial.cols()),
+              entry_bits),
+          B);
+      phase_c.push_back({r, c_words[lr]});
     }
   }
   const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
@@ -707,18 +700,15 @@ std::vector<typename S::Value> mm_distributed_sparse(
     for (NodeId c = 0; c < width; ++c)
       if (row[lo + c] != S::zero()) ++count;
     count_out = count;
+    if (count == 0) return BitVector();
+    if (!slice_runs_sparse(width, count, entry_bits))
+      return pack_entries<S>(row.subspan(lo, width), entry_bits);
     BitVector bv;
-    if (count == 0) return bv;
-    if (slice_runs_sparse(width, count, entry_bits)) {
-      const unsigned ib = slice_index_bits(width);
-      for (NodeId c = 0; c < width; ++c) {
-        if (row[lo + c] == S::zero()) continue;
-        bv.append_bits(c, ib);
-        bv.append_bits(encode_value<S>(row[lo + c], entry_bits), entry_bits);
-      }
-    } else {
-      for (NodeId c = 0; c < width; ++c)
-        bv.append_bits(encode_value<S>(row[lo + c], entry_bits), entry_bits);
+    const unsigned ib = slice_index_bits(width);
+    for (NodeId c = 0; c < width; ++c) {
+      if (row[lo + c] == S::zero()) continue;
+      bv.append_bits(c, ib);
+      bv.append_bits(encode_value<S>(row[lo + c], entry_bits), entry_bits);
     }
     return bv;
   };
@@ -951,8 +941,7 @@ std::vector<typename S::Value> mm_distributed_sparse(
       } else {
         std::vector<V> dense(rj, S::zero());
         for (const auto& [c, v] : runs) dense[c] = v;
-        for (NodeId c = 0; c < rj; ++c)
-          bv.append_bits(encode_value<S>(dense[c], entry_bits), entry_bits);
+        append_bv(bv, pack_entries<S>(std::span<const V>(dense), entry_bits));
       }
       const NodeId owner = L.begin(0, bi) + r;
       for (const Word& w : encode_bits(bv, B)) phase_c.emplace_back(owner, w);

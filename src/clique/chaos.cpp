@@ -29,11 +29,13 @@ ChaosPlan* global() { return g_plan; }
 }  // namespace chaos
 
 // The wrapper plane. Deposits run on node fibers and touch only the slots
-// owned by `self` (own_[self], pending_[self]) — the same ownership
-// discipline the real planes follow, so both backends and TSan are happy.
-// The corrupted copy of the outbox is handed to the wrapped plane as a
-// movable queue deposit; the inner plane then validates, meters and
-// delivers the corrupted traffic exactly as it would honest traffic.
+// owned by `self` (own_[self], runs_[self], pending_[self]) — the same
+// ownership discipline the real planes follow, so both backends and TSan
+// are happy. Every deposit shape is first gathered into per-destination
+// queues (so each pair's fault stream sees its words in FIFO order,
+// whatever shape carried them), corrupted, and handed to the wrapped plane
+// as n runs; the inner plane then validates, meters and delivers the
+// corrupted traffic exactly as it would honest traffic.
 class ChaosPlane final : public detail::MessagePlane {
  public:
   ChaosPlane(detail::MessagePlane* inner, ChaosPlan* plan)
@@ -45,6 +47,7 @@ class ChaosPlane final : public detail::MessagePlane {
     n_ = n;
     collective_ = 0;
     own_.assign(n, WordQueues(n));
+    runs_.assign(n, {});
     scratch_.assign(n, {});
     pending_.assign(n, {});
     byz_.assign(n, 0);
@@ -57,28 +60,22 @@ class ChaosPlane final : public detail::MessagePlane {
     inner_->init(n, bandwidth);
   }
 
-  void deposit_queues(NodeId self, const WordQueues* out,
-                      bool movable) override {
-    CCQ_CHECK_MSG(out->size() == n_,
-                  "chaos: outbox must have one queue per node");
+  void deposit_runs(NodeId self, std::span<const WordRun> runs) override {
     WordQueues& mine = own_[self];
-    // Self words never touch the network: pass them through unfaulted
-    // (moving when the caller relinquished the outbox).
-    mine[self] = movable ? std::move(const_cast<WordQueues&>(*out)[self])
-                         : (*out)[self];
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (dst == self) continue;
-      mine[dst].clear();
-      corrupt_queue(self, dst, (*out)[dst], mine[dst]);
+    for (auto& q : mine) q.clear();
+    for (const WordRun& r : runs) {
+      CCQ_CHECK_MSG(r.dst < n_, "chaos: node " << self
+                                               << " sent a run to node "
+                                               << r.dst << ", out of range");
+      mine[r.dst].insert(mine[r.dst].end(), r.words.begin(), r.words.end());
     }
-    inner_->deposit_queues(self, &mine, /*movable=*/true);
+    corrupt_and_deposit(self);
   }
 
   void deposit_pairs(NodeId self,
                      std::span<const std::pair<NodeId, Word>> out,
                      bool unique_dst) override {
     WordQueues& mine = own_[self];
-    std::vector<Word>& tmp = scratch_[self];
     for (auto& q : mine) q.clear();
     // Validate the *honest* outbox under round() rules before faulting —
     // a duplication fault must not be blamed on the program.
@@ -92,13 +89,7 @@ class ChaosPlane final : public detail::MessagePlane {
       }
       mine[dst].push_back(w);
     }
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (dst == self) continue;
-      tmp = std::move(mine[dst]);
-      mine[dst].clear();
-      corrupt_queue(self, dst, tmp, mine[dst]);
-    }
-    inner_->deposit_queues(self, &mine, /*movable=*/true);
+    corrupt_and_deposit(self);
   }
 
   void deposit_broadcast(NodeId self, std::span<const Word> words) override {
@@ -106,9 +97,9 @@ class ChaosPlane final : public detail::MessagePlane {
     for (NodeId dst = 0; dst < n_; ++dst) {
       mine[dst].clear();
       if (dst == self) continue;
-      corrupt_queue(self, dst, words, mine[dst]);
+      mine[dst].assign(words.begin(), words.end());
     }
-    inner_->deposit_queues(self, &mine, /*movable=*/true);
+    corrupt_and_deposit(self);
   }
 
   void deliver(detail::Scheduler& sched,
@@ -193,12 +184,28 @@ class ChaosPlane final : public detail::MessagePlane {
 
   void note(NodeId src, const FaultEvent& e) { pending_[src].push_back(e); }
 
+  // Run every non-self queue of own_[self] through its fault stream (self
+  // words never touch the network), then deposit the result as n runs.
+  void corrupt_and_deposit(NodeId self) {
+    WordQueues& mine = own_[self];
+    std::vector<Word>& tmp = scratch_[self];
+    for (NodeId dst = 0; dst < n_; ++dst) {
+      if (dst == self) continue;
+      tmp.swap(mine[dst]);
+      mine[dst].clear();
+      corrupt_queue(self, dst, tmp, mine[dst]);
+    }
+    detail::queues_as_runs(mine, runs_[self]);
+    inner_->deposit_runs(self, runs_[self]);
+  }
+
   detail::MessagePlane* inner_;  // borrowed; outlives this wrapper
   ChaosPlan* plan_;
   NodeId n_ = 0;
   std::uint64_t collective_ = 0;  // written by the leader, read by deposits
                                   // of the next collective (barrier-ordered)
   std::vector<WordQueues> own_;           // [self] corrupted outboxes
+  std::vector<std::vector<WordRun>> runs_;  // [self] own_[self] as runs
   std::vector<std::vector<Word>> scratch_;  // [self] pre-fault staging
   std::vector<std::vector<FaultEvent>> pending_;  // [self] fault buffers
   std::vector<std::uint8_t> byz_;

@@ -57,6 +57,9 @@ struct SharedState {
   std::vector<std::uint64_t> received_words;
   std::vector<std::uint64_t> outputs;
   std::vector<std::uint8_t> has_output;
+  // [id] exchange()'s queue outbox as runs; node-owned, reused across
+  // collectives.
+  std::vector<std::vector<WordRun>> queue_runs;
 
   // Round-trace recorder (null = untraced; the common case). Record fields
   // are filled in the serial leader step; span push/pop from node fibers
@@ -245,27 +248,33 @@ void NodeCtx::trace_pop() {
 }
 
 WordQueues NodeCtx::exchange(const WordQueues& out) {
-  // Validation (bandwidth, outbox shape) happens inside the deposit scan.
+  // A queue outbox is n runs. They borrow `out`, which outlives the
+  // collective, as the plane's borrowed spans require.
+  std::vector<WordRun>& runs = st_->queue_runs[id_];
   st_->sched->collective(
       id_, OpTag{detail::kOpExchange, 0},
-      [&] { st_->plane->deposit_queues(id_, &out, /*movable=*/false); },
+      [&] {
+        CCQ_CHECK_MSG(out.size() == st_->n,
+                      "outbox must have one queue per node");
+        detail::queues_as_runs(out, runs);
+        st_->plane->deposit_runs(id_, runs);
+      },
       [st = st_] {
         detail::charge_rounds(*st, detail::deliver(*st, detail::kOpExchange));
       });
   return st_->plane->take_queues(id_);
 }
 
-WordQueues NodeCtx::exchange(WordQueues&& out) {
-  // The caller relinquished `out`: the plane may move the self queue into
-  // the inbox instead of copying it. `out` lives in this frame until the
-  // collective completes, so the deposited pointer stays valid.
+FlatInbox NodeCtx::exchange_flat(std::span<const WordRun> runs) {
+  // Validation (bandwidth, destination range) happens inside the deposit
+  // scan.
   st_->sched->collective(
       id_, OpTag{detail::kOpExchange, 0},
-      [&] { st_->plane->deposit_queues(id_, &out, /*movable=*/true); },
+      [&] { st_->plane->deposit_runs(id_, runs); },
       [st = st_] {
         detail::charge_rounds(*st, detail::deliver(*st, detail::kOpExchange));
       });
-  return st_->plane->take_queues(id_);
+  return st_->plane->inbox(id_);
 }
 
 FlatInbox NodeCtx::exchange_flat(
@@ -465,6 +474,7 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
   st.plane->init(n, st.bandwidth);
   st.outputs.assign(n, 0);
   st.has_output.assign(n, 0);
+  st.queue_runs.assign(n, {});
   st.sent_words.assign(n, 0);
   st.received_words.assign(n, 0);
 

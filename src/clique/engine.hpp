@@ -81,14 +81,13 @@ class NodeCtx {
   std::vector<std::optional<Word>> round(
       std::span<const std::pair<NodeId, Word>> sends);
 
-  /// Bulk exchange: queue any number of words per destination; the engine
-  /// drains all queues one word per ordered pair per round, so the cost is
-  /// max over ordered pairs of the queue length. Returns per-source inboxes
-  /// in FIFO order. Words queued to self are delivered free of charge
-  /// (local computation is unlimited). The rvalue overload lets the plane
-  /// move (not copy) the self queue into the inbox.
+  /// Bulk exchange: queue any number of words per destination (`out` must
+  /// hold one queue per node); the engine drains all queues one word per
+  /// ordered pair per round, so the cost is max over ordered pairs of the
+  /// queue length. Returns per-source inboxes in FIFO order. Words queued
+  /// to self are delivered free of charge (local computation is
+  /// unlimited).
   WordQueues exchange(const WordQueues& out);
-  WordQueues exchange(WordQueues&& out);
 
   /// Allocation-free exchange fast path: sends are (dst, word) pairs in
   /// send order (any number per destination, self allowed); cost semantics
@@ -96,6 +95,14 @@ class NodeCtx {
   /// plane's arena and is valid until this node's next collective — decode
   /// or copy out before communicating again.
   FlatInbox exchange_flat(std::span<const std::pair<NodeId, Word>> sends);
+
+  /// Run form of the fast path: each run sends its words, in order, to its
+  /// destination — the pair form with every run expanded to (dst, word)
+  /// pairs, with the same cost, FIFO and self-delivery semantics, but the
+  /// plane copies each run in bulk. Runs may repeat a destination, be
+  /// empty, or alias one buffer (one encoding sent to many nodes). The
+  /// spans need only stay valid until this call returns.
+  FlatInbox exchange_flat(std::span<const WordRun> runs);
 
   /// Allocation-free round fast path: round() semantics (at most one word
   /// per destination, no self-sends, costs exactly 1 round) with the same

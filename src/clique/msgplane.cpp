@@ -50,12 +50,19 @@ struct NodeStats {
                                              << (dst) << " but B = "       \
                                              << (bandwidth))
 
+#define CCQ_RUN_DST_CHECK(self, dst, n)                                   \
+  CCQ_CHECK_MSG((dst) < (n), "exchange: node " << (self)                  \
+                                               << " sent a run to node "  \
+                                               << (dst)                   \
+                                               << ", out of range for n = " \
+                                               << (n))
+
 // ---------------------------------------------------------------------------
 // LegacyPlane: the original per-ordered-pair vector queues, kept as the
-// auditable baseline. Deposits validate + meter in one scan (instead of the
-// old separate validate_words pass); delivery reuses inbox queue capacity
-// (clear(), not assign(n, {})) and moves the self queue when the caller
-// handed its outbox over by rvalue.
+// auditable baseline. Every deposit copies the outbox into plane-owned
+// queues, validating and metering in the same scan; delivery swaps each
+// queue into its receiver's inbox slot, so queue capacity circulates
+// between outboxes and inboxes instead of being reallocated.
 // ---------------------------------------------------------------------------
 class LegacyPlane final : public MessagePlane {
  public:
@@ -64,9 +71,7 @@ class LegacyPlane final : public MessagePlane {
   void init(NodeId n, unsigned bandwidth) override {
     n_ = n;
     bandwidth_ = bandwidth;
-    out_slots_.assign(n, nullptr);
-    movable_.assign(n, 0);
-    own_out_.resize(n);
+    out_.resize(n);
     in_slots_.resize(n);
     stats_.assign(n, {});
     in_totals_.assign(n, 0);
@@ -75,28 +80,27 @@ class LegacyPlane final : public MessagePlane {
     inbox_starts_.resize(n);
   }
 
-  void deposit_queues(NodeId self, const WordQueues* out,
-                      bool movable) override {
-    CCQ_CHECK_MSG(out->size() == n_, "outbox must have one queue per node");
+  void deposit_runs(NodeId self, std::span<const WordRun> runs) override {
+    WordQueues& qs = fresh_outbox(self);
     NodeStats s;
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      const auto& q = (*out)[dst];
+    for (const WordRun& r : runs) {
+      CCQ_RUN_DST_CHECK(self, r.dst, n_);
+      std::vector<Word>& q = qs[r.dst];
       // Same per-pair cap the flat plane enforces: the planes must accept
       // and reject identical outboxes, and downstream consumers (the chaos
       // ledger's word index, the flat-view conversion) assume it.
-      CCQ_CHECK_MSG(q.size() <= 0xffffffffull,
-                    "queue to node " << dst << " exceeds 2^32 words");
-      if (dst == self || q.empty()) continue;  // self-delivery is free
-      for (const Word& w : q) {
-        CCQ_BANDWIDTH_CHECK(self, dst, w, bandwidth_);
+      CCQ_CHECK_MSG(q.size() + r.words.size() <= 0xffffffffull,
+                    "queue to node " << r.dst << " exceeds 2^32 words");
+      q.insert(q.end(), r.words.begin(), r.words.end());
+      if (r.dst == self || r.words.empty()) continue;  // self is free
+      for (const Word& w : r.words) {
+        CCQ_BANDWIDTH_CHECK(self, r.dst, w, bandwidth_);
         s.bits += w.bits;
       }
-      s.msgs += q.size();
+      s.msgs += r.words.size();
       s.row_max = std::max<std::uint64_t>(s.row_max, q.size());
     }
     stats_[self] = s;
-    out_slots_[self] = out;
-    movable_[self] = movable ? 1 : 0;
   }
 
   void deposit_pairs(NodeId self,
@@ -104,9 +108,7 @@ class LegacyPlane final : public MessagePlane {
                      bool unique_dst) override {
     CCQ_CHECK_MSG(out.size() <= 0xffffffffull,
                   "deposit exceeds 2^32 words");
-    WordQueues& qs = own_out_[self];
-    qs.resize(n_);
-    for (auto& q : qs) q.clear();
+    WordQueues& qs = fresh_outbox(self);
     NodeStats s;
     for (const auto& [dst, w] : out) {
       if (unique_dst) {
@@ -126,8 +128,6 @@ class LegacyPlane final : public MessagePlane {
       }
     }
     stats_[self] = s;
-    out_slots_[self] = &qs;
-    movable_[self] = 1;  // plane-owned outbox: moving the self queue is fine
   }
 
   void deposit_broadcast(NodeId self, std::span<const Word> words) override {
@@ -141,9 +141,7 @@ class LegacyPlane final : public MessagePlane {
                         << "-bit word but B = " << bandwidth_);
       wbits += w.bits;
     }
-    WordQueues& qs = own_out_[self];
-    qs.resize(n_);
-    for (auto& q : qs) q.clear();
+    WordQueues& qs = fresh_outbox(self);
     for (NodeId v = 0; v < n_; ++v) {
       if (v == self) continue;
       qs[v].assign(words.begin(), words.end());
@@ -155,8 +153,6 @@ class LegacyPlane final : public MessagePlane {
       s.row_max = words.size();
     }
     stats_[self] = s;
-    out_slots_[self] = &qs;
-    movable_[self] = 1;
   }
 
   void deliver(Scheduler& /*sched*/, DeliveryAccounting& acc) override {
@@ -174,20 +170,16 @@ class LegacyPlane final : public MessagePlane {
       inbox_built_[v] = 0;
     }
     for (NodeId u = 0; u < n_; ++u) {
-      const WordQueues& out = *out_slots_[u];
+      WordQueues& out = out_[u];
       for (NodeId v = 0; v < n_; ++v) {
         if (out[v].empty()) continue;
         if (u != v) {
           acc.received_words[v] += out[v].size();
           in_totals_[v] += out[v].size();
-          in_slots_[v][u] = out[v];
-        } else if (movable_[u]) {
-          // Caller relinquished the outbox (rvalue / plane-owned): the self
-          // queue need not survive delivery, so steal it instead of copying.
-          in_slots_[u][u] = std::move(const_cast<WordQueues&>(out)[u]);
-        } else {
-          in_slots_[u][u] = out[u];
         }
+        // The inbox slot was cleared above; the outbox queue it hands back
+        // is cleared by the next deposit.
+        std::swap(in_slots_[v][u], out[v]);
       }
     }
     for (NodeId v = 0; v < n_; ++v) {
@@ -223,11 +215,17 @@ class LegacyPlane final : public MessagePlane {
   }
 
  private:
+  /// Node `self`'s outbox, emptied for a new deposit.
+  WordQueues& fresh_outbox(NodeId self) {
+    WordQueues& qs = out_[self];
+    qs.resize(n_);
+    for (auto& q : qs) q.clear();
+    return qs;
+  }
+
   NodeId n_ = 0;
   unsigned bandwidth_ = 0;
-  std::vector<const WordQueues*> out_slots_;
-  std::vector<std::uint8_t> movable_;
-  std::vector<WordQueues> own_out_;  // backing for pair/broadcast deposits
+  std::vector<WordQueues> out_;  // [src] plane-owned outbox queues
   std::vector<WordQueues> in_slots_;
   std::vector<NodeStats> stats_;
   std::vector<std::uint64_t> in_totals_;  // per-collective inbox words
@@ -301,31 +299,35 @@ class FlatPlane final : public MessagePlane {
     block_touch_.assign(num_chunks() * mask_words_, 0);
   }
 
-  void deposit_queues(NodeId self, const WordQueues* out,
-                      bool /*movable*/) override {
-    CCQ_CHECK_MSG(out->size() == n_, "outbox must have one queue per node");
+  void deposit_runs(NodeId self, std::span<const WordRun> runs) override {
     std::uint32_t* cnt = row(self);
     std::uint64_t* m = mask(self);
-    std::fill_n(m, mask_words_, std::uint64_t{0});
+    // Zero only the chunks this row touched the last time it used this
+    // buffer (the mask invariant says the rest already are).
+    clear_touched(cnt, m);
     NodeStats s;
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      const auto& q = (*out)[dst];
-      // Guard before the narrowing cast: a >= 2^32-word queue would wrap the
-      // histogram entry and slip past deliver()'s total-words check.
-      CCQ_CHECK_MSG(q.size() <= 0xffffffffull,
-                    "queue to node " << dst << " exceeds 2^32 words");
-      cnt[dst] = static_cast<std::uint32_t>(q.size());
-      if (!q.empty()) set_touch(m, dst);  // self runs live in the arena too
-      if (dst == self || q.empty()) continue;  // self-delivery is free
-      for (const Word& w : q) {
-        CCQ_BANDWIDTH_CHECK(self, dst, w, bandwidth_);
+    for (const WordRun& r : runs) {
+      CCQ_RUN_DST_CHECK(self, r.dst, n_);
+      // Guard before the narrowing cast: a pair queue of 2^32 or more words
+      // would wrap the histogram entry and slip past deliver()'s
+      // total-words check.
+      const std::uint64_t q = std::uint64_t{cnt[r.dst]} + r.words.size();
+      CCQ_CHECK_MSG(q <= 0xffffffffull,
+                    "queue to node " << r.dst << " exceeds 2^32 words");
+      if (r.words.empty()) continue;
+      cnt[r.dst] = static_cast<std::uint32_t>(q);
+      set_touch(m, r.dst);  // self runs live in the arena too
+      if (r.dst == self) continue;  // self-delivery is free
+      for (const Word& w : r.words) {
+        CCQ_BANDWIDTH_CHECK(self, r.dst, w, bandwidth_);
         s.bits += w.bits;
       }
-      s.msgs += q.size();
-      s.row_max = std::max<std::uint64_t>(s.row_max, q.size());
+      s.msgs += r.words.size();
+      s.row_max = std::max(s.row_max, q);
     }
     stats_[self] = s;
-    deposits_[self] = Deposit{Deposit::kQueues, out, nullptr, nullptr, 0};
+    deposits_[self] =
+        Deposit{Deposit::kRuns, runs.data(), nullptr, nullptr, runs.size()};
   }
 
   void deposit_pairs(NodeId self,
@@ -518,11 +520,11 @@ class FlatPlane final : public MessagePlane {
 
  private:
   struct Deposit {
-    enum Kind : std::uint8_t { kQueues, kPairs, kBcast } kind = kQueues;
-    const WordQueues* queues = nullptr;
+    enum Kind : std::uint8_t { kRuns, kPairs, kBcast } kind = kRuns;
+    const WordRun* runs = nullptr;
     const std::pair<NodeId, Word>* pairs = nullptr;
     const Word* bcast = nullptr;
-    std::size_t count = 0;  // pairs / broadcast words
+    std::size_t count = 0;  // runs / pairs / broadcast words
   };
 
   static constexpr NodeId kChunk = 32;  // nodes per parallel chunk
@@ -574,12 +576,12 @@ class FlatPlane final : public MessagePlane {
     Word* arena = arena_.data();
     const Deposit& d = deposits_[u];
     switch (d.kind) {
-      case Deposit::kQueues:
-        for (NodeId v = 0; v < n_; ++v) {
-          const auto& q = (*d.queues)[v];
-          if (q.empty()) continue;
-          std::copy(q.begin(), q.end(), arena + cur[v]);
-          cur[v] += static_cast<std::uint32_t>(q.size());
+      case Deposit::kRuns:
+        for (std::size_t i = 0; i < d.count; ++i) {
+          const WordRun& r = d.runs[i];
+          if (r.words.empty()) continue;
+          std::copy(r.words.begin(), r.words.end(), arena + cur[r.dst]);
+          cur[r.dst] += static_cast<std::uint32_t>(r.words.size());
         }
         break;
       case Deposit::kPairs:
@@ -616,6 +618,7 @@ class FlatPlane final : public MessagePlane {
 };
 
 #undef CCQ_BANDWIDTH_CHECK
+#undef CCQ_RUN_DST_CHECK
 
 }  // namespace
 

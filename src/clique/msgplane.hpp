@@ -24,6 +24,11 @@
 //     perform zero heap allocations and the delivery step scales with
 //     cores.
 //
+// A node deposits its outbox in one of three shapes: runs (spans of words,
+// each to one destination — the bulk exchange form; a queue outbox is n
+// runs), (dst, word) pairs, or one word sequence broadcast to every other
+// node.
+//
 // Both planes deliver bit-for-bit identical inboxes and meter identical
 // costs (asserted by tests/clique/msgplane_test.cpp across backends,
 // worker counts and traffic patterns); determinism is structural — chunk
@@ -44,6 +49,15 @@ namespace ccq {
 
 /// Per-destination (or per-source) word queues; index = peer node id.
 using WordQueues = std::vector<std::vector<Word>>;
+
+/// One run of an exchange outbox: `words`, in order, to `dst`
+/// (NodeCtx::exchange_flat's run form). The span is borrowed: it must stay
+/// valid until the exchange returns. Several runs may name the same
+/// destination (they queue in deposit order) or alias one buffer.
+struct WordRun {
+  NodeId dst = 0;
+  std::span<const Word> words;
+};
 
 /// Which delivery substrate Engine::run uses (Engine::Config::plane).
 enum class MessagePlaneKind {
@@ -118,11 +132,10 @@ class MessagePlane {
   /// Reset for a run with n nodes and B-bit words.
   virtual void init(NodeId n, unsigned bandwidth) = 0;
 
-  /// Outbox = one queue per destination. `movable` permits the plane to
-  /// move (not copy) the self queue into the inbox — legal only when the
-  /// caller passed its outbox by rvalue.
-  virtual void deposit_queues(NodeId self, const WordQueues* out,
-                              bool movable) = 0;
+  /// Outbox = runs in deposit order; each pair's queue is the
+  /// concatenation of its runs (a queue outbox is the n runs {v, out[v]}).
+  /// The spans are read again during deliver(), so they must outlive it.
+  virtual void deposit_runs(NodeId self, std::span<const WordRun> runs) = 0;
   /// Outbox = (dst, word) pairs in send order. `unique_dst` enforces
   /// round()'s one-word-per-destination, no-self rule.
   virtual void deposit_pairs(NodeId self,
@@ -143,6 +156,14 @@ class MessagePlane {
 };
 
 std::unique_ptr<MessagePlane> make_message_plane(MessagePlaneKind kind);
+
+/// A queue outbox as its n runs: run v sends queue v to node v. The runs
+/// borrow `out`, which must outlive them.
+inline void queues_as_runs(const WordQueues& out, std::vector<WordRun>& runs) {
+  runs.resize(out.size());
+  for (std::size_t v = 0; v < out.size(); ++v)
+    runs[v] = WordRun{static_cast<NodeId>(v), out[v]};
+}
 
 }  // namespace detail
 }  // namespace ccq

@@ -5,15 +5,24 @@
 // the flat arena plane, on either execution backend and any worker count.
 // The property test below drives ~100 randomised traffic patterns
 // (skewed all-to-all, single hot pair, empty, random sparse with
-// self-sends) through every (plane, backend) combination and requires the
-// results to match the legacy/thread-per-node reference exactly. Targeted
-// tests pin the flat-specific behaviours: span views matching queue
-// views, FIFO order, free self-delivery, validation at deposit time.
+// self-sends) through every (plane, backend) combination, in every deposit
+// shape (queues, pairs, runs), and requires the results to match the
+// legacy/thread-per-node reference exactly. Targeted tests pin the
+// flat-specific behaviours: span views matching queue views, FIFO order,
+// free self-delivery, validation at deposit time; and the run form's
+// validation messages and its chaos fault ledger.
 
 #include "clique/msgplane.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "clique/chaos.hpp"
 #include "clique/engine.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -76,6 +85,11 @@ enum PatternKind : int {
   kPatternKinds = 4,
 };
 
+Word random_word(SplitMix64& rng, unsigned B) {
+  const unsigned bits = 1 + static_cast<unsigned>(rng.next_below(B));
+  return Word(rng.next() & ((bits == 64 ? ~0ull : (1ull << bits) - 1)), bits);
+}
+
 std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
                                                 std::uint64_t seed,
                                                 int kind) {
@@ -83,11 +97,7 @@ std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
   const unsigned B = ctx.bandwidth();
   SplitMix64 rng(seed * 1000003 + ctx.id() * 7919 + kind);
   std::vector<std::pair<NodeId, Word>> sends;
-  auto word = [&] {
-    const unsigned bits = 1 + static_cast<unsigned>(rng.next_below(B));
-    return Word(rng.next() & ((bits == 64 ? ~0ull : (1ull << bits) - 1)),
-                bits);
-  };
+  auto word = [&] { return random_word(rng, B); };
   switch (kind) {
     case kSkewedAllToAll:
       for (NodeId dst = 0; dst < n; ++dst) {
@@ -114,6 +124,28 @@ std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
   return sends;
 }
 
+// The run form of `sends`: its words copied in order into `flat`, grouped
+// into maximal same-destination runs over that one buffer, each preceded
+// by an empty run (to a destination the pattern may never use) and the
+// whole list closed by an empty self run.
+std::vector<WordRun> runs_of(NodeCtx& ctx,
+                             const std::vector<std::pair<NodeId, Word>>& sends,
+                             std::vector<Word>& flat) {
+  flat.clear();
+  for (const auto& [dst, w] : sends) flat.push_back(w);
+  const std::span<const Word> all(flat);
+  std::vector<WordRun> runs;
+  for (std::size_t i = 0; i < sends.size();) {
+    std::size_t j = i;
+    while (j < sends.size() && sends[j].first == sends[i].first) ++j;
+    runs.push_back({static_cast<NodeId>((i * 7 + 3) % ctx.n()), {}});
+    runs.push_back({sends[i].first, all.subspan(i, j - i)});
+    i = j;
+  }
+  runs.push_back({ctx.id(), {}});
+  return runs;
+}
+
 // Fingerprints every word received — source, position, value, width — so
 // any divergence in content, FIFO order, or metering shows up in outputs.
 void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind) {
@@ -124,7 +156,7 @@ void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind) {
   const auto sends = make_sends(ctx, seed, kind);
 
   // The same pattern through all three deposit shapes.
-  // 1) exchange() with per-destination queues (lvalue).
+  // 1) exchange() with per-destination queues.
   WordQueues out(n);
   for (const auto& [dst, w] : sends) out[dst].push_back(w);
   const WordQueues in = ctx.exchange(out);
@@ -132,18 +164,53 @@ void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind) {
     for (const Word& w : in[src]) mix(src * 131 + w.value * 31 + w.bits);
   }
 
-  // 2) exchange() by rvalue (self queue may be moved, not copied).
-  WordQueues out2(n);
-  for (const auto& [dst, w] : sends) out2[dst].push_back(w);
-  const WordQueues in2 = ctx.exchange(std::move(out2));
-  for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : in2[src]) mix(src * 137 + w.value * 29 + w.bits);
+  // 2) exchange_flat() with the raw pair list.
+  WordQueues pair_in(n);
+  {
+    const FlatInbox fin = ctx.exchange_flat(sends);
+    for (NodeId src = 0; src < n; ++src) {
+      const auto got = fin.from(src);
+      pair_in[src].assign(got.begin(), got.end());
+      for (const Word& w : got) mix(src * 139 + w.value * 37 + w.bits);
+    }
   }
 
-  // 3) exchange_flat() with the raw pair list.
-  const FlatInbox fin = ctx.exchange_flat(sends);
+  // 3) exchange_flat() with runs: must deliver exactly the pair inbox.
+  {
+    std::vector<Word> flat;
+    const auto runs = runs_of(ctx, sends, flat);
+    const FlatInbox rin = ctx.exchange_flat(runs);
+    for (NodeId src = 0; src < n; ++src) {
+      const auto got = rin.from(src);
+      if (!std::equal(got.begin(), got.end(), pair_in[src].begin(),
+                      pair_in[src].end()))
+        throw std::logic_error("run inbox differs from the pair inbox");
+      for (const Word& w : got) mix(src * 137 + w.value * 29 + w.bits);
+    }
+  }
+
+  // Runs aliasing one shared buffer: overlapping windows of it to random
+  // destinations (self and repeats included), the way one encoded slice
+  // goes to many workers. The buffer and the run list die before the
+  // inbox is read — the spans need only outlive the call.
+  FlatInbox ain;
+  {
+    SplitMix64 rng(seed * 31 + ctx.id() * 17 + kind);
+    std::vector<Word> shared(rng.next_below(9));
+    for (Word& w : shared) w = random_word(rng, ctx.bandwidth());
+    std::vector<WordRun> runs;
+    const std::size_t count = kind == kEmpty ? 0 : rng.next_below(7);
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t off = rng.next_below(shared.size() + 1);
+      const std::size_t len = rng.next_below(shared.size() - off + 1);
+      runs.push_back({static_cast<NodeId>(rng.next_below(n)),
+                      std::span<const Word>(shared).subspan(off, len)});
+    }
+    runs.push_back({static_cast<NodeId>(seed % n), {}});
+    ain = ctx.exchange_flat(runs);
+  }
   for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : fin.from(src)) mix(src * 139 + w.value * 37 + w.bits);
+    for (const Word& w : ain.from(src)) mix(src * 151 + w.value * 41 + w.bits);
   }
 
   // round_flat(): a seed-dependent ring send.
@@ -376,6 +443,116 @@ TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
   // Every node receives sum over r of n/2 ones from each parity class.
   for (NodeId v = 0; v < 32; ++v) {
     EXPECT_EQ(run.outputs[v], run.outputs[0]);
+  }
+}
+
+// ---- run deposits ---------------------------------------------------------
+
+// The ModelViolation message a run throws, or "" if it completes; `chaos`
+// wraps the plane in a fault-free chaos plan (an exact no-op on traffic).
+std::string violation(const Graph& g, const NodeProgram& program,
+                      MessagePlaneKind plane, bool chaos) {
+  ChaosPlan plan;
+  Engine::Config cfg;
+  cfg.plane = plane;
+  if (chaos) cfg.chaos = &plan;
+  try {
+    Engine::run(g, program, cfg);
+  } catch (const ModelViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MsgPlaneRuns, OverWideWordNamesNodeAndDestination) {
+  const Graph g = gen::empty(5);  // B = 3
+  const auto program = [](NodeCtx& ctx) {
+    const std::vector<Word> words = {Word(1, 1), Word(0, 64)};
+    std::vector<WordRun> runs;
+    if (ctx.id() == 3) runs.push_back({1, words});
+    ctx.exchange_flat(runs);
+    ctx.output(0);
+  };
+  for (MessagePlaneKind plane :
+       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
+    for (bool chaos : {false, true}) {
+      const std::string msg = violation(g, program, plane, chaos);
+      EXPECT_NE(msg.find("node 3 sent a 64-bit word to node 1"),
+                std::string::npos)
+          << msg;
+    }
+  }
+}
+
+TEST(MsgPlaneRuns, OutOfRangeDestinationNamesNodeAndDestination) {
+  const Graph g = gen::empty(5);
+  for (bool empty_run : {false, true}) {
+    // An empty run still names its destination, so it is checked too.
+    const auto program = [empty_run](NodeCtx& ctx) {
+      const std::vector<Word> words = {Word(1, 1)};
+      std::vector<WordRun> runs = {{0, words}};
+      if (ctx.id() == 3)
+        runs.push_back({9, empty_run ? std::span<const Word>() : words});
+      ctx.exchange_flat(runs);
+      ctx.output(0);
+    };
+    for (MessagePlaneKind plane :
+         {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
+      for (bool chaos : {false, true}) {
+        const std::string msg = violation(g, program, plane, chaos);
+        EXPECT_NE(msg.find("node 3 sent a run to node 9"), std::string::npos)
+            << msg;
+      }
+    }
+  }
+}
+
+TEST(MsgPlaneRuns, ChaosLedgerMatchesPairShape) {
+  // Every (collective, src, dst) fault stream draws over the pair's queue
+  // in FIFO order, whatever shape carried it: the run form of a random
+  // sparse pattern (repeated destinations split over several runs, empty
+  // runs, self words) must leave the pair form's exact ledger.
+  const Graph g = gen::empty(12);
+  ChaosPlan::Config ccfg;
+  ccfg.seed = 91;
+  ccfg.p_flip = 0.2;
+  ccfg.p_drop = 0.1;
+  ccfg.p_dup = 0.1;
+  ccfg.byzantine = {5};
+  const auto program = [](bool as_runs) {
+    return [as_runs](NodeCtx& ctx) {
+      std::uint64_t fp = 0;
+      for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        const auto sends = make_sends(ctx, seed, kRandomSparse);
+        std::vector<Word> flat;
+        const FlatInbox in = as_runs
+                                 ? ctx.exchange_flat(runs_of(ctx, sends, flat))
+                                 : ctx.exchange_flat(sends);
+        for (NodeId src = 0; src < ctx.n(); ++src) {
+          for (const Word& w : in.from(src))
+            fp = fp * 131 + src * 7 + w.value * 3 + w.bits;
+        }
+      }
+      ctx.output(fp);
+    };
+  };
+  for (MessagePlaneKind plane :
+       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
+    ChaosPlan pair_plan(ccfg), run_plan(ccfg);
+    Engine::Config cfg;
+    cfg.plane = plane;
+    cfg.chaos = &pair_plan;
+    const auto pairs = Engine::run(g, program(false), cfg);
+    cfg.chaos = &run_plan;
+    const auto runs = Engine::run(g, program(true), cfg);
+    expect_same_result(pairs, runs, "chaos: runs vs pairs");
+    ASSERT_GT(pair_plan.total_faults(), 0u);
+    EXPECT_EQ(pair_plan.ledger_overflow(), 0u);
+    ASSERT_EQ(pair_plan.ledger().size(), run_plan.ledger().size());
+    for (std::size_t i = 0; i < pair_plan.ledger().size(); ++i) {
+      EXPECT_TRUE(pair_plan.ledger()[i] == run_plan.ledger()[i])
+          << "event " << i;
+    }
   }
 }
 
