@@ -1,22 +1,18 @@
 // Message-plane micro-benchmark: allocation-bound exchange loads.
 //
-// The workload is the plane's worst case for the legacy substrate: many
-// supersteps of skewed all-to-all exchange(), where the legacy delivery
-// rebuilds Θ(n²) vector queues per collective while the flat plane runs a
-// counting sort over persisted arenas (DESIGN.md "Message plane"). Cost
-// meters must be byte-identical between planes; only wall-clock may differ.
+// Many supersteps of skewed all-to-all exchange_flat(), where the plane
+// runs a counting sort over persisted arenas (DESIGN.md §8), timed with
+// tracing off and on. Cost meters must be byte-identical between the two;
+// only wall-clock may differ.
 //
 // Usage: bench_exchange [--n=N] [--check] [--trace=PATH]
 //   --n=N     run a single clique size instead of the 128/256/512 sweep
-//   --check   CI smoke mode: exit non-zero if the flat plane is slower
-//             than legacy beyond a noise tolerance (see kCheckTolerance;
-//             shared CI runners jitter best-of-5 timings by ~10%, so an
-//             exact comparison would flake on timer noise alone), or if
-//             enabled tracing costs more than 50% on top of delivery
+//   --check   CI smoke mode: exit non-zero if enabled tracing costs more
+//             than 50% on top of delivery
 //   --trace=PATH  record a round trace (see clique/trace.hpp) of every
 //             run into PATH (chrome://tracing) + PATH's .jsonl sibling
 //
-// Writes BENCH_exchange.json ({n, backend, plane, wall_ms, rounds,
+// Writes BENCH_exchange.json ({n, backend, trace, wall_ms, rounds,
 // messages, bits} per row) into the current directory.
 
 #include <chrono>
@@ -35,36 +31,13 @@ namespace {
 
 constexpr int kSupersteps = 16;
 
-// --check fails only when flat exceeds legacy by this factor: the gate is
-// meant to catch real regressions (the steady-state win is >=2x), not the
-// ~10% wall-clock jitter of a shared CI runner.
-constexpr double kCheckTolerance = 1.15;
-
 struct Sample {
   double millis = 0;
   RunResult result;
 };
 
-// Skewed all-to-all through the queue-shaped exchange() API: per superstep
-// each node sends (id + dst + r) % 4 one-bit words to every destination.
-void exchange_program(NodeCtx& ctx) {
-  const NodeId n = ctx.n();
-  std::uint64_t acc = 0;
-  WordQueues out(n);
-  for (int r = 0; r < kSupersteps; ++r) {
-    for (NodeId v = 0; v < n; ++v) {
-      out[v].clear();
-      const NodeId reps = (ctx.id() + v + r) % 4;
-      for (NodeId i = 0; i < reps; ++i) out[v].emplace_back((i + r) % 2, 1);
-    }
-    const WordQueues in = ctx.exchange(out);
-    for (NodeId v = 0; v < n; ++v) acc += in[v].size();
-  }
-  ctx.output(acc);
-}
-
-// The same traffic through the span-shaped fast path (exchange_flat):
-// measures what a fully ported caller gains on top of the plane swap.
+// Skewed all-to-all: per superstep each node sends (id + dst + r) % 4
+// one-bit words to every destination.
 void exchange_flat_program(NodeCtx& ctx) {
   const NodeId n = ctx.n();
   std::uint64_t acc = 0;
@@ -81,49 +54,28 @@ void exchange_flat_program(NodeCtx& ctx) {
   ctx.output(acc);
 }
 
-Sample run_config(NodeId n, MessagePlaneKind plane, bool flat_api,
-                  int trials) {
-  Engine::Config cfg;
-  cfg.plane = plane;
-  const NodeProgram program =
-      flat_api ? NodeProgram(exchange_flat_program)
-               : NodeProgram(exchange_program);
-  Sample s;
-  for (int t = 0; t < trials; ++t) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto res = Engine::run(gen::empty(n), program, cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (t == 0 || ms < s.millis) s.millis = ms;
-    s.result = std::move(res);
-  }
-  return s;
-}
-
-// The tracing overhead gate. The "flat" rows above are the
+// Best of `trials` runs. The trace-off rows are the
 // compiled-in-but-disabled numbers the acceptance baseline diffs against —
 // a disabled trace costs one pointer test per collective, so those rows
-// must not move between PRs. Here we additionally measure the *enabled*
-// cost (per-collective O(n) delta scans + record append) so a future
-// change cannot silently make --trace unusable on big sweeps. Each trial
+// must not move between PRs. The trace-on rows measure the *enabled* cost
+// (per-collective O(n) delta scans + record append) so a future change
+// cannot silently make --trace unusable on big sweeps. Each traced trial
 // records into a throwaway local trace (Config::trace overrides the
 // session's global one, keeping the gate out of the user's timeline).
-Sample run_traced(NodeId n, int trials) {
+Sample run_exchange(NodeId n, int trials, bool traced) {
   Sample s;
   for (int t = 0; t < trials; ++t) {
     RoundTrace tr;
     Engine::Config cfg;
-    cfg.plane = MessagePlaneKind::kFlat;
-    cfg.trace = &tr;
+    if (traced) cfg.trace = &tr;
     const auto t0 = std::chrono::steady_clock::now();
-    auto res = Engine::run(gen::empty(n), NodeProgram(exchange_program), cfg);
+    auto res = Engine::run(gen::empty(n), exchange_flat_program, cfg);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (t == 0 || ms < s.millis) s.millis = ms;
     s.result = std::move(res);
-    if (!tr.totals_match()) {
+    if (traced && !tr.totals_match()) {
       std::printf("FATAL: trace records do not sum to metered totals\n");
       std::exit(1);
     }
@@ -139,11 +91,11 @@ bool same_meters(const RunResult& a, const RunResult& b) {
          a.cost.max_node_received == b.cost.max_node_received;
 }
 
-void add_record(benchjson::Writer& json, NodeId n, const char* plane,
+void add_record(benchjson::Writer& json, NodeId n, const char* trace,
                 const Sample& s) {
   json.add({{"n", n},
             {"backend", "pooled"},
-            {"plane", plane},
+            {"trace", trace},
             {"wall_ms", s.millis},
             {"rounds", s.result.cost.rounds},
             {"messages", s.result.cost.messages},
@@ -170,72 +122,37 @@ int main(int argc, char** argv) {
   }
   const int trials = check ? 5 : 3;
 
-  std::printf("Message planes (allocation-bound load: %d skewed all-to-all\n"
-              "exchange supersteps, best of %d trials, pooled backend):\n\n",
-              kSupersteps, trials);
-
   std::vector<NodeId> sizes = {128, 256, 512};
   if (only_n != 0) sizes = {only_n};
 
-  benchjson::Writer json;
-  Table t({"n", "legacy ms", "flat ms", "speedup", "flat-API ms",
-           "total speedup", "counts equal"});
-  bool check_failed = false;
-  for (NodeId n : sizes) {
-    const auto legacy =
-        run_config(n, MessagePlaneKind::kLegacy, false, trials);
-    const auto flat = run_config(n, MessagePlaneKind::kFlat, false, trials);
-    const auto flat_api =
-        run_config(n, MessagePlaneKind::kFlat, true, trials);
-    if (!same_meters(legacy.result, flat.result) ||
-        !same_meters(legacy.result, flat_api.result)) {
-      std::printf("FATAL: planes disagree on metered cost at n=%u\n", n);
-      return 1;
-    }
-    add_record(json, n, "legacy", legacy);
-    add_record(json, n, "flat", flat);
-    add_record(json, n, "flat_span", flat_api);
-    t.add_row({std::to_string(n), Table::fmt(legacy.millis, 1),
-               Table::fmt(flat.millis, 1),
-               Table::fmt(legacy.millis / flat.millis, 1),
-               Table::fmt(flat_api.millis, 1),
-               Table::fmt(legacy.millis / flat_api.millis, 1), "yes"});
-    if (check && flat.millis > kCheckTolerance * legacy.millis) {
-      check_failed = true;
-    }
-  }
-  t.print();
-
   std::printf(
-      "\nTracing overhead (flat plane; \"off\" is the disabled-trace path —\n"
-      "one pointer test per collective — \"on\" attaches a RoundTrace and\n"
-      "pays the per-collective O(n) record scan):\n");
-  Table to({"n", "trace off ms", "trace on ms", "overhead", "counts equal"});
+      "Exchange delivery (allocation-bound load: %d skewed all-to-all\n"
+      "exchange_flat supersteps, best of %d trials, pooled backend) and its\n"
+      "tracing overhead (\"off\" is the disabled-trace path — one pointer\n"
+      "test per collective — \"on\" attaches a RoundTrace and pays the\n"
+      "per-collective O(n) record scan):\n\n",
+      kSupersteps, trials);
+  benchjson::Writer json;
+  Table t({"n", "trace off ms", "trace on ms", "overhead", "counts equal"});
   bool trace_gate_failed = false;
   for (NodeId n : sizes) {
-    const auto off = run_config(n, MessagePlaneKind::kFlat, false, trials);
-    const auto on = run_traced(n, trials);
+    const auto off = run_exchange(n, trials, /*traced=*/false);
+    const auto on = run_exchange(n, trials, /*traced=*/true);
     if (!same_meters(off.result, on.result)) {
       std::printf("FATAL: tracing changed the metered cost at n=%u\n", n);
       return 1;
     }
-    json.add({{"n", n},
-              {"backend", "pooled"},
-              {"plane", "flat"},
-              {"trace", "on"},
-              {"wall_ms", on.millis},
-              {"rounds", on.result.cost.rounds},
-              {"messages", on.result.cost.messages},
-              {"bits", on.result.cost.bits}});
-    to.add_row({std::to_string(n), Table::fmt(off.millis, 1),
-                Table::fmt(on.millis, 1),
-                Table::fmt(on.millis / off.millis, 2), "yes"});
+    add_record(json, n, "off", off);
+    add_record(json, n, "on", on);
+    t.add_row({std::to_string(n), Table::fmt(off.millis, 1),
+               Table::fmt(on.millis, 1),
+               Table::fmt(on.millis / off.millis, 2), "yes"});
     // Enabled tracing must stay cheap relative to delivery itself; 1.5x is
     // far above the measured ~1.0-1.1x but catches an accidental O(n²)
     // scan or per-word work sneaking into the record path.
     if (check && on.millis > 1.5 * off.millis) trace_gate_failed = true;
   }
-  to.print();
+  t.print();
 
   if (!trace_session.finish(&json)) return 1;
 
@@ -244,19 +161,12 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
-    if (check_failed) {
-      std::printf("CHECK FAILED: flat plane >%.0f%% slower than legacy\n",
-                  (kCheckTolerance - 1.0) * 100.0);
-      return 1;
-    }
     if (trace_gate_failed) {
       std::printf("CHECK FAILED: enabled tracing costs >50%% on top of "
                   "delivery\n");
       return 1;
     }
-    std::printf("CHECK OK: flat plane within %.0f%% of legacy or faster; "
-                "tracing overhead in bounds\n",
-                (kCheckTolerance - 1.0) * 100.0);
+    std::printf("CHECK OK: tracing overhead in bounds\n");
   }
   return 0;
 }

@@ -63,8 +63,7 @@ namespace {
 // fraction of the job, which is exactly what the warm cache removes.
 constexpr const char* kJobCell =
     "{\"algorithm\": \"routing_balanced\", \"family\": \"gnp\", "
-    "\"p\": 0.25, \"n\": 128, \"plane\": \"flat\", \"backend\": \"pooled\", "
-    "\"chaos\": false}";
+    "\"p\": 0.25, \"n\": 128, \"backend\": \"pooled\", \"chaos\": false}";
 
 struct Fingerprints {
   std::string output_fp, ledger_fp;

@@ -28,9 +28,24 @@ void set_global(ChaosPlan* plan) { g_plan = plan; }
 ChaosPlan* global() { return g_plan; }
 }  // namespace chaos
 
+namespace {
+
+/// Per-destination word queues; index = destination node id.
+using WordQueues = std::vector<std::vector<Word>>;
+
+/// A queue outbox as its n runs: run v sends queue v to node v. The runs
+/// borrow `out`, which must outlive them.
+void queues_as_runs(const WordQueues& out, std::vector<WordRun>& runs) {
+  runs.resize(out.size());
+  for (std::size_t v = 0; v < out.size(); ++v)
+    runs[v] = WordRun{static_cast<NodeId>(v), out[v]};
+}
+
+}  // namespace
+
 // The wrapper plane. Deposits run on node fibers and touch only the slots
 // owned by `self` (own_[self], runs_[self], pending_[self]) — the same
-// ownership discipline the real planes follow, so both backends and TSan
+// ownership discipline the wrapped plane follows, so every backend and TSan
 // are happy. Every deposit shape is first gathered into per-destination
 // queues (so each pair's fault stream sees its words in FIFO order,
 // whatever shape carried them), corrupted, and handed to the wrapped plane
@@ -40,8 +55,6 @@ class ChaosPlane final : public detail::MessagePlane {
  public:
   ChaosPlane(detail::MessagePlane* inner, ChaosPlan* plan)
       : inner_(inner), plan_(plan) {}
-
-  MessagePlaneKind kind() const override { return inner_->kind(); }
 
   void init(NodeId n, unsigned bandwidth) override {
     n_ = n;
@@ -105,8 +118,8 @@ class ChaosPlane final : public detail::MessagePlane {
   void deliver(detail::Scheduler& sched,
                detail::DeliveryAccounting& acc) override {
     // Flush per-node fault buffers into the plan in node-id order: the
-    // decisions are pure hashes, so the ledger is identical across planes,
-    // backends and worker counts.
+    // decisions are pure hashes, so the ledger is identical across backends
+    // and worker counts.
     for (NodeId v = 0; v < n_; ++v) {
       for (const FaultEvent& e : pending_[v]) plan_->record(e);
       pending_[v].clear();
@@ -116,9 +129,6 @@ class ChaosPlane final : public detail::MessagePlane {
   }
 
   FlatInbox inbox(NodeId self) override { return inner_->inbox(self); }
-  WordQueues take_queues(NodeId self) override {
-    return inner_->take_queues(self);
-  }
 
  private:
   // One fault stream per (collective, src, dst), drawn in word order — the
@@ -195,7 +205,7 @@ class ChaosPlane final : public detail::MessagePlane {
       mine[dst].clear();
       corrupt_queue(self, dst, tmp, mine[dst]);
     }
-    detail::queues_as_runs(mine, runs_[self]);
+    queues_as_runs(mine, runs_[self]);
     inner_->deposit_runs(self, runs_[self]);
   }
 

@@ -6,8 +6,8 @@
 // direction: a verifier that accepts a corrupted certificate silently
 // falsifies every hierarchy experiment built on it. Nothing in the honest
 // engine ever feeds a verifier adversarial traffic, so this layer wraps
-// either MessagePlane (Engine::Config::chaos, attached exactly like the
-// round trace) and corrupts deposits before delivery:
+// the MessagePlane (Engine::Config::chaos, attached exactly like the round
+// trace) and corrupts deposits before delivery:
 //
 //   * kFlip      — flip one uniformly chosen bit of a word;
 //   * kDrop      — deliver the word as zero (width preserved, so framing
@@ -20,8 +20,8 @@
 // Every fault decision is a pure function of (plan seed, collective index,
 // src, dst, word position): one SplitMix64 stream per (collective, src, dst)
 // ordered pair, drawn in word order. That makes fault schedules bit-for-bit
-// reproducible across planes, backends and worker counts — the same
-// structural-determinism argument the planes themselves rely on — and lets a
+// reproducible across backends and worker counts — the same
+// structural-determinism argument the plane itself relies on — and lets a
 // failing campaign trial be replayed from four integers.
 //
 // Words a node queues to itself never touch the network and are never
@@ -59,9 +59,10 @@ struct FaultEvent {
   std::uint64_t collective = 0;  ///< 0-based collective index within a run
   NodeId src = 0;
   NodeId dst = 0;
-  /// Word position in the (src→dst) queue. 64-bit: queue lengths are
-  /// size_t and the legacy plane accepts queues past 2³² words, so a
-  /// narrower index would silently alias distinct fault positions.
+  /// Word position in the (src→dst) queue. 64-bit: the chaos layer's own
+  /// queues are size_t long and are faulted before the wrapped plane checks
+  /// its 2³²-word cap, so a narrower index would silently alias distinct
+  /// fault positions.
   std::uint64_t index = 0;
   unsigned bit = 0;  ///< kFlip only: which bit was flipped
   Word before;

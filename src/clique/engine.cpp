@@ -38,12 +38,11 @@ struct SharedState {
   // leader step reads and writes everything).
   Scheduler* sched = nullptr;
 
-  // Delivery substrate (Config::plane). Owns outbox slots, the inbox
-  // storage, and — for the flat plane — the persistent counting-sort
-  // arrays, so steady-state collectives allocate nothing. `plane` is the
-  // active substrate for this run: either `owned_plane` (plain Engine::run),
-  // a session's warm plane (EngineSession::run), or — for chaos runs — the
-  // `chaos_wrapper` borrowing one of those.
+  // Delivery substrate. Owns the inbox arena and the persistent
+  // counting-sort arrays, so steady-state collectives allocate nothing.
+  // `plane` is the active substrate for this run: either `owned_plane`
+  // (plain Engine::run), a session's warm plane (EngineSession::run), or —
+  // for chaos runs — the `chaos_wrapper` borrowing one of those.
   MessagePlane* plane = nullptr;
   std::unique_ptr<MessagePlane> owned_plane;
   std::unique_ptr<MessagePlane> chaos_wrapper;
@@ -57,9 +56,6 @@ struct SharedState {
   std::vector<std::uint64_t> received_words;
   std::vector<std::uint64_t> outputs;
   std::vector<std::uint8_t> has_output;
-  // [id] exchange()'s queue outbox as runs; node-owned, reused across
-  // collectives.
-  std::vector<std::vector<WordRun>> queue_runs;
 
   // Round-trace recorder (null = untraced; the common case). Record fields
   // are filled in the serial leader step; span push/pop from node fibers
@@ -247,24 +243,6 @@ void NodeCtx::trace_pop() {
       st_->rounds_committed.load(std::memory_order_acquire));
 }
 
-WordQueues NodeCtx::exchange(const WordQueues& out) {
-  // A queue outbox is n runs. They borrow `out`, which outlives the
-  // collective, as the plane's borrowed spans require.
-  std::vector<WordRun>& runs = st_->queue_runs[id_];
-  st_->sched->collective(
-      id_, OpTag{detail::kOpExchange, 0},
-      [&] {
-        CCQ_CHECK_MSG(out.size() == st_->n,
-                      "outbox must have one queue per node");
-        detail::queues_as_runs(out, runs);
-        st_->plane->deposit_runs(id_, runs);
-      },
-      [st = st_] {
-        detail::charge_rounds(*st, detail::deliver(*st, detail::kOpExchange));
-      });
-  return st_->plane->take_queues(id_);
-}
-
 FlatInbox NodeCtx::exchange_flat(std::span<const WordRun> runs) {
   // Validation (bandwidth, destination range) happens inside the deposit
   // scan.
@@ -446,11 +424,9 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
   st.max_rounds = config.max_rounds;
   st.seed = config.seed;
   if (session_plane != nullptr) {
-    CCQ_CHECK_MSG(session_plane->kind() == config.plane,
-                  "session plane kind does not match config.plane");
     st.plane = session_plane;
   } else {
-    st.owned_plane = detail::make_message_plane(config.plane);
+    st.owned_plane = detail::make_message_plane();
     st.plane = st.owned_plane.get();
   }
   // Attach the fault plane, if any: Config::chaos wins, else the
@@ -474,7 +450,6 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
   st.plane->init(n, st.bandwidth);
   st.outputs.assign(n, 0);
   st.has_output.assign(n, 0);
-  st.queue_runs.assign(n, {});
   st.sent_words.assign(n, 0);
   st.received_words.assign(n, 0);
 
@@ -580,7 +555,7 @@ EngineSession::EngineSession(const Shape& shape) : shape_(shape) {
                                            << " outside [1, 8192]");
   sched_ = detail::make_scheduler(shape.backend, shape.workers,
                                   shape.fiber_stack_bytes);
-  plane_ = detail::make_message_plane(shape.plane);
+  plane_ = detail::make_message_plane();
 }
 
 EngineSession::~EngineSession() = default;
@@ -588,7 +563,7 @@ EngineSession::~EngineSession() = default;
 RunResult EngineSession::run(const Instance& instance,
                              const NodeProgram& program,
                              const Engine::Config& config) {
-  // The warm objects are shaped by (n, B, plane, backend, workers, stacks);
+  // The warm objects are shaped by (n, B, backend, workers, stacks);
   // a config naming a different shape must not silently run on them — the
   // caller keyed its cache wrong.
   CCQ_CHECK_MSG(instance.graph.n() == shape_.n,
@@ -596,7 +571,6 @@ RunResult EngineSession::run(const Instance& instance,
                     << shape_.n << " got an instance with n = "
                     << instance.graph.n());
   CCQ_CHECK_MSG(config.bandwidth_multiplier == shape_.bandwidth_multiplier &&
-                    config.plane == shape_.plane &&
                     config.backend == shape_.backend &&
                     config.workers == shape_.workers &&
                     config.fiber_stack_bytes == shape_.fiber_stack_bytes,

@@ -10,11 +10,12 @@
 //   * all nodes run the same program (SPMD), parameterised by id().
 //
 // Programs are written MPI-style: a plain function `void(NodeCtx&)` that
-// calls *collectives* — round(), exchange(), broadcast(), share_bit(). Every
-// node must issue the identical collective sequence; the engine rendezvouses
-// all nodes at each collective, verifies the sequences agree (a divergent
-// sequence is a ModelViolation), delivers messages deterministically, and
-// meters rounds from the actual per-pair queue drain.
+// calls *collectives* — round(), exchange_flat(), broadcast(), share_bit().
+// Every node must issue the identical collective sequence; the engine
+// rendezvouses all nodes at each collective, verifies the sequences agree
+// (a divergent sequence is a ModelViolation), delivers messages
+// deterministically, and meters rounds from the actual per-pair queue
+// drain.
 //
 // Node programs execute on a pluggable scheduler backend
 // (Config::backend, see clique/scheduler.hpp): by default they run as
@@ -81,19 +82,14 @@ class NodeCtx {
   std::vector<std::optional<Word>> round(
       std::span<const std::pair<NodeId, Word>> sends);
 
-  /// Bulk exchange: queue any number of words per destination (`out` must
-  /// hold one queue per node); the engine drains all queues one word per
-  /// ordered pair per round, so the cost is max over ordered pairs of the
-  /// queue length. Returns per-source inboxes in FIFO order. Words queued
+  /// Bulk exchange: sends are (dst, word) pairs in send order, any number
+  /// per destination. The engine drains every (src → dst) queue one word
+  /// per ordered pair per round, so the cost is max over ordered pairs of
+  /// the queue length. Returns per-source inboxes in FIFO order. Words sent
   /// to self are delivered free of charge (local computation is
-  /// unlimited).
-  WordQueues exchange(const WordQueues& out);
-
-  /// Allocation-free exchange fast path: sends are (dst, word) pairs in
-  /// send order (any number per destination, self allowed); cost semantics
-  /// are identical to exchange(). The returned view aliases the message
-  /// plane's arena and is valid until this node's next collective — decode
-  /// or copy out before communicating again.
+  /// unlimited). The returned view aliases the message plane's arena and is
+  /// valid until this node's next collective — decode or copy out before
+  /// communicating again.
   FlatInbox exchange_flat(std::span<const std::pair<NodeId, Word>> sends);
 
   /// Run form of the fast path: each run sends its words, in order, to its
@@ -211,10 +207,6 @@ class Engine {
     std::uint64_t seed = 0x9a7cc1e5u;     ///< common public randomness
     /// Execution backend; results are bit-identical across backends.
     ExecutionBackend backend = ExecutionBackend::kPooled;
-    /// Message plane (delivery substrate); results are bit-identical across
-    /// planes — kLegacy keeps the original per-pair vector queues as the
-    /// auditable baseline, kFlat is the arena-backed counting-sort plane.
-    MessagePlaneKind plane = MessagePlaneKind::kFlat;
     /// Pooled backend: cap on concurrent workers. Sharded backend: the
     /// shard count — the node id space is cut into this many contiguous
     /// owner-computes blocks (the worker team is min(shards, pool size)).
@@ -277,7 +269,6 @@ class EngineSession {
   struct Shape {
     NodeId n = 0;
     unsigned bandwidth_multiplier = 1;
-    MessagePlaneKind plane = MessagePlaneKind::kFlat;
     ExecutionBackend backend = ExecutionBackend::kPooled;
     std::size_t workers = 0;
     std::size_t fiber_stack_bytes = 0;

@@ -7,7 +7,7 @@
 namespace ccq {
 
 // Sole builder of FlatInbox views (friend of FlatInbox): keeps the view's
-// raw pointers constructible only by the planes in this translation unit.
+// raw pointers constructible only by the plane in this translation unit.
 class FlatInboxAccess {
  public:
   static FlatInbox flat(const Word* words, const std::uint32_t* cursor,
@@ -16,15 +16,6 @@ class FlatInboxAccess {
     ib.words_ = words;
     ib.cursor_ = cursor;
     ib.counts_ = counts;
-    ib.self_ = self;
-    ib.n_ = n;
-    return ib;
-  }
-  static FlatInbox legacy(const Word* words, const std::uint64_t* starts,
-                          NodeId self, NodeId n) {
-    FlatInbox ib;
-    ib.words_ = words;
-    ib.starts_ = starts;
     ib.self_ = self;
     ib.n_ = n;
     return ib;
@@ -56,184 +47,6 @@ struct NodeStats {
                                                << (dst)                   \
                                                << ", out of range for n = " \
                                                << (n))
-
-// ---------------------------------------------------------------------------
-// LegacyPlane: the original per-ordered-pair vector queues, kept as the
-// auditable baseline. Every deposit copies the outbox into plane-owned
-// queues, validating and metering in the same scan; delivery swaps each
-// queue into its receiver's inbox slot, so queue capacity circulates
-// between outboxes and inboxes instead of being reallocated.
-// ---------------------------------------------------------------------------
-class LegacyPlane final : public MessagePlane {
- public:
-  MessagePlaneKind kind() const override { return MessagePlaneKind::kLegacy; }
-
-  void init(NodeId n, unsigned bandwidth) override {
-    n_ = n;
-    bandwidth_ = bandwidth;
-    out_.resize(n);
-    in_slots_.resize(n);
-    stats_.assign(n, {});
-    in_totals_.assign(n, 0);
-    inbox_built_.assign(n, 0);
-    inbox_words_.resize(n);
-    inbox_starts_.resize(n);
-  }
-
-  void deposit_runs(NodeId self, std::span<const WordRun> runs) override {
-    WordQueues& qs = fresh_outbox(self);
-    NodeStats s;
-    for (const WordRun& r : runs) {
-      CCQ_RUN_DST_CHECK(self, r.dst, n_);
-      std::vector<Word>& q = qs[r.dst];
-      // Same per-pair cap the flat plane enforces: the planes must accept
-      // and reject identical outboxes, and downstream consumers (the chaos
-      // ledger's word index, the flat-view conversion) assume it.
-      CCQ_CHECK_MSG(q.size() + r.words.size() <= 0xffffffffull,
-                    "queue to node " << r.dst << " exceeds 2^32 words");
-      q.insert(q.end(), r.words.begin(), r.words.end());
-      if (r.dst == self || r.words.empty()) continue;  // self is free
-      for (const Word& w : r.words) {
-        CCQ_BANDWIDTH_CHECK(self, r.dst, w, bandwidth_);
-        s.bits += w.bits;
-      }
-      s.msgs += r.words.size();
-      s.row_max = std::max<std::uint64_t>(s.row_max, q.size());
-    }
-    stats_[self] = s;
-  }
-
-  void deposit_pairs(NodeId self,
-                     std::span<const std::pair<NodeId, Word>> out,
-                     bool unique_dst) override {
-    CCQ_CHECK_MSG(out.size() <= 0xffffffffull,
-                  "deposit exceeds 2^32 words");
-    WordQueues& qs = fresh_outbox(self);
-    NodeStats s;
-    for (const auto& [dst, w] : out) {
-      if (unique_dst) {
-        CCQ_CHECK_MSG(dst < n_, "round(): destination out of range");
-        CCQ_CHECK_MSG(dst != self, "round(): no self-messages in round()");
-        CCQ_CHECK_MSG(qs[dst].empty(),
-                      "round(): at most one word per destination per round");
-      } else {
-        CCQ_CHECK_MSG(dst < n_, "exchange_flat: destination out of range");
-      }
-      qs[dst].push_back(w);
-      if (dst != self) {
-        CCQ_BANDWIDTH_CHECK(self, dst, w, bandwidth_);
-        s.bits += w.bits;
-        s.msgs += 1;
-        s.row_max = std::max<std::uint64_t>(s.row_max, qs[dst].size());
-      }
-    }
-    stats_[self] = s;
-  }
-
-  void deposit_broadcast(NodeId self, std::span<const Word> words) override {
-    CCQ_CHECK_MSG(words.size() <= 0xffffffffull,
-                  "broadcast exceeds 2^32 words");
-    std::uint64_t wbits = 0;
-    for (const Word& w : words) {
-      CCQ_CHECK_MSG(w.bits <= bandwidth_,
-                    "bandwidth violation: node "
-                        << self << " broadcast a " << w.bits
-                        << "-bit word but B = " << bandwidth_);
-      wbits += w.bits;
-    }
-    WordQueues& qs = fresh_outbox(self);
-    for (NodeId v = 0; v < n_; ++v) {
-      if (v == self) continue;
-      qs[v].assign(words.begin(), words.end());
-    }
-    NodeStats s;
-    if (n_ > 1 && !words.empty()) {
-      s.msgs = static_cast<std::uint64_t>(n_ - 1) * words.size();
-      s.bits = static_cast<std::uint64_t>(n_ - 1) * wbits;
-      s.row_max = words.size();
-    }
-    stats_[self] = s;
-  }
-
-  void deliver(Scheduler& /*sched*/, DeliveryAccounting& acc) override {
-    for (NodeId u = 0; u < n_; ++u) {
-      const NodeStats& s = stats_[u];
-      acc.max_queue = std::max(acc.max_queue, s.row_max);
-      acc.messages += s.msgs;
-      acc.bits += s.bits;
-      acc.sent_words[u] += s.msgs;
-    }
-    for (NodeId v = 0; v < n_; ++v) {
-      in_slots_[v].resize(n_);
-      for (auto& q : in_slots_[v]) q.clear();
-      in_totals_[v] = 0;
-      inbox_built_[v] = 0;
-    }
-    for (NodeId u = 0; u < n_; ++u) {
-      WordQueues& out = out_[u];
-      for (NodeId v = 0; v < n_; ++v) {
-        if (out[v].empty()) continue;
-        if (u != v) {
-          acc.received_words[v] += out[v].size();
-          in_totals_[v] += out[v].size();
-        }
-        // The inbox slot was cleared above; the outbox queue it hands back
-        // is cleared by the next deposit.
-        std::swap(in_slots_[v][u], out[v]);
-      }
-    }
-    for (NodeId v = 0; v < n_; ++v) {
-      acc.max_node_in = std::max(acc.max_node_in, in_totals_[v]);
-    }
-  }
-
-  FlatInbox inbox(NodeId self) override {
-    if (!inbox_built_[self]) {
-      const WordQueues& in = in_slots_[self];
-      auto& starts = inbox_starts_[self];
-      auto& words = inbox_words_[self];
-      starts.resize(static_cast<std::size_t>(n_) + 1);
-      starts[0] = 0;
-      const bool have = in.size() == n_;
-      for (NodeId u = 0; u < n_; ++u) {
-        starts[u + 1] = starts[u] + (have ? in[u].size() : 0);
-      }
-      words.resize(starts[n_]);
-      for (NodeId u = 0; u < n_; ++u) {
-        if (have && !in[u].empty()) {
-          std::copy(in[u].begin(), in[u].end(), words.begin() + starts[u]);
-        }
-      }
-      inbox_built_[self] = 1;
-    }
-    return FlatInboxAccess::legacy(inbox_words_[self].data(),
-                                   inbox_starts_[self].data(), self, n_);
-  }
-
-  WordQueues take_queues(NodeId self) override {
-    return std::move(in_slots_[self]);
-  }
-
- private:
-  /// Node `self`'s outbox, emptied for a new deposit.
-  WordQueues& fresh_outbox(NodeId self) {
-    WordQueues& qs = out_[self];
-    qs.resize(n_);
-    for (auto& q : qs) q.clear();
-    return qs;
-  }
-
-  NodeId n_ = 0;
-  unsigned bandwidth_ = 0;
-  std::vector<WordQueues> out_;  // [src] plane-owned outbox queues
-  std::vector<WordQueues> in_slots_;
-  std::vector<NodeStats> stats_;
-  std::vector<std::uint64_t> in_totals_;  // per-collective inbox words
-  // Lazy flat views for exchange_flat()/round_flat() callers.
-  std::vector<std::uint8_t> inbox_built_;
-  std::vector<std::vector<Word>> inbox_words_;
-  std::vector<std::vector<std::uint64_t>> inbox_starts_;
-};
 
 // ---------------------------------------------------------------------------
 // FlatPlane: arena-backed counting-sort delivery.
@@ -279,8 +92,6 @@ class LegacyPlane final : public MessagePlane {
 // ---------------------------------------------------------------------------
 class FlatPlane final : public MessagePlane {
  public:
-  MessagePlaneKind kind() const override { return MessagePlaneKind::kFlat; }
-
   void init(NodeId n, unsigned bandwidth) override {
     n_ = n;
     bandwidth_ = bandwidth;
@@ -505,19 +316,6 @@ class FlatPlane final : public MessagePlane {
                                  counts_[read_parity_].data(), self, n_);
   }
 
-  WordQueues take_queues(NodeId self) override {
-    WordQueues qs(n_);
-    const std::uint32_t* cnts = counts_[read_parity_].data();
-    for (NodeId u = 0; u < n_; ++u) {
-      const std::size_t i = static_cast<std::size_t>(u) * n_ + self;
-      const std::uint32_t c = cnts[i];
-      if (c == 0) continue;
-      const Word* end = arena_.data() + cursor_[i];
-      qs[u].assign(end - c, end);  // exact-size allocation per inbox queue
-    }
-    return qs;
-  }
-
  private:
   struct Deposit {
     enum Kind : std::uint8_t { kRuns, kPairs, kBcast } kind = kRuns;
@@ -622,10 +420,7 @@ class FlatPlane final : public MessagePlane {
 
 }  // namespace
 
-std::unique_ptr<MessagePlane> make_message_plane(MessagePlaneKind kind) {
-  if (kind == MessagePlaneKind::kLegacy) {
-    return std::make_unique<LegacyPlane>();
-  }
+std::unique_ptr<MessagePlane> make_message_plane() {
   return std::make_unique<FlatPlane>();
 }
 

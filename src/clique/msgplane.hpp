@@ -1,54 +1,42 @@
 #pragma once
 
-// Message planes: the engine's delivery substrate.
+// The message plane: the engine's delivery substrate.
 //
 // Every collective funnels through the same superstep shape — each node
 // deposits an outbox, a leader step delivers all deposits and meters the
 // cost, and each node reads its inbox. A MessagePlane owns that data path.
-// Two implementations exist:
-//
-//   * MessagePlaneKind::kLegacy — per-ordered-pair vector queues
-//     (`WordQueues`), the original delivery loop. Θ(n²) vector objects per
-//     collective regardless of traffic; kept as the auditable semantic
-//     baseline.
-//
-//   * MessagePlaneKind::kFlat (default) — a reusable CSR-style arena.
-//     Deposits are recorded as pointers into node-owned buffers plus a
-//     per-source histogram row (one scan validates bandwidth and counts at
-//     the same time). Delivery is a two-pass counting sort: column sums →
-//     exclusive prefix (inbox base per destination) → per-pair cursors →
-//     scatter into one shared flat Word arena. The column, cursor and
-//     scatter passes run on the scheduler's worker team
-//     (Scheduler::leader_parallel_for) over disjoint node ranges, and all
-//     arrays persist across collectives, so steady-state collectives
-//     perform zero heap allocations and the delivery step scales with
-//     cores.
+// The engine has one: a reusable CSR-style arena. Deposits are recorded as
+// pointers into node-owned buffers plus a per-source histogram row (one
+// scan validates bandwidth and counts at the same time). Delivery is a
+// two-pass counting sort: column sums → exclusive prefix (inbox base per
+// destination) → per-pair cursors → scatter into one shared flat Word
+// arena. The column, cursor and scatter passes run on the scheduler's
+// worker team (Scheduler::leader_parallel_for) over disjoint node ranges,
+// and all arrays persist across collectives, so steady-state collectives
+// perform zero heap allocations and the delivery step scales with cores.
+// The chaos layer (clique/chaos.hpp) wraps this plane when a fault plan is
+// attached.
 //
 // A node deposits its outbox in one of three shapes: runs (spans of words,
-// each to one destination — the bulk exchange form; a queue outbox is n
-// runs), (dst, word) pairs, or one word sequence broadcast to every other
-// node.
+// each to one destination — the bulk exchange form), (dst, word) pairs, or
+// one word sequence broadcast to every other node.
 //
-// Both planes deliver bit-for-bit identical inboxes and meter identical
-// costs (asserted by tests/clique/msgplane_test.cpp across backends,
-// worker counts and traffic patterns); determinism is structural — chunk
-// outputs are partitioned by node id, and every reduction the leader
-// performs iterates nodes in id order.
+// Inboxes and meters are pinned against a test-only reference delivery
+// (tests/clique/msgplane_test.cpp) across backends, worker counts and
+// traffic patterns; determinism is structural — chunk outputs are
+// partitioned by node id, and every reduction the leader performs iterates
+// nodes in id order.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "clique/scheduler.hpp"
 #include "clique/word.hpp"
 #include "graph/graph.hpp"
 
 namespace ccq {
-
-/// Per-destination (or per-source) word queues; index = peer node id.
-using WordQueues = std::vector<std::vector<Word>>;
 
 /// One run of an exchange outbox: `words`, in order, to `dst`
 /// (NodeCtx::exchange_flat's run form). The span is borrowed: it must stay
@@ -59,44 +47,32 @@ struct WordRun {
   std::span<const Word> words;
 };
 
-/// Which delivery substrate Engine::run uses (Engine::Config::plane).
-enum class MessagePlaneKind {
-  kLegacy,  ///< per-pair vector queues (reference)
-  kFlat,    ///< default: arena-backed counting-sort delivery
-};
-
 /// Read-only view of one node's delivered inbox: the words received from
 /// each source, FIFO per source, as spans into the plane's storage. Valid
 /// until this node's next collective (the next delivery reuses the arena).
 class FlatInbox {
  public:
   std::span<const Word> from(NodeId src) const {
-    if (cursor_ != nullptr) {
-      // Flat plane: cursors sit one past the end of each (src → self) run
-      // after the scatter; the run length is the histogram entry. An empty
-      // run must not touch the cursor at all — the block-sparse delivery
-      // passes skip cursor writes for untouched shard×shard blocks, so a
-      // zero-count entry may sit over a stale cursor value.
-      const std::size_t i = static_cast<std::size_t>(src) * n_ + self_;
-      const std::uint32_t count = counts_[i];
-      if (count == 0) return {};
-      return {words_ + (cursor_[i] - count), count};
-    }
-    return {words_ + starts_[src],
-            static_cast<std::size_t>(starts_[src + 1] - starts_[src])};
+    // Cursors sit one past the end of each (src → self) run after the
+    // scatter; the run length is the histogram entry. An empty run must not
+    // touch the cursor at all — the block-sparse delivery passes skip cursor
+    // writes for untouched shard×shard blocks, so a zero-count entry may sit
+    // over a stale cursor value.
+    const std::size_t i = static_cast<std::size_t>(src) * n_ + self_;
+    const std::uint32_t count = counts_[i];
+    if (count == 0) return {};
+    return {words_ + (cursor_[i] - count), count};
   }
   NodeId n() const { return n_; }
 
  private:
   friend class FlatInboxAccess;
   const Word* words_ = nullptr;
-  // Flat-plane layout: row-major [src * n + dst] cursor/count arrays
-  // (32-bit: a collective's arena cannot reach 2³² words on any host this
-  // simulator fits on, and the engine checks).
+  // Row-major [src * n + dst] cursor/count arrays (32-bit: a collective's
+  // arena cannot reach 2³² words on any host this simulator fits on, and
+  // the engine checks).
   const std::uint32_t* cursor_ = nullptr;
   const std::uint32_t* counts_ = nullptr;
-  // Legacy layout: per-source exclusive prefix (n + 1 entries).
-  const std::uint64_t* starts_ = nullptr;
   NodeId self_ = 0;
   NodeId n_ = 0;
 };
@@ -123,18 +99,17 @@ struct DeliveryAccounting {
 // destination range, round() uniqueness) during their single scan, so the
 // engine never re-walks an outbox just to check it. deliver() runs in the
 // serial leader step and may fan work out via sched.leader_parallel_for.
-// inbox()/take_queues() run on node fibers after delivery.
+// inbox() runs on node fibers after delivery.
 class MessagePlane {
  public:
   virtual ~MessagePlane() = default;
-  virtual MessagePlaneKind kind() const = 0;
 
   /// Reset for a run with n nodes and B-bit words.
   virtual void init(NodeId n, unsigned bandwidth) = 0;
 
   /// Outbox = runs in deposit order; each pair's queue is the
-  /// concatenation of its runs (a queue outbox is the n runs {v, out[v]}).
-  /// The spans are read again during deliver(), so they must outlive it.
+  /// concatenation of its runs. The spans are read again during deliver(),
+  /// so they must outlive it.
   virtual void deposit_runs(NodeId self, std::span<const WordRun> runs) = 0;
   /// Outbox = (dst, word) pairs in send order. `unique_dst` enforces
   /// round()'s one-word-per-destination, no-self rule.
@@ -150,20 +125,9 @@ class MessagePlane {
 
   /// This node's inbox as per-source spans (see FlatInbox lifetime).
   virtual FlatInbox inbox(NodeId self) = 0;
-  /// This node's inbox as per-source queues (exchange() compatibility);
-  /// consumes the inbox.
-  virtual WordQueues take_queues(NodeId self) = 0;
 };
 
-std::unique_ptr<MessagePlane> make_message_plane(MessagePlaneKind kind);
-
-/// A queue outbox as its n runs: run v sends queue v to node v. The runs
-/// borrow `out`, which must outlive them.
-inline void queues_as_runs(const WordQueues& out, std::vector<WordRun>& runs) {
-  runs.resize(out.size());
-  for (std::size_t v = 0; v < out.size(); ++v)
-    runs[v] = WordRun{static_cast<NodeId>(v), out[v]};
-}
+std::unique_ptr<MessagePlane> make_message_plane();
 
 }  // namespace detail
 }  // namespace ccq

@@ -30,11 +30,10 @@ using json::fail_at;
 // manifest-keys-begin
 constexpr const char* kTopLevelKeys[] = {"name", "trials", "cells"};
 constexpr const char* kCellKeys[] = {
-    "label",      "algorithm", "family",     "n",         "plane",
-    "backend",    "chaos",     "workers",    "bandwidth", "seed",
-    "p",          "max_w",     "exponent",   "avg_degree", "k",
-    "p_in",       "p_out",     "path",       "chaos_flip", "chaos_drop",
-    "chaos_dup"};
+    "label",     "algorithm", "family",     "n",          "backend",
+    "chaos",     "workers",   "bandwidth",  "seed",       "p",
+    "max_w",     "exponent",  "avg_degree", "k",          "p_in",
+    "p_out",     "path",      "chaos_flip", "chaos_drop", "chaos_dup"};
 // manifest-keys-end
 
 // ---- manifest validation --------------------------------------------------
@@ -55,25 +54,26 @@ void check_keys(const JsonValue& obj, const char* const (&known)[N],
   }
 }
 
-/// Scalar-or-array axis: returns the scalar, or each array element, as
-/// JsonValue pointers in manifest order.
-std::vector<const JsonValue*> axis_values(const JsonValue* v) {
+/// Scalar-or-array axis `key` of `group`: returns the scalar, or each
+/// array element, as JsonValue pointers in manifest order (none when the
+/// key is absent). An empty array is an error: it would expand the group
+/// to no cells, or drop an optional axis to its default unannounced.
+std::vector<const JsonValue*> axis_values(const JsonValue& group,
+                                          const char* key,
+                                          const std::string& origin) {
   std::vector<const JsonValue*> out;
+  const JsonValue* v = group.find(key);
   if (v == nullptr) return out;
   if (v->kind == JsonValue::Kind::kArray) {
+    if (v->arr.empty())
+      fail_at(origin, v->line,
+              std::string("axis '") + key +
+                  "' is an empty array (give at least one value)");
     for (const auto& e : v->arr) out.push_back(&e);
   } else {
     out.push_back(v);
   }
   return out;
-}
-
-MessagePlaneKind parse_plane(const JsonValue& v, const std::string& origin) {
-  const std::string s = as_string(v, "plane", origin);
-  if (s == "flat") return MessagePlaneKind::kFlat;
-  if (s == "legacy") return MessagePlaneKind::kLegacy;
-  fail_at(origin, v.line,
-          "unknown plane '" + s + "' (accepted: flat, legacy)");
 }
 
 ExecutionBackend parse_backend(const JsonValue& v,
@@ -100,10 +100,6 @@ std::string read_file(const std::string& path) {
 
 }  // namespace
 
-const char* plane_name(MessagePlaneKind k) {
-  return k == MessagePlaneKind::kFlat ? "flat" : "legacy";
-}
-
 const char* backend_name(ExecutionBackend b) {
   switch (b) {
     case ExecutionBackend::kPooled: return "pooled";
@@ -116,8 +112,7 @@ std::string CellSpec::id() const {
   std::ostringstream os;
   if (!label.empty()) os << label << "/";
   os << algorithm << "/" << family.name << "/n=" << n << "/"
-     << plane_name(plane) << "/" << backend_name(backend)
-     << "/chaos=" << (chaos ? "on" : "off");
+     << backend_name(backend) << "/chaos=" << (chaos ? "on" : "off");
   if (workers != 0) os << "/w=" << workers;
   if (bandwidth != 1) os << "/B=" << bandwidth;
   return os.str();
@@ -179,19 +174,14 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
     base.chaos_dup = as_prob(*v, "chaos_dup", origin);
   base.family.seed = base.seed;
 
-  const JsonValue* alg = group.find("algorithm");
-  if (alg == nullptr) fail_at(origin, group.line, "missing 'algorithm'");
-  const JsonValue* fam = group.find("family");
-  if (fam == nullptr) fail_at(origin, group.line, "missing 'family'");
-  const JsonValue* nv = group.find("n");
-  if (nv == nullptr) fail_at(origin, group.line, "missing 'n'");
-
-  const auto algs = axis_values(alg);
-  const auto fams = axis_values(fam);
-  const auto ns = axis_values(nv);
-  auto planes = axis_values(group.find("plane"));
-  auto backends = axis_values(group.find("backend"));
-  auto chaoses = axis_values(group.find("chaos"));
+  const auto algs = axis_values(group, "algorithm", origin);
+  if (algs.empty()) fail_at(origin, group.line, "missing 'algorithm'");
+  const auto fams = axis_values(group, "family", origin);
+  if (fams.empty()) fail_at(origin, group.line, "missing 'family'");
+  const auto ns = axis_values(group, "n", origin);
+  if (ns.empty()) fail_at(origin, group.line, "missing 'n'");
+  const auto backends = axis_values(group, "backend", origin);
+  const auto chaoses = axis_values(group, "chaos", origin);
 
   for (const JsonValue* av : algs) {
     CellSpec a = base;
@@ -219,13 +209,6 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
       for (const JsonValue* nn : ns) {
         CellSpec c = f;
         c.n = static_cast<NodeId>(as_uint(*nn, 1, 8192, "n", origin));
-        std::vector<MessagePlaneKind> pl;
-        if (planes.empty()) {
-          pl.push_back(MessagePlaneKind::kFlat);
-        } else {
-          for (const JsonValue* pv : planes)
-            pl.push_back(parse_plane(*pv, origin));
-        }
         std::vector<ExecutionBackend> be;
         if (backends.empty()) {
           be.push_back(ExecutionBackend::kPooled);
@@ -240,20 +223,18 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
           for (const JsonValue* cv : chaoses)
             ch.push_back(as_bool(*cv, "chaos", origin));
         }
-        for (MessagePlaneKind p : pl)
-          for (ExecutionBackend b : be)
-            for (bool cx : ch) {
-              CellSpec cell = c;
-              cell.plane = p;
-              cell.backend = b;
-              cell.chaos = cx;
-              const std::string cid = cell.id();
-              if (!seen_ids.insert(cid).second)
-                fail_at(origin, group.line,
-                        "duplicate expanded cell id '" + cid +
-                            "' (use 'label' to disambiguate)");
-              out.push_back(std::move(cell));
-            }
+        for (ExecutionBackend b : be)
+          for (bool cx : ch) {
+            CellSpec cell = c;
+            cell.backend = b;
+            cell.chaos = cx;
+            const std::string cid = cell.id();
+            if (!seen_ids.insert(cid).second)
+              fail_at(origin, group.line,
+                      "duplicate expanded cell id '" + cid +
+                          "' (use 'label' to disambiguate)");
+            out.push_back(std::move(cell));
+          }
       }
     }
   }

@@ -352,8 +352,6 @@ Report run_case(const Case& c, NodeId n, unsigned trials,
     }
 
     Engine::Config cfg;
-    cfg.plane = t % 2 == 0 ? MessagePlaneKind::kFlat
-                           : MessagePlaneKind::kLegacy;
     cfg.backend = (t / 2) % 2 == 0 ? ExecutionBackend::kPooled
                                    : ExecutionBackend::kThreadPerNode;
 

@@ -15,7 +15,7 @@ class Parser {
       : text_(text), origin_(origin) {}
 
   Value parse() {
-    Value v = value();
+    Value v = value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing content after JSON document");
     return v;
@@ -46,10 +46,13 @@ class Parser {
     ++pos_;
   }
 
-  Value value() {
+  // `depth` counts the arrays and objects enclosing this value.
+  Value value(std::size_t depth) {
     const char c = peek();
     Value v;
     v.line = line_;
+    if ((c == '{' || c == '[') && depth == kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     switch (c) {
       case '{': {
         v.kind = Value::Kind::kObject;
@@ -59,14 +62,14 @@ class Parser {
           return v;
         }
         while (true) {
-          Value key = value();
+          Value key = value(depth + 1);
           if (key.kind != Value::Kind::kString)
             fail("object key must be a string");
           if (key.str.empty()) fail("object key must be non-empty");
           if (v.find(key.str) != nullptr)
             fail("duplicate key '" + key.str + "'");
           expect(':');
-          v.obj.emplace_back(key.str, value());
+          v.obj.emplace_back(key.str, value(depth + 1));
           if (peek() == ',') {
             ++pos_;
             continue;
@@ -83,7 +86,7 @@ class Parser {
           return v;
         }
         while (true) {
-          v.arr.push_back(value());
+          v.arr.push_back(value(depth + 1));
           if (peek() == ',') {
             ++pos_;
             continue;
@@ -152,6 +155,7 @@ class Parser {
         if (used != tok.size()) fail("malformed number '" + tok + "'");
         v.kind = Value::Kind::kNumber;
         v.num = d;
+        v.str = tok;
         return v;
       }
     }
@@ -183,10 +187,14 @@ std::uint64_t as_uint(const Value& v, std::uint64_t lo, std::uint64_t hi,
   const double d = v.num;
   if (d < 0 || d != std::floor(d))
     fail_at(origin, v.line, std::string(what) + " must be a whole number");
-  const auto u = static_cast<std::uint64_t>(d);
-  if (u < lo || u > hi) {
+  // Rule out 2^64 and beyond before casting: converting such a double to
+  // uint64_t is undefined behaviour. Below it the cast of a whole number is
+  // exact, so the bounds compare as integers.
+  const bool fits = d < 0x1p64;
+  const std::uint64_t u = fits ? static_cast<std::uint64_t>(d) : 0;
+  if (!fits || u < lo || u > hi) {
     std::ostringstream os;
-    os << what << " " << u << " out of range [" << lo << ", " << hi << "]";
+    os << what << " " << v.str << " out of range [" << lo << ", " << hi << "]";
     fail_at(origin, v.line, os.str());
   }
   return u;

@@ -3,8 +3,9 @@
 // Minimal strict JSON: objects, arrays, strings (no escapes beyond
 // \" \\ \/ \n \t), numbers, true/false/null. Line numbers are tracked so
 // every error names origin:line. Duplicate object keys, trailing content,
-// and malformed literals are all ModelViolations — this is a reader for the
-// repo's own formats (manifests, ccqd job frames), not a general library.
+// malformed literals and nesting deeper than kMaxDepth are all
+// ModelViolations — this is a reader for the repo's own formats (manifests,
+// ccqd job frames), not a general library.
 //
 // Extracted from src/harness/manifest.cpp so the ccqd service protocol
 // (src/service/protocol.cpp) parses job frames with exactly the manifest
@@ -19,12 +20,17 @@
 
 namespace ccq::json {
 
+/// Deepest array/object nesting parse() accepts. Manifests and job frames
+/// nest at most 4 deep; the cap keeps a hostile frame from recursing the
+/// parser off its stack.
+constexpr std::size_t kMaxDepth = 64;
+
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
   bool b = false;
   double num = 0;
-  std::string str;
+  std::string str;  ///< kString: the text; kNumber: the literal as written
   std::vector<Value> arr;
   std::vector<std::pair<std::string, Value>> obj;
   std::size_t line = 0;  ///< 1-based source line where the value starts

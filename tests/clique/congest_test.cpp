@@ -130,23 +130,22 @@ TEST(Congest, BridgeBottleneckVsClique) {
     const unsigned B = ctx.bandwidth();
     const unsigned chunks = static_cast<unsigned>(ceil_div(L, B));
     SplitMix64 src_bits(7);
-    WordQueues out(ctx.n());
+    std::vector<std::pair<NodeId, Word>> out;
     if (ctx.id() == 0) {
       for (unsigned c = 0; c < chunks; ++c) {
-        out[1 + (c % (ctx.n() - 1))].emplace_back(
-            src_bits.next() & ((1ull << B) - 1), B);
+        out.emplace_back(1 + (c % (ctx.n() - 1)),
+                         Word(src_bits.next() & ((1ull << B) - 1), B));
       }
     }
-    auto in = ctx.exchange(out);
-    WordQueues fwd(ctx.n());
+    const FlatInbox in = ctx.exchange_flat(out);
+    std::vector<std::pair<NodeId, Word>> fwd;
     if (ctx.id() != 0) {
-      for (const Word& w : in[0]) fwd[ctx.n() - 1].push_back(w);
+      for (const Word& w : in.from(0)) fwd.emplace_back(ctx.n() - 1, w);
     }
-    auto fin = ctx.exchange(fwd);
+    const FlatInbox fin = ctx.exchange_flat(fwd);
     std::uint64_t got = 0;
     if (ctx.id() + 1 == ctx.n()) {
-      for (NodeId v = 0; v < ctx.n(); ++v) got += fin[v].size();
-      got += fwd[ctx.n() - 1].size() ? 0 : 0;
+      for (NodeId v = 0; v < ctx.n(); ++v) got += fin.from(v).size();
     }
     ctx.output(got);
   });

@@ -48,22 +48,22 @@ TEST(CostMeter, ComposingTwoEngineRunsKeepsMaxSemantics) {
   // Phase 1: node 0 sends 6 words to node 1. Phase 2: node 1 sends 2 words
   // each to nodes 0 and 2.
   auto phase1 = Engine::run(g, [](NodeCtx& ctx) {
-    WordQueues out(ctx.n());
+    std::vector<std::pair<NodeId, Word>> sends;
     if (ctx.id() == 0) {
-      for (int i = 0; i < 6; ++i) out[1].emplace_back(i % 2, 1);
+      for (int i = 0; i < 6; ++i) sends.emplace_back(1, Word(i % 2, 1));
     }
-    ctx.exchange(out);
+    ctx.exchange_flat(sends);
     ctx.output(0);
   });
   auto phase2 = Engine::run(g, [](NodeCtx& ctx) {
-    WordQueues out(ctx.n());
+    std::vector<std::pair<NodeId, Word>> sends;
     if (ctx.id() == 1) {
       for (int i = 0; i < 2; ++i) {
-        out[0].emplace_back(i % 2, 1);
-        out[2].emplace_back(i % 2, 1);
+        sends.emplace_back(0, Word(i % 2, 1));
+        sends.emplace_back(2, Word(i % 2, 1));
       }
     }
-    ctx.exchange(out);
+    ctx.exchange_flat(sends);
     ctx.output(0);
   });
   ASSERT_EQ(phase1.cost.max_node_sent, 6u);

@@ -113,18 +113,18 @@ TEST(Engine, EmptyRoundStillCostsOne) {
 TEST(Engine, ExchangeCostIsMaxQueue) {
   Graph g = gen::empty(4);
   auto r = Engine::run(g, [](NodeCtx& ctx) {
-    WordQueues out(ctx.n());
+    std::vector<std::pair<NodeId, Word>> sends;
     if (ctx.id() == 0) {
       // 5 words to node 1; 2 words to node 2.
-      for (int i = 0; i < 5; ++i) out[1].emplace_back(i % 4, 2);
-      for (int i = 0; i < 2; ++i) out[2].emplace_back(i % 4, 2);
+      for (int i = 0; i < 5; ++i) sends.emplace_back(1, Word(i % 4, 2));
+      for (int i = 0; i < 2; ++i) sends.emplace_back(2, Word(i % 4, 2));
     }
-    auto in = ctx.exchange(out);
+    const FlatInbox in = ctx.exchange_flat(sends);
     if (ctx.id() == 1) {
-      EXPECT_EQ(in[0].size(), 5u);
+      EXPECT_EQ(in.from(0).size(), 5u);
     }
     if (ctx.id() == 2) {
-      EXPECT_EQ(in[0].size(), 2u);
+      EXPECT_EQ(in.from(0).size(), 2u);
     }
     ctx.output(0);
   });
@@ -136,15 +136,15 @@ TEST(Engine, ParallelQueuesShareRounds) {
   // All ordered pairs carry 3 words: still only 3 rounds.
   Graph g = gen::empty(6);
   auto r = Engine::run(g, [](NodeCtx& ctx) {
-    WordQueues out(ctx.n());
+    std::vector<std::pair<NodeId, Word>> sends;
     for (NodeId v = 0; v < ctx.n(); ++v) {
       if (v == ctx.id()) continue;
-      for (int i = 0; i < 3; ++i) out[v].emplace_back(i, 2);
+      for (int i = 0; i < 3; ++i) sends.emplace_back(v, Word(i, 2));
     }
-    auto in = ctx.exchange(out);
+    const FlatInbox in = ctx.exchange_flat(sends);
     for (NodeId v = 0; v < ctx.n(); ++v) {
       if (v != ctx.id()) {
-        EXPECT_EQ(in[v].size(), 3u);
+        EXPECT_EQ(in.from(v).size(), 3u);
       }
     }
     ctx.output(0);
@@ -156,14 +156,13 @@ TEST(Engine, ParallelQueuesShareRounds) {
 TEST(Engine, ExchangePreservesFifoOrder) {
   Graph g = gen::empty(4);  // B = 2
   Engine::run(g, [](NodeCtx& ctx) {
-    WordQueues out(4);
-    const NodeId other = (ctx.id() + 1) % 4;
-    for (std::uint64_t i = 0; i < 8; ++i) out[other].emplace_back(i % 4, 2);
-    auto in = ctx.exchange(out);
-    const NodeId prev = (ctx.id() + 3) % 4;
-    ASSERT_EQ(in[prev].size(), 8u);
-    for (std::uint64_t i = 0; i < 8; ++i)
-      EXPECT_EQ(in[prev][i].value, i % 4);
+    std::vector<Word> words;
+    for (std::uint64_t i = 0; i < 8; ++i) words.emplace_back(i % 4, 2);
+    const std::vector<WordRun> runs = {{(ctx.id() + 1) % 4, words}};
+    const FlatInbox in = ctx.exchange_flat(runs);
+    const auto got = in.from((ctx.id() + 3) % 4);
+    ASSERT_EQ(got.size(), 8u);
+    for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(got[i].value, i % 4);
     ctx.output(0);
   });
 }
@@ -171,10 +170,10 @@ TEST(Engine, ExchangePreservesFifoOrder) {
 TEST(Engine, SelfDeliveryIsFree) {
   Graph g = gen::empty(3);
   auto r = Engine::run(g, [](NodeCtx& ctx) {
-    WordQueues out(3);
-    for (int i = 0; i < 100; ++i) out[ctx.id()].emplace_back(1, 1);
-    auto in = ctx.exchange(out);
-    EXPECT_EQ(in[ctx.id()].size(), 100u);
+    const std::vector<std::pair<NodeId, Word>> sends(
+        100, {ctx.id(), Word(1, 1)});
+    const FlatInbox in = ctx.exchange_flat(sends);
+    EXPECT_EQ(in.from(ctx.id()).size(), 100u);
     ctx.output(0);
   });
   EXPECT_EQ(r.cost.rounds, 0u);
@@ -185,10 +184,10 @@ TEST(Engine, BandwidthViolationThrows) {
   Graph g = gen::empty(4);  // B = 2
   EXPECT_THROW(Engine::run(g,
                            [](NodeCtx& ctx) {
-                             WordQueues out(4);
-                             if (ctx.id() == 0)
-                               out[1].emplace_back(0xff, 8);  // 8 > 2 bits
-                             ctx.exchange(out);
+                             std::vector<std::pair<NodeId, Word>> sends;
+                             if (ctx.id() == 0)  // 8 > 2 bits
+                               sends.emplace_back(1, Word(0xff, 8));
+                             ctx.exchange_flat(sends);
                              ctx.output(0);
                            }),
                ModelViolation);

@@ -1,16 +1,18 @@
-// Equivalence suite for the message planes (clique/msgplane.hpp).
+// Equivalence suite for the message plane (clique/msgplane.hpp).
 //
-// The plane contract promises bit-for-bit identical RunResults — outputs
-// and every CostMeter field — between the legacy per-pair-queue plane and
-// the flat arena plane, on either execution backend and any worker count.
-// The property test below drives ~100 randomised traffic patterns
-// (skewed all-to-all, single hot pair, empty, random sparse with
-// self-sends) through every (plane, backend) combination, in every deposit
-// shape (queues, pairs, runs), and requires the results to match the
-// legacy/thread-per-node reference exactly. Targeted tests pin the
-// flat-specific behaviours: span views matching queue views, FIFO order,
-// free self-delivery, validation at deposit time; and the run form's
-// validation messages and its chaos fault ledger.
+// The plane contract: every inbox and every CostMeter field are exactly
+// what the model's delivery rule says (per-pair FIFO queues drained one
+// word per ordered pair per round, self-delivery free), on every execution
+// backend and worker count. A test-only reference delivery below writes
+// that rule out directly. The property test drives ~100 randomised traffic
+// patterns (skewed all-to-all, single hot pair, empty, random sparse with
+// self-sends) through every backend setup, in every deposit shape (pairs,
+// per-destination runs, maximal runs over one buffer, runs aliasing one
+// buffer, round, broadcast), and requires every node's inbox and the
+// RunResult to match the reference exactly. Targeted tests pin FIFO order,
+// free self-delivery and validation at deposit time, on the bare plane and
+// under a fault-free chaos wrapper; and the run form's validation messages
+// and its chaos fault ledger.
 
 #include "clique/msgplane.hpp"
 
@@ -18,8 +20,8 @@
 
 #include <algorithm>
 #include <span>
-#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "clique/chaos.hpp"
@@ -30,35 +32,23 @@
 namespace ccq {
 namespace {
 
-struct PlaneSetup {
-  MessagePlaneKind plane;
+struct BackendSetup {
   ExecutionBackend backend;
   std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
   const char* name;
 };
 
-const PlaneSetup kSetups[] = {
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kThreadPerNode, 0,
-     "legacy/thread-per-node"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 2,
-     "legacy/pooled-2"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 0,
-     "legacy/pooled-hw"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kThreadPerNode, 0,
-     "flat/thread-per-node"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 2, "flat/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 0, "flat/pooled-hw"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kSharded, 3,
-     "legacy/sharded-3"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kSharded, 5,
-     "flat/sharded-5"},  // non-dividing shard count
-    {MessagePlaneKind::kFlat, ExecutionBackend::kSharded, 0,
-     "flat/sharded-hw"},
+const BackendSetup kSetups[] = {
+    {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
+    {ExecutionBackend::kPooled, 2, "pooled-2"},
+    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 3, "sharded-3"},
+    {ExecutionBackend::kSharded, 5, "sharded-5"},  // non-dividing shard count
+    {ExecutionBackend::kSharded, 0, "sharded-hw"},
 };
 
-Engine::Config config_for(const PlaneSetup& s) {
+Engine::Config config_for(const BackendSetup& s) {
   Engine::Config cfg;
-  cfg.plane = s.plane;
   cfg.backend = s.backend;
   cfg.workers = s.workers;
   return cfg;
@@ -75,6 +65,60 @@ void expect_same_result(const RunResult& ref, const RunResult& got,
   EXPECT_EQ(ref.cost.max_node_received, got.cost.max_node_received) << name;
 }
 
+// ---- reference delivery ---------------------------------------------------
+
+using Outbox = std::vector<std::pair<NodeId, Word>>;  // one node's sends
+using Inbox = std::vector<std::vector<Word>>;         // [src] FIFO queue
+
+// One collective delivered by the model's rule, written out directly: the
+// oracle the plane is checked against.
+struct Reference {
+  std::vector<Inbox> inbox;              // [dst][src]
+  std::uint64_t max_queue = 0;           // longest non-self queue
+  std::uint64_t messages = 0, bits = 0;  // self-delivery is free
+  std::vector<std::uint64_t> sent, received;  // [node], self excluded
+};
+
+// Every send becomes (dst, src, seq, word); stable-sorting by
+// (dst, src, seq) lines each (src → dst) queue up in send order.
+Reference reference_delivery(const std::vector<Outbox>& outboxes) {
+  struct Send {
+    NodeId dst, src;
+    std::size_t seq;
+    Word w;
+  };
+  const NodeId n = static_cast<NodeId>(outboxes.size());
+  std::vector<Send> sends;
+  for (NodeId src = 0; src < n; ++src) {
+    for (std::size_t seq = 0; seq < outboxes[src].size(); ++seq) {
+      const auto& [dst, w] = outboxes[src][seq];
+      sends.push_back({dst, src, seq, w});
+    }
+  }
+  std::stable_sort(sends.begin(), sends.end(),
+                   [](const Send& a, const Send& b) {
+                     return std::tie(a.dst, a.src, a.seq) <
+                            std::tie(b.dst, b.src, b.seq);
+                   });
+  Reference r;
+  r.inbox.assign(n, Inbox(n));
+  r.sent.assign(n, 0);
+  r.received.assign(n, 0);
+  for (const Send& s : sends) {
+    std::vector<Word>& q = r.inbox[s.dst][s.src];
+    q.push_back(s.w);
+    if (s.src == s.dst) continue;
+    r.max_queue = std::max<std::uint64_t>(r.max_queue, q.size());
+    r.messages += 1;
+    r.bits += s.w.bits;
+    r.sent[s.src] += 1;
+    r.received[s.dst] += 1;
+  }
+  return r;
+}
+
+// ---- randomised traffic ----------------------------------------------------
+
 // One traffic pattern = (seed, kind). Sends are (dst, word) lists, possibly
 // with repeats per destination and self-sends (legal in exchange).
 enum PatternKind : int {
@@ -90,23 +134,20 @@ Word random_word(SplitMix64& rng, unsigned B) {
   return Word(rng.next() & ((bits == 64 ? ~0ull : (1ull << bits) - 1)), bits);
 }
 
-std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
-                                                std::uint64_t seed,
-                                                int kind) {
-  const NodeId n = ctx.n();
-  const unsigned B = ctx.bandwidth();
-  SplitMix64 rng(seed * 1000003 + ctx.id() * 7919 + kind);
-  std::vector<std::pair<NodeId, Word>> sends;
+Outbox make_sends(NodeId id, NodeId n, unsigned B, std::uint64_t seed,
+                  int kind) {
+  SplitMix64 rng(seed * 1000003 + id * 7919 + kind);
+  Outbox sends;
   auto word = [&] { return random_word(rng, B); };
   switch (kind) {
     case kSkewedAllToAll:
       for (NodeId dst = 0; dst < n; ++dst) {
-        const NodeId reps = (ctx.id() + dst) % 4;
+        const NodeId reps = (id + dst) % 4;
         for (NodeId i = 0; i < reps; ++i) sends.emplace_back(dst, word());
       }
       break;
     case kSingleHotPair:
-      if (ctx.id() == static_cast<NodeId>(seed % n)) {
+      if (id == static_cast<NodeId>(seed % n)) {
         const NodeId dst = static_cast<NodeId>((seed + 1) % n);
         for (NodeId i = 0; i < 3 * n; ++i) sends.emplace_back(dst, word());
       }
@@ -128,8 +169,7 @@ std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
 // into maximal same-destination runs over that one buffer, each preceded
 // by an empty run (to a destination the pattern may never use) and the
 // whole list closed by an empty self run.
-std::vector<WordRun> runs_of(NodeCtx& ctx,
-                             const std::vector<std::pair<NodeId, Word>>& sends,
+std::vector<WordRun> runs_of(NodeId id, NodeId n, const Outbox& sends,
                              std::vector<Word>& flat) {
   flat.clear();
   for (const auto& [dst, w] : sends) flat.push_back(w);
@@ -138,148 +178,241 @@ std::vector<WordRun> runs_of(NodeCtx& ctx,
   for (std::size_t i = 0; i < sends.size();) {
     std::size_t j = i;
     while (j < sends.size() && sends[j].first == sends[i].first) ++j;
-    runs.push_back({static_cast<NodeId>((i * 7 + 3) % ctx.n()), {}});
+    runs.push_back({static_cast<NodeId>((i * 7 + 3) % n), {}});
     runs.push_back({sends[i].first, all.subspan(i, j - i)});
     i = j;
   }
-  runs.push_back({ctx.id(), {}});
+  runs.push_back({id, {}});
   return runs;
 }
 
-// Fingerprints every word received — source, position, value, width — so
-// any divergence in content, FIFO order, or metering shows up in outputs.
-void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind) {
-  const NodeId n = ctx.n();
-  std::uint64_t fp = 0xcbf29ce484222325ull;
-  auto mix = [&fp](std::uint64_t v) { fp = (fp ^ v) * 0x100000001b3ull; };
-
-  const auto sends = make_sends(ctx, seed, kind);
-
-  // The same pattern through all three deposit shapes.
-  // 1) exchange() with per-destination queues.
-  WordQueues out(n);
-  for (const auto& [dst, w] : sends) out[dst].push_back(w);
-  const WordQueues in = ctx.exchange(out);
-  for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : in[src]) mix(src * 131 + w.value * 31 + w.bits);
+// Runs aliasing one shared buffer: overlapping windows of it to random
+// destinations (self and repeats included), the way one encoded slice goes
+// to many workers.
+std::vector<WordRun> aliased_runs(NodeId id, NodeId n, unsigned B,
+                                  std::uint64_t seed, int kind,
+                                  std::vector<Word>& shared) {
+  SplitMix64 rng(seed * 31 + id * 17 + kind);
+  shared.resize(rng.next_below(9));
+  for (Word& w : shared) w = random_word(rng, B);
+  std::vector<WordRun> runs;
+  const std::size_t count = kind == kEmpty ? 0 : rng.next_below(7);
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::size_t off = rng.next_below(shared.size() + 1);
+    const std::size_t len = rng.next_below(shared.size() - off + 1);
+    runs.push_back({static_cast<NodeId>(rng.next_below(n)),
+                    std::span<const Word>(shared).subspan(off, len)});
   }
+  runs.push_back({static_cast<NodeId>(seed % n), {}});
+  return runs;
+}
 
-  // 2) exchange_flat() with the raw pair list.
-  WordQueues pair_in(n);
-  {
-    const FlatInbox fin = ctx.exchange_flat(sends);
-    for (NodeId src = 0; src < n; ++src) {
-      const auto got = fin.from(src);
-      pair_in[src].assign(got.begin(), got.end());
-      for (const Word& w : got) mix(src * 139 + w.value * 37 + w.bits);
-    }
+// A seed-dependent ring send for round_flat().
+Outbox ring_sends(NodeId id, NodeId n, std::uint64_t seed) {
+  Outbox ring;
+  if (n > 1 && (seed + id) % 3 != 0) {
+    ring.emplace_back((id + 1) % n, Word((seed ^ id) & 1, 1));
   }
+  return ring;
+}
 
-  // 3) exchange_flat() with runs: must deliver exactly the pair inbox.
-  {
-    std::vector<Word> flat;
-    const auto runs = runs_of(ctx, sends, flat);
-    const FlatInbox rin = ctx.exchange_flat(runs);
-    for (NodeId src = 0; src < n; ++src) {
-      const auto got = rin.from(src);
-      if (!std::equal(got.begin(), got.end(), pair_in[src].begin(),
-                      pair_in[src].end()))
-        throw std::logic_error("run inbox differs from the pair inbox");
-      for (const Word& w : got) mix(src * 137 + w.value * 29 + w.bits);
-    }
-  }
-
-  // Runs aliasing one shared buffer: overlapping windows of it to random
-  // destinations (self and repeats included), the way one encoded slice
-  // goes to many workers. The buffer and the run list die before the
-  // inbox is read — the spans need only outlive the call.
-  FlatInbox ain;
-  {
-    SplitMix64 rng(seed * 31 + ctx.id() * 17 + kind);
-    std::vector<Word> shared(rng.next_below(9));
-    for (Word& w : shared) w = random_word(rng, ctx.bandwidth());
-    std::vector<WordRun> runs;
-    const std::size_t count = kind == kEmpty ? 0 : rng.next_below(7);
-    for (std::size_t t = 0; t < count; ++t) {
-      const std::size_t off = rng.next_below(shared.size() + 1);
-      const std::size_t len = rng.next_below(shared.size() - off + 1);
-      runs.push_back({static_cast<NodeId>(rng.next_below(n)),
-                      std::span<const Word>(shared).subspan(off, len)});
-    }
-    runs.push_back({static_cast<NodeId>(seed % n), {}});
-    ain = ctx.exchange_flat(runs);
-  }
-  for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : ain.from(src)) mix(src * 151 + w.value * 41 + w.bits);
-  }
-
-  // round_flat(): a seed-dependent ring send.
-  std::vector<std::pair<NodeId, Word>> ring;
-  if (n > 1 && (seed + ctx.id()) % 3 != 0) {
-    ring.emplace_back((ctx.id() + 1) % n, Word((seed ^ ctx.id()) & 1, 1));
-  }
-  const FlatInbox rin = ctx.round_flat(ring);
-  for (NodeId src = 0; src < n; ++src) {
-    const auto got = rin.from(src);
-    if (!got.empty()) mix(src * 149 + got.front().value);
-  }
-
-  // broadcast(): same length on every node (engine-checked), varied by seed.
+// The broadcast payload: the same length on every node (engine-checked),
+// varied by seed.
+BitVector broadcast_bits(std::uint64_t seed) {
   BitVector mine(seed % 9);
   for (std::size_t i = 0; i < mine.size(); ++i) {
     if ((seed >> i) & 1) mine.set(i);
   }
-  for (const BitVector& r : ctx.broadcast(mine)) mix(r.popcount() + 7);
+  return mine;
+}
 
-  mix(ctx.rounds_so_far());
-  ctx.output(fp);
+// traffic_program's collectives, in order.
+enum Collective : int {
+  kQueueRuns = 0,    // one run per destination (empty ones included)
+  kPairs = 1,        // the raw (dst, word) list
+  kMaxRuns = 2,      // runs_of
+  kAliasedRuns = 3,  // aliased_runs
+  kRound = 4,        // round_flat(ring_sends)
+  kBroadcast = 5,    // broadcast(broadcast_bits)
+  kCollectives = 6,
+};
+
+// Every inbox a node read: [collective][node][src].
+using Received = std::vector<std::vector<Inbox>>;
+
+// FNV-1a over node `id`'s inboxes — source, position, value, width.
+std::uint64_t fingerprint(const Received& got, NodeId id) {
+  std::uint64_t fp = 0xcbf29ce484222325ull;
+  for (const std::vector<Inbox>& collective : got) {
+    for (std::size_t src = 0; src < collective[id].size(); ++src) {
+      for (const Word& w : collective[id][src]) {
+        fp = (fp ^ (src * 131 + w.value * 31 + w.bits)) * 0x100000001b3ull;
+      }
+    }
+  }
+  return fp;
+}
+
+// Sends every collective through its deposit shape, records each inbox in
+// the node's own slot of `got`, and outputs their fingerprint.
+void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind,
+                     Received& got) {
+  const NodeId n = ctx.n(), id = ctx.id();
+  const unsigned B = ctx.bandwidth();
+  auto keep = [&](int c, const FlatInbox& in) {
+    got[c][id].assign(n, {});
+    for (NodeId src = 0; src < n; ++src) {
+      const auto words = in.from(src);
+      got[c][id][src].assign(words.begin(), words.end());
+    }
+  };
+  const Outbox sends = make_sends(id, n, B, seed, kind);
+  {
+    std::vector<std::vector<Word>> queues(n);
+    for (const auto& [dst, w] : sends) queues[dst].push_back(w);
+    std::vector<WordRun> runs;
+    for (NodeId v = 0; v < n; ++v) runs.push_back({v, queues[v]});
+    keep(kQueueRuns, ctx.exchange_flat(runs));
+  }
+  keep(kPairs, ctx.exchange_flat(sends));
+  {
+    std::vector<Word> flat;
+    keep(kMaxRuns, ctx.exchange_flat(runs_of(id, n, sends, flat)));
+  }
+  // The buffer and the run list die before the inbox is read — the spans
+  // need only outlive the call.
+  FlatInbox aliased;
+  {
+    std::vector<Word> shared;
+    aliased = ctx.exchange_flat(aliased_runs(id, n, B, seed, kind, shared));
+  }
+  keep(kAliasedRuns, aliased);
+  keep(kRound, ctx.round_flat(ring_sends(id, n, seed)));
+  // broadcast() returns decoded bit vectors; re-encoding one recovers the
+  // words its source sent.
+  const std::vector<BitVector> all = ctx.broadcast(broadcast_bits(seed));
+  got[kBroadcast][id].assign(n, {});
+  for (NodeId src = 0; src < n; ++src) {
+    if (src != id) got[kBroadcast][id][src] = encode_bits(all[src], B);
+  }
+  ctx.output(fingerprint(got, id));
+}
+
+// What traffic_program must produce: every inbox and the RunResult,
+// collective by collective through the reference delivery.
+struct Expected {
+  Received inboxes;
+  RunResult result;
+};
+
+Expected expected_traffic(NodeId n, unsigned B, std::uint64_t seed,
+                          int kind) {
+  std::vector<std::vector<Outbox>> outboxes(kCollectives,
+                                            std::vector<Outbox>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    const Outbox sends = make_sends(v, n, B, seed, kind);
+    // Grouping by destination keeps each pair's order, so the per-
+    // destination and maximal runs carry the pair list's queues.
+    outboxes[kQueueRuns][v] = outboxes[kPairs][v] = outboxes[kMaxRuns][v] =
+        sends;
+    std::vector<Word> shared;
+    for (const WordRun& r : aliased_runs(v, n, B, seed, kind, shared)) {
+      for (const Word& w : r.words) {
+        outboxes[kAliasedRuns][v].emplace_back(r.dst, w);
+      }
+    }
+    outboxes[kRound][v] = ring_sends(v, n, seed);
+    for (NodeId dst = 0; dst < n; ++dst) {
+      if (dst == v) continue;
+      for (const Word& w : encode_bits(broadcast_bits(seed), B)) {
+        outboxes[kBroadcast][v].emplace_back(dst, w);
+      }
+    }
+  }
+  Expected e;
+  CostMeter& cost = e.result.cost;
+  std::vector<std::uint64_t> sent(n, 0), received(n, 0);
+  for (int c = 0; c < kCollectives; ++c) {
+    const Reference r = reference_delivery(outboxes[c]);
+    e.inboxes.push_back(r.inbox);
+    // A round costs exactly 1; an exchange or broadcast drains its longest
+    // queue (a broadcast's ⌈L/B⌉ words per pair).
+    cost.rounds += c == kRound ? 1 : r.max_queue;
+    cost.messages += r.messages;
+    cost.bits += r.bits;
+    cost.collectives += 1;
+    for (NodeId v = 0; v < n; ++v) {
+      sent[v] += r.sent[v];
+      received[v] += r.received[v];
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    e.result.outputs.push_back(fingerprint(e.inboxes, v));
+    cost.max_node_sent = std::max(cost.max_node_sent, sent[v]);
+    cost.max_node_received = std::max(cost.max_node_received, received[v]);
+  }
+  return e;
+}
+
+// Runs traffic_program(seed, kind) on g under `cfg` and compares every
+// inbox and the RunResult with the reference delivery.
+void expect_reference_traffic(const Graph& g, std::uint64_t seed, int kind,
+                              const Engine::Config& cfg,
+                              const std::string& name) {
+  const NodeId n = g.n();
+  const Expected want = expected_traffic(
+      n, node_id_bits(n) * cfg.bandwidth_multiplier, seed, kind);
+  Received got(kCollectives, std::vector<Inbox>(n));
+  const RunResult res = Engine::run(
+      g,
+      [&](NodeCtx& ctx) { traffic_program(ctx, seed, kind, got); },
+      cfg);
+  for (int c = 0; c < kCollectives; ++c) {
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_TRUE(got[c][v] == want.inboxes[c][v])
+          << name << ": collective " << c << " node " << v;
+    }
+  }
+  expect_same_result(want.result, res, name);
 }
 
 TEST(MsgPlaneProperty, RandomTrafficIdenticalAcrossPlanesAndBackends) {
   const Graph g = gen::gnp(16, 0.4, 7);
-  const PlaneSetup& ref_setup = kSetups[0];  // legacy / thread-per-node
   int patterns = 0;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     for (int kind = 0; kind < kPatternKinds; ++kind) {
       ++patterns;
-      const auto program = [seed, kind](NodeCtx& ctx) {
-        traffic_program(ctx, seed, kind);
-      };
-      const auto ref = Engine::run(g, program, config_for(ref_setup));
-      for (std::size_t i = 1; i < std::size(kSetups); ++i) {
-        const std::string name = std::string(kSetups[i].name) + " seed=" +
+      for (const BackendSetup& setup : kSetups) {
+        const std::string name = std::string(setup.name) + " seed=" +
                                  std::to_string(seed) + " kind=" +
                                  std::to_string(kind);
-        expect_same_result(
-            ref, Engine::run(g, program, config_for(kSetups[i])), name);
+        expect_reference_traffic(g, seed, kind, config_for(setup), name);
       }
     }
   }
   EXPECT_EQ(patterns, 100);
 }
 
-// Per-run sanity on a larger clique: flat vs legacy on the pooled backend.
+// A larger clique on the default (pooled) backend.
 TEST(MsgPlaneProperty, LargerCliqueFlatMatchesLegacy) {
-  const Graph g = gen::gnp(96, 0.3, 11);
-  const auto program = [](NodeCtx& ctx) { traffic_program(ctx, 42, 0); };
-  Engine::Config legacy, flat;
-  legacy.plane = MessagePlaneKind::kLegacy;
-  flat.plane = MessagePlaneKind::kFlat;
-  expect_same_result(Engine::run(g, program, legacy),
-                     Engine::run(g, program, flat), "n=96 flat vs legacy");
+  expect_reference_traffic(gen::gnp(96, 0.3, 11), 42, kSkewedAllToAll,
+                           Engine::Config{}, "n=96");
 }
 
-// ---- targeted flat-plane behaviours --------------------------------------
+// ---- targeted plane behaviours --------------------------------------------
 
-Engine::Config flat_config() {
+// The bare plane (chaos = false) or the plane under a fault-free chaos plan
+// (an exact no-op on traffic, but every deposit takes the wrapper's path).
+// `plan` must outlive the run.
+Engine::Config plane_config(bool chaos, ChaosPlan& plan) {
   Engine::Config cfg;
-  cfg.plane = MessagePlaneKind::kFlat;
+  if (chaos) cfg.chaos = &plan;
   return cfg;
 }
 
 TEST(MsgPlaneFlat, SpanViewMatchesQueueViewPerSourceFifo) {
   const Graph g = gen::empty(8);
-  Engine::Config cfg = flat_config();
+  Engine::Config cfg;
   cfg.bandwidth_multiplier = 2;  // B = 6: room for the id*2+1 tags below
   auto run = Engine::run(
       g,
@@ -293,16 +426,24 @@ TEST(MsgPlaneFlat, SpanViewMatchesQueueViewPerSourceFifo) {
           sends.emplace_back(dst, Word(ctx.id() * 2 + 1, 6));
         }
         const FlatInbox flat = ctx.exchange_flat(sends);
-        WordQueues out(n);
-        for (const auto& [dst, w] : sends) out[dst].push_back(w);
-        const WordQueues queued = ctx.exchange(out);
-        bool equal = true;
+        // The same sends as one run per destination queue; the pair view
+        // is read before the second collective reuses the arena.
+        std::vector<std::vector<Word>> pair_view(n);
         for (NodeId src = 0; src < n; ++src) {
           const auto s = flat.from(src);
-          equal = equal && s.size() == queued[src].size();
-          for (std::size_t i = 0; equal && i < s.size(); ++i) {
-            equal = equal && s[i] == queued[src][i];
-          }
+          pair_view[src].assign(s.begin(), s.end());
+        }
+        std::vector<std::vector<Word>> out(n);
+        for (const auto& [dst, w] : sends) out[dst].push_back(w);
+        std::vector<WordRun> runs;
+        for (NodeId v = 0; v < n; ++v) runs.push_back({v, out[v]});
+        const FlatInbox queued = ctx.exchange_flat(runs);
+        bool equal = true;
+        for (NodeId src = 0; src < n; ++src) {
+          const auto s = queued.from(src);
+          equal = equal && std::equal(s.begin(), s.end(),
+                                      pair_view[src].begin(),
+                                      pair_view[src].end());
           // FIFO: sender's first word first.
           equal = equal && s.size() == 2 &&
                   s[0].value == std::uint64_t{src} * 2 &&
@@ -328,8 +469,7 @@ TEST(MsgPlaneFlat, SelfDeliveryIsFreeThroughTheArena) {
           ok = own[i].value == i;
         }
         ctx.output(ok ? 1 : 0);
-      },
-      flat_config());
+      });
   EXPECT_TRUE(run.accepted());
   EXPECT_EQ(run.cost.rounds, 0u);    // self-only traffic drains for free
   EXPECT_EQ(run.cost.messages, 0u);  // and is not metered as communication
@@ -337,11 +477,10 @@ TEST(MsgPlaneFlat, SelfDeliveryIsFreeThroughTheArena) {
 
 TEST(MsgPlaneFlat, BandwidthValidatedAtDepositOnBothPlanes) {
   const Graph g = gen::empty(3);
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    Engine::Config cfg;
-    cfg.plane = plane;
-    // Pair deposits (exchange_flat).
+  for (bool chaos : {false, true}) {
+    ChaosPlan plan;
+    const Engine::Config cfg = plane_config(chaos, plan);
+    // Pair deposits.
     EXPECT_THROW(Engine::run(
                      g,
                      [](NodeCtx& ctx) {
@@ -353,13 +492,14 @@ TEST(MsgPlaneFlat, BandwidthValidatedAtDepositOnBothPlanes) {
                      },
                      cfg),
                  ModelViolation);
-    // Queue deposits (exchange).
+    // Run deposits.
     EXPECT_THROW(Engine::run(
                      g,
                      [](NodeCtx& ctx) {
-                       WordQueues out(ctx.n());
-                       out[(ctx.id() + 1) % ctx.n()].emplace_back(0, 64);
-                       ctx.exchange(out);
+                       const std::vector<Word> words = {Word(0, 64)};
+                       const std::vector<WordRun> runs = {
+                           {(ctx.id() + 1) % ctx.n(), words}};
+                       ctx.exchange_flat(runs);
                        ctx.output(0);
                      },
                      cfg),
@@ -369,10 +509,9 @@ TEST(MsgPlaneFlat, BandwidthValidatedAtDepositOnBothPlanes) {
 
 TEST(MsgPlaneFlat, RoundFlatEnforcesRoundRules) {
   const Graph g = gen::empty(4);
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    Engine::Config cfg;
-    cfg.plane = plane;
+  for (bool chaos : {false, true}) {
+    ChaosPlan plan;
+    const Engine::Config cfg = plane_config(chaos, plan);
     // Two words to one destination.
     EXPECT_THROW(Engine::run(
                      g,
@@ -408,8 +547,7 @@ TEST(MsgPlaneFlat, RoundFlatCostsOneRoundEvenWhenSilent) {
       [](NodeCtx& ctx) {
         for (int i = 0; i < 3; ++i) ctx.round_flat({});
         ctx.output(0);
-      },
-      flat_config());
+      });
   EXPECT_EQ(run.cost.rounds, 3u);
 }
 
@@ -438,8 +576,7 @@ TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
           }
         }
         ctx.output(acc);
-      },
-      flat_config());
+      });
   // Every node receives sum over r of n/2 ones from each parity class.
   for (NodeId v = 0; v < 32; ++v) {
     EXPECT_EQ(run.outputs[v], run.outputs[0]);
@@ -449,15 +586,12 @@ TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
 // ---- run deposits ---------------------------------------------------------
 
 // The ModelViolation message a run throws, or "" if it completes; `chaos`
-// wraps the plane in a fault-free chaos plan (an exact no-op on traffic).
+// wraps the plane in a fault-free chaos plan (see plane_config).
 std::string violation(const Graph& g, const NodeProgram& program,
-                      MessagePlaneKind plane, bool chaos) {
+                      bool chaos) {
   ChaosPlan plan;
-  Engine::Config cfg;
-  cfg.plane = plane;
-  if (chaos) cfg.chaos = &plan;
   try {
-    Engine::run(g, program, cfg);
+    Engine::run(g, program, plane_config(chaos, plan));
   } catch (const ModelViolation& e) {
     return e.what();
   }
@@ -473,14 +607,11 @@ TEST(MsgPlaneRuns, OverWideWordNamesNodeAndDestination) {
     ctx.exchange_flat(runs);
     ctx.output(0);
   };
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    for (bool chaos : {false, true}) {
-      const std::string msg = violation(g, program, plane, chaos);
-      EXPECT_NE(msg.find("node 3 sent a 64-bit word to node 1"),
-                std::string::npos)
-          << msg;
-    }
+  for (bool chaos : {false, true}) {
+    const std::string msg = violation(g, program, chaos);
+    EXPECT_NE(msg.find("node 3 sent a 64-bit word to node 1"),
+              std::string::npos)
+        << msg;
   }
 }
 
@@ -496,13 +627,10 @@ TEST(MsgPlaneRuns, OutOfRangeDestinationNamesNodeAndDestination) {
       ctx.exchange_flat(runs);
       ctx.output(0);
     };
-    for (MessagePlaneKind plane :
-         {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-      for (bool chaos : {false, true}) {
-        const std::string msg = violation(g, program, plane, chaos);
-        EXPECT_NE(msg.find("node 3 sent a run to node 9"), std::string::npos)
-            << msg;
-      }
+    for (bool chaos : {false, true}) {
+      const std::string msg = violation(g, program, chaos);
+      EXPECT_NE(msg.find("node 3 sent a run to node 9"), std::string::npos)
+          << msg;
     }
   }
 }
@@ -523,11 +651,12 @@ TEST(MsgPlaneRuns, ChaosLedgerMatchesPairShape) {
     return [as_runs](NodeCtx& ctx) {
       std::uint64_t fp = 0;
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        const auto sends = make_sends(ctx, seed, kRandomSparse);
+        const Outbox sends = make_sends(ctx.id(), ctx.n(), ctx.bandwidth(),
+                                        seed, kRandomSparse);
         std::vector<Word> flat;
-        const FlatInbox in = as_runs
-                                 ? ctx.exchange_flat(runs_of(ctx, sends, flat))
-                                 : ctx.exchange_flat(sends);
+        const FlatInbox in =
+            as_runs ? ctx.exchange_flat(runs_of(ctx.id(), ctx.n(), sends, flat))
+                    : ctx.exchange_flat(sends);
         for (NodeId src = 0; src < ctx.n(); ++src) {
           for (const Word& w : in.from(src))
             fp = fp * 131 + src * 7 + w.value * 3 + w.bits;
@@ -536,23 +665,19 @@ TEST(MsgPlaneRuns, ChaosLedgerMatchesPairShape) {
       ctx.output(fp);
     };
   };
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    ChaosPlan pair_plan(ccfg), run_plan(ccfg);
-    Engine::Config cfg;
-    cfg.plane = plane;
-    cfg.chaos = &pair_plan;
-    const auto pairs = Engine::run(g, program(false), cfg);
-    cfg.chaos = &run_plan;
-    const auto runs = Engine::run(g, program(true), cfg);
-    expect_same_result(pairs, runs, "chaos: runs vs pairs");
-    ASSERT_GT(pair_plan.total_faults(), 0u);
-    EXPECT_EQ(pair_plan.ledger_overflow(), 0u);
-    ASSERT_EQ(pair_plan.ledger().size(), run_plan.ledger().size());
-    for (std::size_t i = 0; i < pair_plan.ledger().size(); ++i) {
-      EXPECT_TRUE(pair_plan.ledger()[i] == run_plan.ledger()[i])
-          << "event " << i;
-    }
+  ChaosPlan pair_plan(ccfg), run_plan(ccfg);
+  Engine::Config cfg;
+  cfg.chaos = &pair_plan;
+  const auto pairs = Engine::run(g, program(false), cfg);
+  cfg.chaos = &run_plan;
+  const auto runs = Engine::run(g, program(true), cfg);
+  expect_same_result(pairs, runs, "chaos: runs vs pairs");
+  ASSERT_GT(pair_plan.total_faults(), 0u);
+  EXPECT_EQ(pair_plan.ledger_overflow(), 0u);
+  ASSERT_EQ(pair_plan.ledger().size(), run_plan.ledger().size());
+  for (std::size_t i = 0; i < pair_plan.ledger().size(); ++i) {
+    EXPECT_TRUE(pair_plan.ledger()[i] == run_plan.ledger()[i])
+        << "event " << i;
   }
 }
 

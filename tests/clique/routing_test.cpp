@@ -237,12 +237,12 @@ TEST(Engine, PerNodeLoadMetersExact) {
   // Node 0 sends 3 words to node 1 and 2 to node 2; meters must report
   // exactly max_sent = 5 (node 0) and max_received = 3 (node 1).
   auto res = Engine::run(gen::empty(4), [](NodeCtx& ctx) {
-    WordQueues out(4);
+    std::vector<std::pair<NodeId, Word>> sends;
     if (ctx.id() == 0) {
-      for (int i = 0; i < 3; ++i) out[1].emplace_back(1, 1);
-      for (int i = 0; i < 2; ++i) out[2].emplace_back(1, 1);
+      for (int i = 0; i < 3; ++i) sends.emplace_back(1, Word(1, 1));
+      for (int i = 0; i < 2; ++i) sends.emplace_back(2, Word(1, 1));
     }
-    ctx.exchange(out);
+    ctx.exchange_flat(sends);
     ctx.output(0);
   });
   EXPECT_EQ(res.cost.max_node_sent, 5u);

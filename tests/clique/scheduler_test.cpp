@@ -72,16 +72,16 @@ void mixed_program(NodeCtx& ctx) {
     if (in[v]) mix(in[v]->value + v);
   }
 
-  // exchange(): skewed queue lengths.
-  WordQueues out(n);
+  // exchange_flat(): skewed queue lengths.
+  std::vector<std::pair<NodeId, Word>> out;
   for (NodeId v = 0; v < n; ++v) {
     if (v == ctx.id()) continue;
     for (NodeId i = 0; i <= (ctx.id() + v) % 3; ++i) {
-      out[v].emplace_back((i + v) % 2, 1);
+      out.emplace_back(v, Word((i + v) % 2, 1));
     }
   }
-  auto ex = ctx.exchange(out);
-  for (NodeId v = 0; v < n; ++v) mix(ex[v].size());
+  const FlatInbox ex = ctx.exchange_flat(out);
+  for (NodeId v = 0; v < n; ++v) mix(ex.from(v).size());
 
   // broadcast(): everyone shares its adjacency row.
   auto rows = ctx.broadcast(ctx.adj_row());

@@ -52,15 +52,15 @@ void mixed_program(NodeCtx& ctx) {
     if (in[v]) mix(in[v]->value + v);
   }
 
-  WordQueues out(n);
+  std::vector<std::pair<NodeId, Word>> out;
   for (NodeId v = 0; v < n; ++v) {
     if (v == ctx.id()) continue;
     for (NodeId i = 0; i <= (ctx.id() + v) % 3; ++i) {
-      out[v].emplace_back((i + v) % 2, 1);
+      out.emplace_back(v, Word((i + v) % 2, 1));
     }
   }
-  auto ex = ctx.exchange(out);
-  for (NodeId v = 0; v < n; ++v) mix(ex[v].size());
+  const FlatInbox ex = ctx.exchange_flat(out);
+  for (NodeId v = 0; v < n; ++v) mix(ex.from(v).size());
 
   SplitMix64 rng(ctx.id() * 6151 + 3);
   std::vector<std::pair<NodeId, Word>> flat_sends;
@@ -129,15 +129,17 @@ TEST(ShardedDeterminism, RepeatedRunsIdentical) {
   expect_same_result(r1, r2, "sharded repeat");
 }
 
+// The bare plane and the plane under a fault-free chaos wrapper (an exact
+// no-op on traffic) must agree.
 TEST(ShardedDeterminism, BothPlanesAgree) {
   const Graph g = gen::gnp(21, 0.5, 29);
-  Engine::Config legacy = sharded(4);
-  legacy.plane = MessagePlaneKind::kLegacy;
-  Engine::Config flat = sharded(4);
-  flat.plane = MessagePlaneKind::kFlat;
-  expect_same_result(Engine::run(g, mixed_program, legacy),
-                     Engine::run(g, mixed_program, flat),
-                     "sharded legacy vs flat");
+  ChaosPlan fault_free;
+  Engine::Config wrapped = sharded(4);
+  wrapped.chaos = &fault_free;
+  expect_same_result(Engine::run(g, mixed_program, sharded(4)),
+                     Engine::run(g, mixed_program, wrapped),
+                     "sharded bare vs fault-free chaos");
+  EXPECT_EQ(fault_free.total_faults(), 0u);
 }
 
 // ---- degenerate clique sizes ---------------------------------------------
@@ -251,14 +253,14 @@ TEST(ShardedChaos, FaultScheduleIndependentOfSharding) {
     return Engine::run(
         g,
         [](NodeCtx& ctx) {
-          WordQueues out(ctx.n());
+          std::vector<std::pair<NodeId, Word>> sends;
           for (NodeId v = 0; v < ctx.n(); ++v) {
-            if (v != ctx.id()) out[v].emplace_back(ctx.id() % 2, 1);
+            if (v != ctx.id()) sends.emplace_back(v, Word(ctx.id() % 2, 1));
           }
-          auto in = ctx.exchange(out);
+          const FlatInbox in = ctx.exchange_flat(sends);
           std::uint64_t fp = 0;
           for (NodeId v = 0; v < ctx.n(); ++v) {
-            for (const Word& w : in[v]) fp = fp * 131 + w.value + v;
+            for (const Word& w : in.from(v)) fp = fp * 131 + w.value + v;
           }
           ctx.output(fp);
         },
@@ -284,70 +286,57 @@ TEST(ShardedChaos, FaultScheduleIndependentOfSharding) {
   }
 }
 
-// A chaos duplicate on the *legacy* plane must keep the plane's
-// max_node_in report consistent with the trace's independent per-node
-// delta scan (the engine cross-checks them and throws on mismatch). CI
-// exercised only kFlat here before; this pins the legacy path.
+// Full duplication under a trace, on both fiber backends: the plane's
+// max_node_in report must stay consistent with the trace's independent
+// per-node delta scan (the engine cross-checks them and throws on
+// mismatch), and the ledger and metered cost must not depend on the
+// backend.
 TEST(ShardedChaos, LegacyPlaneDuplicateAgreesWithTraceCrossCheck) {
   const Graph g = gen::empty(6);
   ChaosPlan::Config ccfg;
   ccfg.seed = 5;
   ccfg.p_dup = 1.0;  // every word doubled
-  ChaosPlan plan(ccfg);
-  RoundTrace trace;
-  Engine::Config cfg;
-  cfg.plane = MessagePlaneKind::kLegacy;
-  cfg.chaos = &plan;
-  cfg.trace = &trace;
-  // exchange (not broadcast): raw queues carry no framing, so duplicated
-  // words arrive as extra words instead of tripping reassembly checks —
-  // the run must complete with the inflated traffic fully accounted.
-  const auto r = Engine::run(
-      g,
-      [](NodeCtx& ctx) {
-        WordQueues out(ctx.n());
-        for (NodeId v = 0; v < ctx.n(); ++v) {
-          if (v != ctx.id()) out[v].emplace_back(1, 1);
-        }
-        auto in = ctx.exchange(out);
-        std::uint64_t words = 0;
-        for (const auto& q : in) words += q.size();
-        ctx.output(words);
-      },
-      cfg);
-  EXPECT_GT(plan.fault_count(FaultKind::kDuplicate), 0u);
-  ASSERT_TRUE(trace.totals_match());
-  // Every word was duplicated: each node received 2 words from each of the
-  // other 5 nodes, and the trace's per-collective receiver max must agree.
-  for (auto w : r.outputs) EXPECT_EQ(w, 10u);
-  ASSERT_EQ(trace.records().size(), 1u);
-  EXPECT_EQ(trace.records()[0].max_received, 10u);
-
-  // Same schedule on the flat plane: identical ledger and metered cost —
-  // the planes must agree on corrupted traffic exactly as on honest.
-  ChaosPlan plan2(ccfg);
-  Engine::Config flat = cfg;
-  flat.plane = MessagePlaneKind::kFlat;
-  flat.chaos = &plan2;
-  flat.trace = nullptr;
-  const auto r2 = Engine::run(
-      g,
-      [](NodeCtx& ctx) {
-        WordQueues out(ctx.n());
-        for (NodeId v = 0; v < ctx.n(); ++v) {
-          if (v != ctx.id()) out[v].emplace_back(1, 1);
-        }
-        auto in = ctx.exchange(out);
-        std::uint64_t words = 0;
-        for (const auto& q : in) words += q.size();
-        ctx.output(words);
-      },
-      flat);
-  expect_same_result(r, r2, "legacy vs flat under duplication");
-  ASSERT_EQ(plan.ledger().size(), plan2.ledger().size());
-  for (std::size_t i = 0; i < plan.ledger().size(); ++i) {
-    EXPECT_TRUE(plan.ledger()[i] == plan2.ledger()[i]) << "event " << i;
-  }
+  // exchange_flat (not broadcast): raw queues carry no framing, so
+  // duplicated words arrive as extra words instead of tripping reassembly
+  // checks — the run must complete with the inflated traffic fully
+  // accounted.
+  const auto program = [](NodeCtx& ctx) {
+    std::vector<std::pair<NodeId, Word>> sends;
+    for (NodeId v = 0; v < ctx.n(); ++v) {
+      if (v != ctx.id()) sends.emplace_back(v, Word(1, 1));
+    }
+    const FlatInbox in = ctx.exchange_flat(sends);
+    std::uint64_t words = 0;
+    for (NodeId v = 0; v < ctx.n(); ++v) words += in.from(v).size();
+    ctx.output(words);
+  };
+  struct Run {
+    RunResult result;
+    std::vector<FaultEvent> ledger;
+  };
+  const auto run_on = [&](Engine::Config cfg, const char* name) {
+    ChaosPlan plan(ccfg);
+    RoundTrace trace;
+    cfg.chaos = &plan;
+    cfg.trace = &trace;
+    Run out{Engine::run(g, program, cfg), plan.ledger()};
+    EXPECT_GT(plan.fault_count(FaultKind::kDuplicate), 0u) << name;
+    EXPECT_TRUE(trace.totals_match()) << name;
+    // Every word was duplicated: each node received 2 words from each of
+    // the other 5 nodes, and the trace's per-collective receiver max must
+    // agree.
+    for (auto w : out.result.outputs) EXPECT_EQ(w, 10u) << name;
+    EXPECT_EQ(trace.records().size(), 1u) << name;
+    if (!trace.records().empty()) {
+      EXPECT_EQ(trace.records()[0].max_received, 10u) << name;
+    }
+    return out;
+  };
+  const Run pooled = run_on(Engine::Config{}, "pooled");
+  const Run shards = run_on(sharded(4), "sharded");
+  expect_same_result(pooled.result, shards.result,
+                     "pooled vs sharded under duplication");
+  EXPECT_TRUE(pooled.ledger == shards.ledger);
 }
 
 // ---- the raised n cap -----------------------------------------------------

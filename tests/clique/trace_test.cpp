@@ -3,8 +3,8 @@
 // Pins the three contracts the trace header promises:
 //   * determinism — every cost-side record field (and every span) is a pure
 //     function of the program and instance, identical across
-//     {kLegacy,kFlat} planes × {kPooled,kThreadPerNode} backends × worker
-//     counts, asserted on randomised traffic with nested spans;
+//     {kPooled, kSharded, kThreadPerNode} backends × worker counts,
+//     asserted on randomised traffic with nested spans;
 //   * ledger exactness — per-record rounds/messages/bits sum to the
 //     CostMeter totals, per-phase totals partition them, and the plane's
 //     receiver-side max always agrees with the per-node delta scan (the
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "clique/chaos.hpp"
 #include "clique/engine.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
@@ -33,32 +34,23 @@ namespace ccq {
 namespace {
 
 struct TraceSetup {
-  MessagePlaneKind plane;
   ExecutionBackend backend;
   std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
   const char* name;
 };
 
 const TraceSetup kSetups[] = {
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kThreadPerNode, 0,
-     "legacy/thread-per-node"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 2,
-     "legacy/pooled-2"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 0,
-     "legacy/pooled-hw"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kThreadPerNode, 0,
-     "flat/thread-per-node"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 2, "flat/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 0, "flat/pooled-hw"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kSharded, 0,
-     "legacy/sharded-hw"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kSharded, 3,
-     "flat/sharded-3"},  // non-dividing shard count for n in {5, 26}
+    {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
+    {ExecutionBackend::kPooled, 2, "pooled-2"},
+    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 0, "sharded-hw"},
+    {ExecutionBackend::kSharded, 3,
+     "sharded-3"},  // non-dividing shard count for n in {5, 26}
 };
+constexpr std::size_t kPooled2 = 1;  // the setup the ledger tests run on
 
 Engine::Config config_for(const TraceSetup& s, RoundTrace* trace) {
   Engine::Config cfg;
-  cfg.plane = s.plane;
   cfg.backend = s.backend;
   cfg.workers = s.workers;
   cfg.trace = trace;
@@ -124,7 +116,7 @@ std::string temp_path(const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across planes × backends × worker counts
+// Determinism across backends × worker counts
 // ---------------------------------------------------------------------------
 
 TEST(TraceDeterminism, RecordsAndSpansIdenticalAcrossSetups) {
@@ -168,7 +160,7 @@ TEST(TraceDeterminism, TracingDoesNotChangeMeteredCost) {
 
 TEST(TraceLedger, RecordsSumToMeterAndPhasesPartition) {
   RoundTrace trace;
-  const RunResult result = run_traced(kSetups[4], &trace, 12, 1);
+  const RunResult result = run_traced(kSetups[kPooled2], &trace, 12, 1);
 
   EXPECT_TRUE(trace.totals_match());
   EXPECT_EQ(trace.metered_totals().rounds, result.cost.rounds);
@@ -210,13 +202,14 @@ TEST(TraceLedger, RecordsSumToMeterAndPhasesPartition) {
 
 TEST(TraceLedger, ReceiverSideMaxMatchesKnownPattern) {
   // Every node sends 3 words to node 0: receiver max = 3 * (n - 1) at node
-  // 0 (self excluded), sender max = 3. Both planes must report it.
+  // 0 (self excluded), sender max = 3. The plane must report it bare and
+  // under a fault-free chaos wrapper.
   const NodeId n = 9;
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
+  for (bool chaos : {false, true}) {
     RoundTrace trace;
+    ChaosPlan fault_free;
     Engine::Config cfg;
-    cfg.plane = plane;
+    if (chaos) cfg.chaos = &fault_free;
     cfg.trace = &trace;
     Engine::run(
         gen::empty(n),
@@ -454,8 +447,8 @@ TEST(TraceLifecycle, UntracedRunsCostNoRecordsAndSpansNoop) {
 
 TEST(TraceExport, JsonlRoundTrip) {
   RoundTrace trace;
-  run_traced(kSetups[4], &trace, 11, 5);
-  run_traced(kSetups[4], &trace, 7, 6);
+  run_traced(kSetups[kPooled2], &trace, 11, 5);
+  run_traced(kSetups[kPooled2], &trace, 7, 6);
 
   const std::string path = temp_path("trace_roundtrip.jsonl");
   ASSERT_TRUE(trace.write_jsonl(path));
@@ -493,7 +486,7 @@ TEST(TraceExport, LoadRejectsGarbage) {
 
 TEST(TraceExport, ChromeFileIsWellFormed) {
   RoundTrace trace;
-  run_traced(kSetups[4], &trace, 9, 2);
+  run_traced(kSetups[kPooled2], &trace, 9, 2);
   const std::string path = temp_path("trace_chrome.json");
   ASSERT_TRUE(trace.write_chrome(path));
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -245,13 +246,12 @@ TEST(Corpus, ManifestAxisExpansion) {
       "algorithm": ["routing_direct", "routing_balanced"],
       "family": "gnp", "p": 0.2,
       "n": [16, 32],
-      "plane": ["flat", "legacy"],
-      "backend": "pooled",
+      "backend": ["pooled", "sharded"],
       "chaos": [false, true]
     }]
   })json", "inline");
   EXPECT_EQ(m.trials, 3);
-  EXPECT_EQ(m.cells.size(), 16u);  // 2 algos x 2 n x 2 planes x 2 chaos
+  EXPECT_EQ(m.cells.size(), 16u);  // 2 algos x 2 n x 2 backends x 2 chaos
   std::vector<std::string> ids;
   for (const auto& c : m.cells) ids.push_back(c.id());
   std::sort(ids.begin(), ids.end());
@@ -259,33 +259,72 @@ TEST(Corpus, ManifestAxisExpansion) {
 }
 
 TEST(Corpus, ManifestRejectionTable) {
-  const char* kBad[] = {
-      R"({"name": "x"})",                                   // no cells
-      R"({"name": "x", "cells": [], "bogus": 1})",          // unknown key
-      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
-          "family": "gnp", "n": 16, "frobnicate": 2}]})",   // unknown cell key
-      R"({"name": "x", "cells": [{"algorithm": "nope",
-          "family": "gnp", "n": 16}]})",                    // unknown algorithm
-      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
-          "family": "nope", "n": 16}]})",                   // unknown family
-      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
-          "family": "gnp", "n": 16, "plane": "warped"}]})", // unknown plane
-      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
-          "family": "gnp", "n": 0}]})",                     // n out of range
-      R"({"name": "x", "trials": 0, "cells": [{"algorithm":
-          "routing_direct", "family": "gnp", "n": 16}]})",  // trials range
-      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
-          "family": "gnp", "n": 16, "p": 1.5}]})",          // probability range
-      R"({"name": "x", "cells": [
+  // Each malformed manifest, and a fragment its error message must carry.
+  const std::pair<std::string, const char*> kBad[] = {
+      {R"({"name": "x"})", "'cells' must be a non-empty array"},
+      {R"({"name": "x", "cells": [], "bogus": 1})",
+       "unknown manifest key 'bogus'"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "frobnicate": 2}]})",
+       "unknown cell key 'frobnicate'"},
+      {R"({"name": "x", "cells": [{"algorithm": "nope",
+          "family": "gnp", "n": 16}]})",
+       "unknown algorithm 'nope'"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "nope", "n": 16}]})",
+       "unknown family 'nope'"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "backend": "warped"}]})",
+       "unknown backend 'warped'"},
+      // The message plane is no longer an axis: the old key is unknown.
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "plane": "flat"}]})",
+       "unknown cell key 'plane'"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 0}]})",
+       "n 0 out of range"},
+      {R"({"name": "x", "trials": 0, "cells": [{"algorithm":
+          "routing_direct", "family": "gnp", "n": 16}]})",
+       "trials 0 out of range"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "p": 1.5}]})",
+       "p must be in [0, 1]"},
+      {R"({"name": "x", "cells": [
           {"algorithm": "routing_direct", "family": "gnp", "n": 16},
           {"algorithm": "routing_direct", "family": "gnp", "n": 16}]})",
-      // ^ duplicate expanded cell id
-      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
-          "family": "gnp", "n": 16,)",                      // truncated JSON
+       "duplicate expanded cell id"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16,)",
+       "unexpected end of input"},
+      // Numbers past 2^64 are range errors, printed as written.
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "seed": 1e20}]})",
+       "seed 1e20 out of range"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 1e30}]})",
+       "n 1e30 out of range [1, 8192]"},
+      // An empty axis array would expand to no cells (or to the default).
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": []}]})",
+       "table:2: axis 'n' is an empty array"},
+      {R"({"name": "x", "cells": [{"algorithm": [],
+          "family": "gnp", "n": 16}]})",
+       "table:1: axis 'algorithm' is an empty array"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "backend": []}]})",
+       "table:2: axis 'backend' is an empty array"},
+      // Nesting far past any real manifest must not recurse off the stack.
+      {std::string(30000, '[') + std::string(30000, ']'),
+       "nesting deeper than 64 levels"},
   };
-  for (const char* text : kBad) {
-    EXPECT_THROW(harness::parse_manifest(text, "table"), ModelViolation)
-        << "accepted malformed manifest:\n" << text;
+  for (const auto& [text, needle] : kBad) {
+    try {
+      harness::parse_manifest(text, "table");
+      ADD_FAILURE() << "accepted malformed manifest:\n" << text;
+    } catch (const ModelViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "error '" << e.what() << "' lacks '" << needle << "'";
+    }
   }
 }
 
@@ -299,10 +338,9 @@ TEST(Corpus, TwoCellManifestEndToEnd) {
     "trials": 2,
     "cells": [
       {"algorithm": "routing_balanced", "family": "gnp", "p": 0.3, "n": 32,
-       "plane": "flat", "backend": "pooled", "chaos": false},
+       "backend": "pooled", "chaos": false},
       {"algorithm": "routing_direct", "family": "powerlaw", "n": 32,
-       "plane": "flat", "backend": "pooled", "chaos": true,
-       "chaos_dup": 0.01}
+       "backend": "pooled", "chaos": true, "chaos_dup": 0.01}
     ]
   })json", "inline");
   ASSERT_EQ(m.cells.size(), 2u);

@@ -7,8 +7,8 @@
 //     the adversary callback clamped to the original width, and words a
 //     node queues to itself are never touched;
 //   * determinism — the ledger and the run outputs are a pure function of
-//     (plan seed, collective, src, dst), identical across both message
-//     planes × both backends × worker counts;
+//     (plan seed, collective, src, dst), identical across backends × worker
+//     counts;
 //   * lifecycle — p = 0 plans are exact no-ops, the acquire is released on
 //     every exit path (config and global attach), the ledger cap converts
 //     records to overflow without losing counts, and chaos composes with
@@ -38,26 +38,20 @@ namespace ccq {
 namespace {
 
 struct ChaosSetup {
-  MessagePlaneKind plane;
   ExecutionBackend backend;
   std::size_t workers;
   const char* name;
 };
 
 const ChaosSetup kSetups[] = {
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kThreadPerNode, 0,
-     "legacy/thread-per-node"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 2,
-     "legacy/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kThreadPerNode, 0,
-     "flat/thread-per-node"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 2, "flat/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 0, "flat/pooled-hw"},
+    {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
+    {ExecutionBackend::kPooled, 2, "pooled-2"},
+    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 3, "sharded-3"},
 };
 
 Engine::Config config_for(const ChaosSetup& s, ChaosPlan* plan) {
   Engine::Config cfg;
-  cfg.plane = s.plane;
   cfg.backend = s.backend;
   cfg.workers = s.workers;
   cfg.chaos = plan;
@@ -151,21 +145,22 @@ TEST(ChaosFaults, DuplicateAppendsSecondCopyOnExchange) {
   auto r = Engine::run(
       g,
       [](NodeCtx& ctx) {
-        // One word per peer through the queue-shaped exchange (which
-        // tolerates any queue length, unlike round()).
-        WordQueues out(ctx.n());
+        // One word per peer through exchange_flat (which tolerates any
+        // queue length, unlike round()).
+        std::vector<std::pair<NodeId, Word>> sends;
         for (NodeId u = 0; u < ctx.n(); ++u) {
           if (u != ctx.id()) {
-            out[u].push_back(Word(ctx.id() + 1, ctx.bandwidth()));
+            sends.emplace_back(u, Word(ctx.id() + 1, ctx.bandwidth()));
           }
         }
-        auto in = ctx.exchange(out);
+        const FlatInbox in = ctx.exchange_flat(sends);
         bool ok = true;
         for (NodeId u = 0; u < ctx.n(); ++u) {
           if (u == ctx.id()) continue;
           // Every cross word duplicated: two identical copies arrive.
-          ok = ok && in[u].size() == 2 && in[u][0] == in[u][1] &&
-               in[u][0].value == u + 1;
+          const auto got = in.from(u);
+          ok = ok && got.size() == 2 && got[0] == got[1] &&
+               got[0].value == u + 1;
         }
         ctx.decide(ok);
       },
@@ -224,11 +219,10 @@ TEST(ChaosFaults, SelfQueueIsNeverFaulted) {
   auto r = Engine::run(
       g,
       [](NodeCtx& ctx) {
-        WordQueues out(ctx.n());
-        out[ctx.id()].push_back(Word(ctx.id(), ctx.bandwidth()));
-        auto in = ctx.exchange(out);
-        ctx.decide(in[ctx.id()].size() == 1 &&
-                   in[ctx.id()][0].value == ctx.id());
+        const std::vector<std::pair<NodeId, Word>> sends = {
+            {ctx.id(), Word(ctx.id(), ctx.bandwidth())}};
+        const auto got = ctx.exchange_flat(sends).from(ctx.id());
+        ctx.decide(got.size() == 1 && got[0].value == ctx.id());
       },
       ecfg);
   EXPECT_TRUE(r.accepted());
@@ -341,8 +335,8 @@ TEST(ChaosLifecycle, ComposesWithRoundTrace) {
 // --- the campaign itself ------------------------------------------------
 
 TEST(SoundnessCampaign, CleanAcceptsAndCorruptRejectsEveryCase) {
-  // 12 trials cover all four plane × backend combinations three times;
-  // the bench sweeps the statistically meaningful byzantine rates.
+  // 12 trials cover both backends six times each; the bench sweeps the
+  // statistically meaningful byzantine rates.
   for (const auto& c : soundness::cases()) {
     const auto r = soundness::run_case(c, 16, 12);
     EXPECT_EQ(r.clean_accepts, r.trials) << c.name;

@@ -31,8 +31,7 @@ namespace {
 
 constexpr const char* kGoodJob =
     "{\"algorithm\": \"routing_balanced\", \"family\": \"gnp\", "
-    "\"p\": 0.25, \"n\": 16, \"plane\": \"flat\", \"backend\": \"pooled\", "
-    "\"chaos\": false}";
+    "\"p\": 0.25, \"n\": 16, \"backend\": \"pooled\", \"chaos\": false}";
 
 std::string submit_body(const std::string& job) {
   return "{\"type\": \"submit\", \"job\": " + job + "}";
@@ -85,6 +84,13 @@ TEST(Protocol, MalformedJsonIsNamedNotFatal) {
   std::string code;
   EXPECT_EQ(response_type(client.request("{not json"), &code), "error");
   EXPECT_EQ(code, kErrBadJson);
+  // A frame nested 30,000 deep is a named parse error, not a stack
+  // overflow.
+  EXPECT_EQ(response_type(client.request(std::string(30000, '[') +
+                                         std::string(30000, ']')),
+                          &code),
+            "error");
+  EXPECT_EQ(code, kErrBadJson);
   // The connection survives a parse error — framing was intact.
   EXPECT_EQ(response_type(client.request("{\"type\": \"ping\"}")), "pong");
   server.drain();
@@ -123,9 +129,8 @@ TEST(Protocol, BadJobsAreNamed) {
   EXPECT_EQ(
       response_type(client.request(submit_body(
                         "{\"algorithm\": \"routing_balanced\", \"family\": "
-                        "\"gnp\", \"p\": 0.25, \"n\": [16, 32], \"plane\": "
-                        "\"flat\", \"backend\": \"pooled\", "
-                        "\"chaos\": false}")),
+                        "\"gnp\", \"p\": 0.25, \"n\": [16, 32], "
+                        "\"backend\": \"pooled\", \"chaos\": false}")),
                     &code),
       "error");
   EXPECT_EQ(code, kErrBadJob);
@@ -133,9 +138,8 @@ TEST(Protocol, BadJobsAreNamed) {
   EXPECT_EQ(
       response_type(client.request(submit_body(
                         "{\"algorithm\": \"no_such_algorithm\", \"family\": "
-                        "\"gnp\", \"p\": 0.25, \"n\": 16, \"plane\": "
-                        "\"flat\", \"backend\": \"pooled\", "
-                        "\"chaos\": false}")),
+                        "\"gnp\", \"p\": 0.25, \"n\": 16, "
+                        "\"backend\": \"pooled\", \"chaos\": false}")),
                     &code),
       "error");
   EXPECT_EQ(code, kErrBadJob);
@@ -145,8 +149,8 @@ TEST(Protocol, BadJobsAreNamed) {
       response_type(client.request(submit_body(
                         "{\"algorithm\": \"routing_balanced\", \"family\": "
                         "\"edgelist\", \"path\": \"/nonexistent.edges\", "
-                        "\"n\": 16, \"plane\": \"flat\", \"backend\": "
-                        "\"pooled\", \"chaos\": false}")),
+                        "\"n\": 16, \"backend\": \"pooled\", "
+                        "\"chaos\": false}")),
                     &code),
       "error");
   EXPECT_EQ(code, kErrJobFailed);

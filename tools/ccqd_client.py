@@ -11,7 +11,7 @@ Usage:
   ccqd_client.py --tcp 9178 submit job.json
   ccqd_client.py --socket /tmp/ccqd.sock submit - <<'EOF'
   {"algorithm": "routing_balanced", "family": "gnp", "p": 0.25,
-   "n": 64, "plane": "flat", "backend": "pooled", "chaos": false}
+   "n": 64, "backend": "pooled", "chaos": false}
   EOF
   ccqd_client.py --socket /tmp/ccqd.sock shutdown
 
