@@ -14,9 +14,9 @@
 // bits must grow monotonically with density. Violations are fatal.
 //
 // A second, purely local table compares the SpGEMM kernels themselves
-// (serial Gustavson, rowmerge, and their pool-parallel shardings) at one
-// density — this is the compute that Step B of the sparse schedule runs on
-// the centralized callers. Every parallel result is verified CSR-for-CSR
+// (serial Gustavson and its pool-parallel sharding) at one density — this
+// is the compute that Step B of the sparse schedule runs on the
+// centralized callers. Every parallel result is verified CSR-for-CSR
 // against the serial kernel (and the serial kernel against mm_naive at
 // n ≤ 512) before any time is reported.
 //
@@ -276,11 +276,10 @@ void spgemm_kernel_table(const std::vector<NodeId>& sizes, double density,
                          bool check) {
   const std::size_t workers = kernels::pool().size();
   std::printf("\nLocal (min,+) SpGEMM kernels at density %g (pool: %zu "
-              "worker(s), SIMD %s;\nparallel kernels shard rows over the "
+              "worker(s), SIMD %s;\nthe parallel kernel shards rows over the "
               "pool, output bit-identical to serial):\n\n",
               density, workers, simd::level_name(simd::active()));
-  Table t({"n", "serial ms", "rowmerge ms", "parallel ms", "par-rm ms",
-           "serial/parallel"});
+  Table t({"n", "serial ms", "parallel ms", "serial/parallel"});
   for (NodeId n : sizes) {
     const auto da = random_minplus_dense(n, density, 0x5b9 + n);
     const auto db = random_minplus_dense(n, density, 0x5ca + n);
@@ -304,18 +303,11 @@ void spgemm_kernel_table(const std::vector<NodeId>& sizes, double density,
                 {"kernel", "spgemm_serial"},
                 {"wall_ms", serial_ms},
                 {"speedup", 1.0}});
-    const double rowmerge_ms =
-        spgemm_row(n, density, "spgemm_rowmerge", trials, expect, serial_ms,
-                   [&] { return kernels::spgemm_rowmerge<MinPlusSemiring>(a, b); });
     const double parallel_ms =
         spgemm_row(n, density, "spgemm_parallel", trials, expect, serial_ms,
                    [&] { return kernels::spgemm_parallel<MinPlusSemiring>(a, b); });
-    const double par_rm_ms = spgemm_row(
-        n, density, "spgemm_rowmerge_parallel", trials, expect, serial_ms,
-        [&] { return kernels::spgemm_rowmerge_parallel<MinPlusSemiring>(a, b); });
     t.add_row({std::to_string(n), Table::fmt(serial_ms, 2),
-               Table::fmt(rowmerge_ms, 2), Table::fmt(parallel_ms, 2),
-               Table::fmt(par_rm_ms, 2),
+               Table::fmt(parallel_ms, 2),
                Table::fmt(parallel_ms > 0 ? serial_ms / parallel_ms : 1.0,
                           1) +
                    "x"});

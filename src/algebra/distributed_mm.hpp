@@ -4,7 +4,7 @@
 //
 // Input convention (matching how graph problems present themselves in the
 // model): node v holds row v of A and row v of B; on return it holds row v
-// of C = A·B. Two algorithms:
+// of C = A·B. Four schedules:
 //
 //  * mm_distributed_naive — every node broadcasts its row of B and
 //    multiplies locally: Θ(n·w/B) rounds (w = entry bits). The baseline.
@@ -15,6 +15,13 @@
 //    A[R_i,R_k] and B[R_k,R_j], multiplies them locally, and the partial
 //    products are summed at the row owners. O(n^{1/3}·w/B) rounds — this is
 //    the δ(semiring MM) ≤ 1/3 edge of Figure 1, and our bench measures it.
+//
+//  * mm_distributed_rect — the same block schedule for rectangular shapes
+//    on a greedy grid; one dense body serves both it and the 3-D schedule,
+//    which passes the cube grid explicitly.
+//
+//  * mm_distributed_sparse — the block schedule shipping only nonzero
+//    content (see "block schedules" below).
 //
 // Entries are packed `entry_bits` per entry; the paper assumes entries fit
 // in O(log n) bits, which callers express by picking entry_bits.
@@ -248,10 +255,36 @@ std::vector<typename S::Value> mm_distributed_naive(
   return row_c;
 }
 
-// ---- 3-D partitioned algorithm -------------------------------------------
+// ---- block schedules -----------------------------------------------------
+//
+// The 3-D, rect and sparse schedules compute C[n1×n3] = A[n1×n2]·B[n2×n3]
+// on a grid of worker triples: node v < n1 holds row v of A, node v < n2
+// holds row v of B, and on return node v < n1 holds row v of C. Worker
+// (i,j,k) obtains A[R⁰_i, R¹_k] and B[R¹_k, R²_j] (Step A), multiplies them
+// locally (Step B), and sends its partial rows to their owners, which
+// reduce them (Step C).
+//
+// mm_distributed_3d and mm_distributed_rect are one dense body
+// (mmrect_detail::dense_block_mm) run on two grids: the ⌊n^{1/3}⌋ cube of
+// §7 and a greedy grid d1·d2·d3 ≤ n for any shape. mm_distributed_sparse
+// runs on the greedy grid but ships only nonzero content (DESIGN.md §13):
+// a block-occupancy descriptor round tells each worker the per-slice
+// nonzero counts, then every slice travels either as strictly-increasing
+// (index,value) runs or — when the count makes runs no cheaper — in the
+// dense packed format, the choice being a pure function of the agreed
+// count. Partial result rows travel the same way, prefixed by a
+// self-describing count. Measured bits therefore scale with nnz, and every
+// structural corruption of a descriptor (drop, flip) makes the declared and
+// received payload widths disagree, which the receivers CCQ_CHECK.
+//
+// All three encode each distinct payload once and deposit word runs that
+// point at that encoding, one run per destination.
 
 namespace mm3d_detail {
 
+/// The cube grid of the 3-D schedule: [n] split into d = ⌊n^{1/3}⌋ ranges
+/// of width ⌈n/d⌉ in every dimension. The one definition of the cube side
+/// (RectLayout::cube builds on it).
 struct Layout {
   NodeId n;
   NodeId d;  ///< cube side ⌊n^{1/3}⌋
@@ -265,164 +298,9 @@ struct Layout {
   NodeId range_begin(NodeId t) const { return std::min<NodeId>(t * q, n); }
   NodeId range_end(NodeId t) const { return std::min<NodeId>((t + 1) * q, n); }
   NodeId range_size(NodeId t) const { return range_end(t) - range_begin(t); }
-  /// Which range contains row r.
-  NodeId range_of(NodeId r) const { return r / q; }
-
-  bool is_worker(NodeId v) const {
-    return v < static_cast<std::uint64_t>(d) * d * d;
-  }
-  NodeId worker(NodeId i, NodeId j, NodeId k) const {
-    return (i * d + j) * d + k;
-  }
-  NodeId wi(NodeId v) const { return v / (d * d); }
-  NodeId wj(NodeId v) const { return (v / d) % d; }
-  NodeId wk(NodeId v) const { return v % d; }
 };
 
 }  // namespace mm3d_detail
-
-template <Semiring S>
-std::vector<typename S::Value> mm_distributed_3d(
-    NodeCtx& ctx, const std::vector<typename S::Value>& row_a,
-    const std::vector<typename S::Value>& row_b, unsigned entry_bits) {
-  using V = typename S::Value;
-  using mm3d_detail::Layout;
-  const NodeId n = ctx.n();
-  const Layout L(n);
-  const NodeId me = ctx.id();
-  const unsigned B = ctx.bandwidth();
-  CCQ_CHECK(row_a.size() == n && row_b.size() == n);
-
-  // ---- Step A: distribute input blocks.
-  // Sender v: A_v[R_k] -> worker (range_of(v), j, k) for all j, k;
-  //           B_v[R_j] -> worker (i, j, range_of(v)) for all i, j.
-  // The A payload for destination (iv, j, k) depends only on k, and the
-  // B payload for (i, j, iv) only on j: each slice is encoded once and
-  // every destination's run points at that encoding. A destination owed
-  // both gets its A run first (the A loop deposits first), which is the
-  // order Step B decodes in.
-  std::vector<std::vector<Word>> a_words(L.d), b_words(L.d);
-  std::vector<WordRun> phase_a;
-  {
-    const NodeId iv = L.range_of(me);
-    const std::span<const V> ra(row_a), rb(row_b);
-    for (NodeId t = 0; t < L.d; ++t) {
-      const NodeId lo = L.range_begin(t), len = L.range_size(t);
-      a_words[t] = encode_bits(
-          pack_entries<S>(ra.subspan(lo, len), entry_bits), B);
-      b_words[t] = encode_bits(
-          pack_entries<S>(rb.subspan(lo, len), entry_bits), B);
-    }
-    phase_a.reserve(2 * static_cast<std::size_t>(L.d) * L.d);
-    for (NodeId j = 0; j < L.d; ++j)
-      for (NodeId k = 0; k < L.d; ++k)
-        phase_a.push_back({L.worker(iv, j, k), a_words[k]});
-    for (NodeId i = 0; i < L.d; ++i)
-      for (NodeId j = 0; j < L.d; ++j)
-        phase_a.push_back({L.worker(i, j, iv), b_words[j]});
-  }
-  const FlatInbox inbox_a = ctx.exchange_flat(phase_a);
-
-  // ---- Step B: workers assemble blocks and multiply locally.
-  Matrix<V> partial;  // |R_i| x |R_j| block of partial products
-  if (L.is_worker(me)) {
-    const NodeId i = L.wi(me), j = L.wj(me), k = L.wk(me);
-    const NodeId ri = L.range_size(i), rj = L.range_size(j),
-                 rk = L.range_size(k);
-    Matrix<V> a_blk(ri, rk, S::zero()), b_blk(rk, rj, S::zero());
-    // From source v in R_i we got A_v[R_k] (v sent it because
-    // range_of(v)==i and our (j,k) matched); from source v in R_k we got
-    // B_v[R_j]. A source in both ranges sent A first, then B — but the two
-    // sends were queued by different loops, A-loop first for matching
-    // destinations. Decode positionally.
-    for (NodeId src = 0; src < n; ++src) {
-      const auto q = inbox_a.from(src);
-      if (q.empty()) continue;
-      std::size_t pos_words = 0;
-      const bool sends_a = L.range_of(src) == i;
-      const bool sends_b = L.range_of(src) == k;
-      if (sends_a) {
-        const std::size_t bits = static_cast<std::size_t>(rk) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rk, entry_bits);
-        pos_words += nw;
-        const NodeId r = src - L.range_begin(i);
-        std::copy(vals.begin(), vals.end(), a_blk.row_data(r));
-      }
-      if (sends_b) {
-        const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rj, entry_bits);
-        pos_words += nw;
-        const NodeId r = src - L.range_begin(k);
-        std::copy(vals.begin(), vals.end(), b_blk.row_data(r));
-      }
-      CCQ_CHECK_MSG(pos_words == q.size(), "mm_3d: stray words in inbox");
-    }
-    // Serial kernel dispatch: this runs inside a node program (scheduler
-    // fiber), so the local step must never block on the kernel pool.
-    partial = kernels::mm_local<S>(a_blk, b_blk);
-  }
-
-  // ---- Step C: return partial rows to their owners and reduce.
-  std::vector<std::vector<Word>> c_words;
-  std::vector<WordRun> phase_c;
-  if (L.is_worker(me)) {
-    const NodeId i = L.wi(me);
-    c_words.resize(partial.rows());
-    for (NodeId r = L.range_begin(i); r < L.range_end(i); ++r) {
-      const NodeId lr = r - L.range_begin(i);
-      // Pack straight from the row (contiguous row-major storage).
-      c_words[lr] = encode_bits(
-          pack_entries<S>(
-              std::span<const V>(partial.row_data(lr), partial.cols()),
-              entry_bits),
-          B);
-      phase_c.push_back({r, c_words[lr]});
-    }
-  }
-  const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
-
-  std::vector<V> row_c(n, S::zero());
-  {
-    const NodeId i = L.range_of(me);
-    for (NodeId src = 0; src < n; ++src) {
-      const auto q = inbox_c.from(src);
-      if (q.empty()) continue;
-      CCQ_CHECK_MSG(L.is_worker(src) && L.wi(src) == i,
-                    "mm_3d: partial row from unexpected worker");
-      const NodeId j = L.wj(src);
-      const NodeId rj = L.range_size(j);
-      const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-      auto vals =
-          unpack_entries<S>(decode_words(q, bits), rj, entry_bits);
-      for (NodeId c = 0; c < rj; ++c) {
-        const NodeId col = L.range_begin(j) + c;
-        row_c[col] = S::add(row_c[col], vals[c]);
-      }
-    }
-  }
-  return row_c;
-}
-
-// ---- rectangular shapes & the sparse nonzero-block schedule ---------------
-//
-// mm_distributed_rect generalises the 3-D schedule to C[n1×n3] =
-// A[n1×n2]·B[n2×n3]: node v < n1 holds row v of A, node v < n2 holds row v
-// of B, and on return node v < n1 holds row v of C. The worker grid uses
-// independent per-dimension part counts d1·d2·d3 ≤ n instead of a cube.
-//
-// mm_distributed_sparse runs the same schedule but ships only nonzero
-// content (DESIGN.md §13): a block-occupancy descriptor round tells each
-// worker the per-slice nonzero counts, then every slice travels either as
-// strictly-increasing (index,value) runs or — when the count makes runs no
-// cheaper — in the dense packed format, the choice being a pure function of
-// the agreed count. Partial result rows travel the same way, prefixed by a
-// self-describing count. Measured bits therefore scale with nnz, and every
-// structural corruption of a descriptor (drop, flip) makes the declared and
-// received payload widths disagree, which the receivers CCQ_CHECK.
 
 /// Shape of a rectangular product C[n1×n3] = A[n1×n2] · B[n2×n3].
 struct MmShape {
@@ -444,7 +322,7 @@ inline unsigned slice_count_bits(NodeId width) {
 /// Deterministic per-slice mode rule, computable by sender and receiver
 /// from the agreed count alone: ship (index,value) runs iff strictly
 /// cheaper than the dense packed slice (ties go dense, so a fully dense
-/// input degenerates to the dense 3-D schedule plus descriptors).
+/// input degenerates to the dense block schedule plus descriptors).
 inline bool slice_runs_sparse(NodeId width, NodeId count,
                               unsigned entry_bits) {
   return static_cast<std::uint64_t>(count) *
@@ -471,6 +349,10 @@ struct RectLayout {
   NodeId d[3];
   NodeId q[3];
 
+  /// The greedy grid: repeatedly split the dimension with the widest parts
+  /// (ties → lowest index) while the grid fits the clique. On square shapes
+  /// it is not the cube in general — at n = 96 it stops at (6,4,4) where
+  /// the cube is 4³ — so the 3-D schedule asks for cube() explicitly.
   RectLayout(NodeId nodes, MmShape s) {
     CCQ_CHECK_MSG(s.n1 >= 1 && s.n2 >= 1 && s.n3 >= 1,
                   "mm shape dimensions must be positive");
@@ -480,9 +362,6 @@ struct RectLayout {
     n[1] = s.n2;
     n[2] = s.n3;
     d[0] = d[1] = d[2] = 1;
-    // Deterministic greedy grid: repeatedly split the dimension with the
-    // widest parts (ties → lowest index) while the grid fits the clique.
-    // For square shapes this converges to the ⌊n^{1/3}⌋ cube of Layout.
     for (;;) {
       int best = -1;
       NodeId best_w = 0;
@@ -504,6 +383,18 @@ struct RectLayout {
       q[t] = static_cast<NodeId>(ceil_div(n[t], d[t]));
   }
 
+  /// The 3-D schedule's cube grid on an n×n×n product (mm3d_detail::Layout).
+  static RectLayout cube(NodeId nodes) {
+    const mm3d_detail::Layout c(nodes);
+    RectLayout L;
+    for (int t = 0; t < 3; ++t) {
+      L.n[t] = nodes;
+      L.d[t] = c.d;
+      L.q[t] = c.q;
+    }
+    return L;
+  }
+
   NodeId begin(int t, NodeId r) const { return std::min(r * q[t], n[t]); }
   NodeId end(int t, NodeId r) const {
     return std::min((r + 1) * q[t], n[t]);
@@ -521,22 +412,21 @@ struct RectLayout {
   NodeId wi(NodeId v) const { return v / (d[1] * d[2]); }
   NodeId wj(NodeId v) const { return (v / d[1]) % d[2]; }
   NodeId wk(NodeId v) const { return v % d[1]; }
+
+ private:
+  RectLayout() = default;
 };
 
-}  // namespace mmrect_detail
-
-/// Dense rectangular 3-D schedule. Node v < n1 passes row v of A (length
-/// n2), node v < n2 passes row v of B (length n3); other nodes pass empty
-/// spans. Returns row v of C (length n3) for v < n1, an empty vector
-/// otherwise.
+/// The dense block schedule on grid L, shared by mm_distributed_3d (cube
+/// grid) and mm_distributed_rect (greedy grid): every slice and partial row
+/// travels packed at entry_bits per entry.
 template <Semiring S>
-std::vector<typename S::Value> mm_distributed_rect(
-    NodeCtx& ctx, MmShape shape, std::span<const typename S::Value> row_a,
+std::vector<typename S::Value> dense_block_mm(
+    NodeCtx& ctx, const RectLayout& L,
+    std::span<const typename S::Value> row_a,
     std::span<const typename S::Value> row_b, unsigned entry_bits) {
   using V = typename S::Value;
-  using mmrect_detail::RectLayout;
   const NodeId nn = ctx.n();
-  const RectLayout L(nn, shape);
   const NodeId me = ctx.id();
   const unsigned B = ctx.bandwidth();
   CCQ_CHECK(entry_bits >= 1 && entry_bits <= 64);
@@ -544,11 +434,12 @@ std::vector<typename S::Value> mm_distributed_rect(
   const bool holds_b = me < L.n[1];
   CCQ_CHECK(!holds_a || row_a.size() == L.n[1]);
   CCQ_CHECK(!holds_b || row_b.size() == L.n[2]);
-  CCQ_TRACE_SPAN(ctx, "mm-rect");
 
-  // ---- Step A: distribute input slices (A first, then B, so a worker
-  // receiving both from one source decodes positionally). Each slice is
-  // encoded once; every destination's run points at that encoding.
+  // ---- Step A: source v sends A_v[R¹_k] to every worker (of⁰(v), j, k) and
+  // B_v[R²_j] to every worker (i, j, of¹(v)). Each slice is encoded once;
+  // every destination's run points at that encoding. A worker owed both
+  // gets its A run first (the A loop deposits first), which is the order
+  // Step B decodes in.
   std::vector<std::vector<Word>> a_words(holds_a ? L.d[1] : 0);
   std::vector<std::vector<Word>> b_words(holds_b ? L.d[2] : 0);
   std::vector<WordRun> phase_a;
@@ -582,35 +473,33 @@ std::vector<typename S::Value> mm_distributed_rect(
     const NodeId i = L.wi(me), j = L.wj(me), k = L.wk(me);
     const NodeId ri = L.size(0, i), rj = L.size(2, j), rk = L.size(1, k);
     Matrix<V> a_blk(ri, rk, S::zero()), b_blk(rk, rj, S::zero());
+    const std::size_t a_nw =
+        ceil_div(static_cast<std::size_t>(rk) * entry_bits, B);
+    const std::size_t b_nw =
+        ceil_div(static_cast<std::size_t>(rj) * entry_bits, B);
+    auto unpack_row = [&](std::span<const Word> q, NodeId width, V* out) {
+      const auto vals = unpack_entries<S>(
+          decode_words(q, static_cast<std::size_t>(width) * entry_bits),
+          width, entry_bits);
+      std::copy(vals.begin(), vals.end(), out);
+    };
     for (NodeId src = 0; src < nn; ++src) {
       const auto q = inbox_a.from(src);
       const bool sends_a = src < L.n[0] && L.of(0, src) == i;
       const bool sends_b = src < L.n[1] && L.of(1, src) == k;
-      if (!sends_a && !sends_b) {
-        CCQ_CHECK_MSG(q.empty(), "mm_rect: words from unexpected source");
-        continue;
-      }
-      std::size_t pos_words = 0;
-      if (sends_a) {
-        const std::size_t bits = static_cast<std::size_t>(rk) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rk, entry_bits);
-        pos_words += nw;
-        std::copy(vals.begin(), vals.end(),
-                  a_blk.row_data(src - L.begin(0, i)));
-      }
-      if (sends_b) {
-        const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rj, entry_bits);
-        pos_words += nw;
-        std::copy(vals.begin(), vals.end(),
-                  b_blk.row_data(src - L.begin(1, k)));
-      }
-      CCQ_CHECK_MSG(pos_words == q.size(), "mm_rect: stray words in inbox");
+      const std::size_t na = sends_a ? a_nw : 0;
+      const std::size_t nb = sends_b ? b_nw : 0;
+      CCQ_CHECK_MSG(q.size() == na + nb,
+                    "mm_block: node " << src << " sent " << q.size()
+                                      << " slice words, expected "
+                                      << na + nb);
+      if (sends_a)
+        unpack_row(q.first(na), rk, a_blk.row_data(src - L.begin(0, i)));
+      if (sends_b)
+        unpack_row(q.subspan(na), rj, b_blk.row_data(src - L.begin(1, k)));
     }
+    // Serial kernel dispatch: this runs inside a node program (scheduler
+    // fiber), so the local step must never block on the kernel pool.
     partial = kernels::mm_local<S>(a_blk, b_blk);
   }
 
@@ -622,6 +511,7 @@ std::vector<typename S::Value> mm_distributed_rect(
     c_words.resize(partial.rows());
     for (NodeId r = L.begin(0, i); r < L.end(0, i); ++r) {
       const NodeId lr = r - L.begin(0, i);
+      // Pack straight from the row (contiguous row-major storage).
       c_words[lr] = encode_bits(
           pack_entries<S>(
               std::span<const V>(partial.row_data(lr), partial.cols()),
@@ -640,7 +530,7 @@ std::vector<typename S::Value> mm_distributed_rect(
       const auto q = inbox_c.from(src);
       if (q.empty()) continue;
       CCQ_CHECK_MSG(L.is_worker(src) && L.wi(src) == i,
-                    "mm_rect: partial row from unexpected worker");
+                    "mm_block: partial row from unexpected worker");
       const NodeId j = L.wj(src);
       const NodeId rj = L.size(2, j);
       const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
@@ -653,9 +543,97 @@ std::vector<typename S::Value> mm_distributed_rect(
   } else {
     for (NodeId src = 0; src < nn; ++src)
       CCQ_CHECK_MSG(inbox_c.from(src).empty(),
-                    "mm_rect: partial row sent to a non-owner");
+                    "mm_block: partial row sent to a non-owner");
   }
   return row_c;
+}
+
+/// Append every bit of `src` to `dst`.
+inline void append_bit_vector(BitVector& dst, const BitVector& src) {
+  for (std::size_t pos = 0; pos < src.size(); pos += 64) {
+    const unsigned take =
+        static_cast<unsigned>(std::min<std::size_t>(64, src.size() - pos));
+    dst.append_bits(src.read_bits(pos, take), take);
+  }
+}
+
+/// One sparse-schedule payload part: the bits a source owes for one slice,
+/// and whether they travel on their own (`send` false: only inside a run
+/// combined with a part that does).
+struct SlicePart {
+  BitVector bits;
+  bool send = false;
+};
+
+/// Step A's replication pattern for the sparse schedule, with one encoding
+/// per distinct payload: this node's part a[k] goes to every worker
+/// (of⁰(me), j, k) and b[j] to every worker (i, j, of¹(me)); `a` is empty
+/// unless this node holds an A row, `b` unless it holds a B row. A worker
+/// owed both gets one run of the bit-concatenated a[k]+b[j] — encoding the
+/// two separately could cost an extra word. Runs point into `enc`.
+inline void replicate_parts(const RectLayout& L, NodeId me, unsigned B,
+                            const std::vector<SlicePart>& a,
+                            const std::vector<SlicePart>& b,
+                            std::vector<std::vector<Word>>& enc,
+                            std::vector<WordRun>& runs) {
+  const NodeId iv = a.empty() ? 0 : L.of(0, me);
+  const NodeId kv = b.empty() ? 0 : L.of(1, me);
+  enc.clear();
+  runs.clear();
+  // At most one encoding per A part, per combined run and per B part.
+  enc.reserve(a.size() + 2 * b.size());
+  auto encode = [&](const BitVector& bv) -> std::span<const Word> {
+    return enc.emplace_back(encode_bits(bv, B));
+  };
+  for (NodeId k = 0; k < a.size(); ++k) {
+    if (!b.empty() && k == kv) {
+      for (NodeId j = 0; j < L.d[2]; ++j) {
+        if (!a[k].send && !b[j].send) continue;
+        BitVector both = a[k].bits;
+        append_bit_vector(both, b[j].bits);
+        runs.push_back({L.worker(iv, j, k), encode(both)});
+      }
+    } else if (a[k].send) {
+      const auto words = encode(a[k].bits);
+      for (NodeId j = 0; j < L.d[2]; ++j)
+        runs.push_back({L.worker(iv, j, k), words});
+    }
+  }
+  for (NodeId j = 0; j < b.size(); ++j) {
+    if (!b[j].send) continue;
+    const auto words = encode(b[j].bits);
+    for (NodeId i = 0; i < L.d[0]; ++i)
+      if (a.empty() || i != iv) runs.push_back({L.worker(i, j, kv), words});
+  }
+}
+
+}  // namespace mmrect_detail
+
+/// The 3-D semiring schedule of §7 (Censor-Hillel et al. [10]) on the cube
+/// grid: every node passes its rows of A and B (length n) and gets back its
+/// row of C = A·B in O(n^{1/3}·w/B) rounds — the δ(semiring MM) ≤ 1/3 edge
+/// of Figure 1.
+template <Semiring S>
+std::vector<typename S::Value> mm_distributed_3d(
+    NodeCtx& ctx, const std::vector<typename S::Value>& row_a,
+    const std::vector<typename S::Value>& row_b, unsigned entry_bits) {
+  using V = typename S::Value;
+  return mmrect_detail::dense_block_mm<S>(
+      ctx, mmrect_detail::RectLayout::cube(ctx.n()),
+      std::span<const V>(row_a), std::span<const V>(row_b), entry_bits);
+}
+
+/// Dense rectangular schedule on the greedy grid. Node v < n1 passes row v
+/// of A (length n2), node v < n2 passes row v of B (length n3); other nodes
+/// pass empty spans. Returns row v of C (length n3) for v < n1, an empty
+/// vector otherwise.
+template <Semiring S>
+std::vector<typename S::Value> mm_distributed_rect(
+    NodeCtx& ctx, MmShape shape, std::span<const typename S::Value> row_a,
+    std::span<const typename S::Value> row_b, unsigned entry_bits) {
+  const mmrect_detail::RectLayout L(ctx.n(), shape);
+  CCQ_TRACE_SPAN(ctx, "mm-rect");
+  return mmrect_detail::dense_block_mm<S>(ctx, L, row_a, row_b, entry_bits);
 }
 
 /// Sparsity-aware rectangular schedule: same shape convention and worker
@@ -682,35 +660,29 @@ std::vector<typename S::Value> mm_distributed_sparse(
   CCQ_CHECK(!holds_b || row_b.size() == L.n[2]);
   CCQ_TRACE_SPAN(ctx, "mm-sparse");
 
-  auto append_bv = [](BitVector& dst, const BitVector& src) {
-    std::size_t pos = 0;
-    while (pos < src.size()) {
-      const unsigned take =
-          static_cast<unsigned>(std::min<std::size_t>(64, src.size() - pos));
-      dst.append_bits(src.read_bits(pos, take), take);
-      pos += take;
-    }
-  };
-
-  // Encode one of my input slices (count + payload per the mode rule).
+  // Encode one of my input slices once: its nonzero count for Phase 0 and
+  // its payload (runs or dense per the mode rule) for Phase A. An all-zero
+  // slice sends neither on its own.
   auto encode_slice = [&](std::span<const V> row, int dim, NodeId t,
-                          NodeId& count_out) {
+                          SlicePart& desc, SlicePart& pay) {
     const NodeId lo = L.begin(dim, t), width = L.size(dim, t);
     NodeId count = 0;
     for (NodeId c = 0; c < width; ++c)
       if (row[lo + c] != S::zero()) ++count;
-    count_out = count;
-    if (count == 0) return BitVector();
-    if (!slice_runs_sparse(width, count, entry_bits))
-      return pack_entries<S>(row.subspan(lo, width), entry_bits);
-    BitVector bv;
+    if (width > 0) desc.bits.append_bits(count, slice_count_bits(width));
+    desc.send = pay.send = count > 0;
+    if (count == 0) return;
+    if (!slice_runs_sparse(width, count, entry_bits)) {
+      pay.bits = pack_entries<S>(row.subspan(lo, width), entry_bits);
+      return;
+    }
     const unsigned ib = slice_index_bits(width);
     for (NodeId c = 0; c < width; ++c) {
       if (row[lo + c] == S::zero()) continue;
-      bv.append_bits(c, ib);
-      bv.append_bits(encode_value<S>(row[lo + c], entry_bits), entry_bits);
+      pay.bits.append_bits(c, ib);
+      pay.bits.append_bits(encode_value<S>(row[lo + c], entry_bits),
+                           entry_bits);
     }
-    return bv;
   };
 
   // Decode one slice with an agreed count into (index, value) pairs.
@@ -746,60 +718,21 @@ std::vector<typename S::Value> mm_distributed_sparse(
     }
   };
 
-  // Pre-encode my slices once (payloads are identical across replicas).
-  std::vector<NodeId> a_cnt(holds_a ? L.d[1] : 0, 0);
-  std::vector<NodeId> b_cnt(holds_b ? L.d[2] : 0, 0);
-  std::vector<BitVector> a_pay(a_cnt.size()), b_pay(b_cnt.size());
-  if (holds_a)
-    for (NodeId k = 0; k < L.d[1]; ++k)
-      a_pay[k] = encode_slice(row_a, 1, k, a_cnt[k]);
-  if (holds_b)
-    for (NodeId j = 0; j < L.d[2]; ++j)
-      b_pay[j] = encode_slice(row_b, 2, j, b_cnt[j]);
-  const NodeId iv = holds_a ? L.of(0, me) : 0;
-  const NodeId kv = holds_b ? L.of(1, me) : 0;
+  std::vector<SlicePart> a_desc(holds_a ? L.d[1] : 0), a_pay(a_desc.size());
+  std::vector<SlicePart> b_desc(holds_b ? L.d[2] : 0), b_pay(b_desc.size());
+  for (NodeId k = 0; k < a_desc.size(); ++k)
+    encode_slice(row_a, 1, k, a_desc[k], a_pay[k]);
+  for (NodeId j = 0; j < b_desc.size(); ++j)
+    encode_slice(row_b, 2, j, b_desc[j], b_pay[j]);
+  std::vector<std::vector<Word>> enc;
+  std::vector<WordRun> runs;
 
   // ---- Phase 0: block-occupancy descriptors. Destination (i,j,k) learns
   // the nonzero count of my A slice k (if of⁰(me)=i) and of my B slice j
-  // (if of¹(me)=k); a destination owed both gets one combined descriptor
-  // from the A loop. All-zero descriptors are simply not sent.
-  std::vector<std::pair<NodeId, Word>> phase0;
-  if (holds_a) {
-    for (NodeId k = 0; k < L.d[1]; ++k) {
-      const NodeId wk = L.size(1, k);
-      const bool overlap = holds_b && k == kv;
-      for (NodeId j = 0; j < L.d[2]; ++j) {
-        const NodeId wj = L.size(2, j);
-        BitVector bv;
-        bool any = false;
-        if (wk > 0) {
-          bv.append_bits(a_cnt[k], slice_count_bits(wk));
-          any |= a_cnt[k] > 0;
-        }
-        if (overlap && wj > 0) {
-          bv.append_bits(b_cnt[j], slice_count_bits(wj));
-          any |= b_cnt[j] > 0;
-        }
-        if (!any) continue;
-        for (const Word& w : encode_bits(bv, B))
-          phase0.emplace_back(L.worker(iv, j, k), w);
-      }
-    }
-  }
-  if (holds_b) {
-    for (NodeId j = 0; j < L.d[2]; ++j) {
-      const NodeId wj = L.size(2, j);
-      if (wj == 0 || b_cnt[j] == 0) continue;
-      for (NodeId i = 0; i < L.d[0]; ++i) {
-        if (holds_a && i == iv) continue;  // combined in the A loop above
-        BitVector bv;
-        bv.append_bits(b_cnt[j], slice_count_bits(wj));
-        for (const Word& w : encode_bits(bv, B))
-          phase0.emplace_back(L.worker(i, j, kv), w);
-      }
-    }
-  }
-  const FlatInbox inbox0 = ctx.exchange_flat(phase0);
+  // (if of¹(me)=k); a destination owed both gets one combined descriptor.
+  // All-zero descriptors are simply not sent.
+  replicate_parts(L, me, B, a_desc, b_desc, enc, runs);
+  const FlatInbox inbox0 = ctx.exchange_flat(runs);
 
   // Workers record per-source agreed counts.
   std::vector<NodeId> cnt_a_from, cnt_b_from;
@@ -841,31 +774,8 @@ std::vector<typename S::Value> mm_distributed_sparse(
   }
 
   // ---- Phase A: slice payloads, gated and framed by the agreed counts.
-  std::vector<std::pair<NodeId, Word>> phase_a;
-  if (holds_a) {
-    for (NodeId k = 0; k < L.d[1]; ++k) {
-      const bool overlap = holds_b && k == kv;
-      for (NodeId j = 0; j < L.d[2]; ++j) {
-        BitVector bv;
-        if (a_cnt[k] > 0) append_bv(bv, a_pay[k]);
-        if (overlap && b_cnt[j] > 0) append_bv(bv, b_pay[j]);
-        if (bv.size() == 0) continue;
-        for (const Word& w : encode_bits(bv, B))
-          phase_a.emplace_back(L.worker(iv, j, k), w);
-      }
-    }
-  }
-  if (holds_b) {
-    for (NodeId j = 0; j < L.d[2]; ++j) {
-      if (b_cnt[j] == 0) continue;
-      for (NodeId i = 0; i < L.d[0]; ++i) {
-        if (holds_a && i == iv) continue;
-        for (const Word& w : encode_bits(b_pay[j], B))
-          phase_a.emplace_back(L.worker(i, j, kv), w);
-      }
-    }
-  }
-  const FlatInbox inbox_a = ctx.exchange_flat(phase_a);
+  replicate_parts(L, me, B, a_pay, b_pay, enc, runs);
+  const FlatInbox inbox_a = ctx.exchange_flat(runs);
 
   // ---- Local step: assemble CSR blocks, multiply (sparse or dense kernel
   // — identical values either way), keep the nonzero runs per partial row.
@@ -923,31 +833,34 @@ std::vector<typename S::Value> mm_distributed_sparse(
 
   // ---- Phase C: count-prefixed partial rows to their owners; empty
   // partial rows cost nothing.
-  std::vector<std::pair<NodeId, Word>> phase_c;
+  std::vector<std::vector<Word>> c_words;
+  runs.clear();
   if (L.is_worker(me) && rj > 0) {
     const unsigned cb = slice_count_bits(rj);
     const unsigned ib = slice_index_bits(rj);
+    c_words.resize(ri);
     for (NodeId r = 0; r < ri; ++r) {
-      const auto& runs = c_runs[r];
-      if (runs.empty()) continue;
-      const NodeId count = static_cast<NodeId>(runs.size());
+      const auto& row_runs = c_runs[r];
+      if (row_runs.empty()) continue;
+      const NodeId count = static_cast<NodeId>(row_runs.size());
       BitVector bv;
       bv.append_bits(count, cb);
       if (slice_runs_sparse(rj, count, entry_bits)) {
-        for (const auto& [c, v] : runs) {
+        for (const auto& [c, v] : row_runs) {
           bv.append_bits(c, ib);
           bv.append_bits(encode_value<S>(v, entry_bits), entry_bits);
         }
       } else {
         std::vector<V> dense(rj, S::zero());
-        for (const auto& [c, v] : runs) dense[c] = v;
-        append_bv(bv, pack_entries<S>(std::span<const V>(dense), entry_bits));
+        for (const auto& [c, v] : row_runs) dense[c] = v;
+        append_bit_vector(
+            bv, pack_entries<S>(std::span<const V>(dense), entry_bits));
       }
-      const NodeId owner = L.begin(0, bi) + r;
-      for (const Word& w : encode_bits(bv, B)) phase_c.emplace_back(owner, w);
+      c_words[r] = encode_bits(bv, B);
+      runs.push_back({L.begin(0, bi) + r, c_words[r]});
     }
   }
-  const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
+  const FlatInbox inbox_c = ctx.exchange_flat(runs);
 
   std::vector<V> row_c;
   if (holds_a) {

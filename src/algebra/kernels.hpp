@@ -326,39 +326,6 @@ SparseMatrix<typename S::Value> spgemm_parallel(
   return c;
 }
 
-/// Pool-parallel row-merge SpGEMM; same block/assembly scheme (and the same
-/// determinism argument) as spgemm_parallel, identical output to
-/// spgemm_rowmerge<S> — which is itself identical to spgemm<S>.
-template <Semiring S>
-SparseMatrix<typename S::Value> spgemm_rowmerge_parallel(
-    const SparseMatrix<typename S::Value>& a,
-    const SparseMatrix<typename S::Value>& b, std::size_t grain = 0,
-    ThreadPool* tp = nullptr) {
-  using V = typename S::Value;
-  CCQ_CHECK(a.cols() == b.rows());
-  if (grain == 0) grain = kParallelGrainRows;
-  const std::size_t blocks = ceil_div(a.rows(), grain);
-  ThreadPool& workers = tp != nullptr ? *tp : pool();
-  if (blocks <= 1 || workers.size() <= 1) return spgemm_rowmerge<S>(a, b);
-  std::vector<std::vector<std::uint32_t>> cols(a.rows());
-  std::vector<std::vector<V>> vals(a.rows());
-  workers.parallel_for(blocks, [&](std::size_t blk) {
-    const std::size_t lo = blk * grain;
-    const std::size_t hi = lo + grain < a.rows() ? lo + grain : a.rows();
-    std::vector<std::pair<std::uint32_t, V>> terms;
-    detail::spgemm_rowmerge_rows<S>(a, b, lo, hi, terms,
-                                    [&](std::size_t i,
-                                        const std::vector<std::uint32_t>& rc,
-                                        const std::vector<V>& rv) {
-                                      cols[i] = rc;
-                                      vals[i] = rv;
-                                    });
-  });
-  SparseMatrix<V> c(b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) c.push_row(cols[i], vals[i]);
-  return c;
-}
-
 /// Serial-or-parallel sparse dispatch: shard over the kernel pool when it
 /// is available (never on an engine fiber — mm_distributed_sparse Step B
 /// calls this from node programs and stays serial there) and the row count

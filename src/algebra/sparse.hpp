@@ -12,23 +12,15 @@
 // cancellation); to_dense and every consumer treat them as values, never as
 // structure, so they cannot change results.
 //
-// Two SpGEMM variants (same output, different working sets):
-//
-//  * kernels::spgemm — Gustavson with a dense accumulator row: one V[cols]
-//    scratch row plus a touched list; best when output rows have more than
-//    a handful of entries.
-//  * kernels::spgemm_rowmerge — gather (j, a·b) contribution pairs in k
-//    order, stable-sort by j, fold adjacent runs; no O(cols) scratch, best
-//    for very sparse outputs.
-//
-// The bit-packed Boolean variant (kernels::bit_spgemm) lives in kernels.hpp
-// next to BitMatrix; mm_auto dispatches between all of them on a measured
-// density scan.
+// The SpGEMM kernel is Gustavson's (kernels::spgemm): a dense accumulator
+// row — one V[cols] row plus a touched list — per output row. Its
+// pool-parallel sharding (kernels::spgemm_parallel) and the bit-packed
+// Boolean variant (kernels::bit_spgemm) live in kernels.hpp next to
+// BitMatrix; mm_auto dispatches between them on a measured density scan.
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "algebra/matrix.hpp"
@@ -170,53 +162,14 @@ void spgemm_rows(const SparseMatrix<typename S::Value>& a,
   }
 }
 
-/// Row-merge core over output rows [r0, r1): gather (j, a_ik·b_kj) pairs in
-/// increasing-k order, stable-sort by j (preserving k order within a
-/// column), fold adjacent runs. `terms` is caller-provided scratch.
-template <Semiring S, typename Emit>
-void spgemm_rowmerge_rows(
-    const SparseMatrix<typename S::Value>& a,
-    const SparseMatrix<typename S::Value>& b, std::size_t r0, std::size_t r1,
-    std::vector<std::pair<std::uint32_t, typename S::Value>>& terms,
-    Emit&& emit) {
-  using V = typename S::Value;
-  std::vector<std::uint32_t> cols;
-  std::vector<V> vals;
-  for (std::size_t i = r0; i < r1; ++i) {
-    terms.clear();
-    for (std::size_t t = a.row_begin(i); t < a.row_end(i); ++t) {
-      const std::uint32_t k = a.col_idx()[t];
-      const V aik = a.values()[t];
-      if (aik == S::zero()) continue;
-      for (std::size_t u = b.row_begin(k); u < b.row_end(k); ++u)
-        terms.emplace_back(b.col_idx()[u], S::mul(aik, b.values()[u]));
-    }
-    std::stable_sort(terms.begin(), terms.end(),
-                     [](const auto& x, const auto& y) {
-                       return x.first < y.first;
-                     });
-    cols.clear();
-    vals.clear();
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      if (!cols.empty() && cols.back() == terms[t].first) {
-        vals.back() = S::add(vals.back(), terms[t].second);
-      } else {
-        cols.push_back(terms[t].first);
-        vals.push_back(S::add(S::zero(), terms[t].second));
-      }
-    }
-    emit(i, cols, vals);
-  }
-}
-
 }  // namespace detail
 
 /// Gustavson SpGEMM with a dense accumulator row. Every *touched* column is
 /// stored, even when the folded value lands on S::zero() — the structural
 /// support of a product is input-shape-, not value-, determined, which
 /// keeps the output identical across kernel variants (including the
-/// pool-parallel drivers in kernels.hpp, which run this same core per row
-/// block).
+/// pool-parallel spgemm_parallel in kernels.hpp, which runs this same core
+/// per row block).
 template <Semiring S>
 SparseMatrix<typename S::Value> spgemm(
     const SparseMatrix<typename S::Value>& a,
@@ -228,24 +181,6 @@ SparseMatrix<typename S::Value> spgemm(
   std::vector<std::uint8_t> touched(b.cols(), 0);
   detail::spgemm_rows<S>(
       a, b, 0, a.rows(), acc, touched,
-      [&](std::size_t, const std::vector<std::uint32_t>& cols,
-          const std::vector<V>& vals) { c.push_row(cols, vals); });
-  return c;
-}
-
-/// Row-merge SpGEMM: no O(cols) scratch, best for very sparse outputs.
-/// Identical output to spgemm — the per-column fold sequence is the same
-/// increasing-k sequence, just reached through a sort instead of a scatter.
-template <Semiring S>
-SparseMatrix<typename S::Value> spgemm_rowmerge(
-    const SparseMatrix<typename S::Value>& a,
-    const SparseMatrix<typename S::Value>& b) {
-  using V = typename S::Value;
-  CCQ_CHECK(a.cols() == b.rows());
-  SparseMatrix<V> c(b.cols());
-  std::vector<std::pair<std::uint32_t, V>> terms;
-  detail::spgemm_rowmerge_rows<S>(
-      a, b, 0, a.rows(), terms,
       [&](std::size_t, const std::vector<std::uint32_t>& cols,
           const std::vector<V>& vals) { c.push_row(cols, vals); });
   return c;

@@ -74,9 +74,6 @@ void check_spgemm(std::uint64_t max_val, std::uint64_t seed) {
       const auto expect = mm_naive<S>(a, b);
       const auto c = kernels::spgemm<S>(sa, sb);
       EXPECT_EQ(c.template to_dense<S>(), expect) << "n=" << n << " d=" << d;
-      // Row-merge variant: identical CSR, structure included.
-      EXPECT_TRUE(kernels::spgemm_rowmerge<S>(sa, sb) == c)
-          << "n=" << n << " d=" << d;
     }
   }
 }
@@ -182,6 +179,26 @@ TEST(RectMM, RectangularShapesMatchCentralised) {
                                seed++);
       check_rect<MinPlusSemiring>(c.nn, {c.n1, c.n2, c.n3}, 0.35, 8, 30,
                                   sparse, seed++);
+    }
+  }
+}
+
+TEST(RectMM, GridsOnSquareShapes) {
+  // The greedy rect grid is not the 3-D schedule's ⌊n^{1/3}⌋ cube in
+  // general, which is why mm_distributed_3d passes the cube explicitly.
+  using mmrect_detail::RectLayout;
+  auto dims = [](const RectLayout& L) {
+    return std::vector<NodeId>{L.d[0], L.d[1], L.d[2]};
+  };
+  EXPECT_EQ(dims(RectLayout(96, {96, 96, 96})),
+            (std::vector<NodeId>{6, 4, 4}));
+  EXPECT_EQ(dims(RectLayout::cube(96)), (std::vector<NodeId>{4, 4, 4}));
+  for (NodeId n : {8u, 27u, 64u, 125u, 512u}) {
+    const RectLayout greedy(n, {n, n, n}), cube = RectLayout::cube(n);
+    EXPECT_EQ(dims(greedy), dims(cube)) << "n=" << n;
+    for (int t = 0; t < 3; ++t) {
+      EXPECT_EQ(greedy.n[t], cube.n[t]) << "n=" << n;
+      EXPECT_EQ(greedy.q[t], cube.q[t]) << "n=" << n;
     }
   }
 }
@@ -458,10 +475,6 @@ void check_spgemm_parallel(std::uint64_t max_val, std::uint64_t seed) {
         for (const std::size_t grain : {1u, 16u, 1000u}) {
           EXPECT_TRUE(kernels::spgemm_parallel<S>(sa, sb, grain, &tp) ==
                       serial)
-              << "n=" << n << " d=" << d << " workers=" << workers
-              << " grain=" << grain;
-          EXPECT_TRUE(kernels::spgemm_rowmerge_parallel<S>(sa, sb, grain,
-                                                           &tp) == serial)
               << "n=" << n << " d=" << d << " workers=" << workers
               << " grain=" << grain;
         }
