@@ -1,44 +1,39 @@
-// Local-compute kernel comparison bench (DESIGN.md §11) + the original
-// google-benchmark micro-benchmarks behind --micro.
+// Local-compute kernel comparison bench (DESIGN.md §11, §16).
 //
-// Default mode sweeps the serial/blocked/bit-packed/parallel MM kernels
-// against the seed's mm_naive per semiring, and the bulk word-level
-// pack/unpack paths against the per-entry reference, printing speedup
-// tables. Every timed result is compared bit-for-bit against mm_naive (or
-// the per-entry codec) before it is reported — a kernel that is fast but
-// wrong fails the run, not just --check.
+// Sweeps the serial/bit-packed/parallel MM kernels against mm_naive per
+// semiring, and the entry codec that the block MM schedules send — Boolean
+// entries at 1 bit and (min,+) entries at 20 bits — at both SIMD dispatch
+// levels against the per-entry reference, printing speedup tables. Every
+// timed result is compared bit-for-bit against mm_naive (or the per-entry
+// codec) before it is reported — a kernel that is fast but wrong fails the
+// run, not just --check.
 //
-// Usage: bench_kernels [--n=N] [--check] [--trace=PATH]
-//                      [--micro [gbench flags]]
+// Usage: bench_kernels [--n=N] [--check]
 //   --n=N     run a single size instead of the 128/256/512 sweep
 //   --check   CI smoke mode: exit non-zero if any kernel disagrees with
 //             mm_naive, if mm_parallel is not identical across worker
 //             counts, or if the headline speedups regress (bit-packed
 //             Boolean < 4x, best min-plus < 1.2x at n ≥ 256, and — when
 //             AVX2 is active — SIMD min-plus tiled ≥ 1.3x over the forced
-//             scalar tiled kernel at n ≥ 512; the issue's target is 1.5x
-//             and the gate keeps a 15% noise margin so a shared runner
-//             cannot flake it)
+//             scalar tiled kernel at n ≥ 512; the target is 1.5x and the
+//             gate keeps a 15% noise margin so a shared runner cannot
+//             flake it)
 //
 // Respects CCQ_SIMD=off (forces the scalar paths); the SIMD columns are
 // measured by forcing each dispatch level around the same kernel, so the
 // scalar/SIMD comparison works regardless of the ambient policy.
-//   --micro   run the google-benchmark micro-benchmarks (engine
-//             collectives, routing, oracles) instead; remaining flags go
-//             to google-benchmark
-//   --trace=PATH  record a round trace of engine runs (micro mode only —
-//             the comparison mode is pure local compute)
 //
 // Writes BENCH_kernels.json ({n, semiring, kernel, wall_ms, speedup} per
-// MM row; {entry_bits, path, wall_ms, mentries_per_s} per packing row).
+// MM row; {semiring, entry_bits, op, path, wall_ms, mentries_per_s} per
+// packing row).
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/distributed_mm.hpp"
@@ -47,9 +42,6 @@
 #include "algebra/simd.hpp"
 #include "bench_args.hpp"
 #include "bench_json.hpp"
-#include "clique/routing.hpp"
-#include "graph/generators.hpp"
-#include "graph/oracles.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -93,8 +85,6 @@ double time_best_ms(int trials, Fn&& fn) {
   }
   return best;
 }
-
-// ---- comparison mode ------------------------------------------------------
 
 struct CheckState {
   bool check = false;
@@ -150,8 +140,8 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
   std::printf("Boolean MM (byte-wide mm_naive vs bit-packed kernels; the\n"
               "bitpacked column includes the Matrix<->BitMatrix "
               "conversions):\n\n");
-  Table t({"n", "naive ms", "blocked ms", "tiled ms", "bitpk scalar ms",
-           "bitpacked ms", "auto ms", "bitpacked speedup"});
+  Table t({"n", "naive ms", "tiled ms", "bitpk scalar ms", "bitpacked ms",
+           "auto ms", "bitpacked speedup"});
   for (std::size_t n : sizes) {
     const auto a = random_square<BoolSemiring>(n, 11, 2);
     const auto b = random_square<BoolSemiring>(n, 12, 2);
@@ -163,9 +153,6 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
               {"kernel", "naive"},
               {"wall_ms", naive_ms},
               {"speedup", 1.0}});
-    const double blocked_ms =
-        mm_row(json, n, "bool", "blocked", trials, expect, naive_ms,
-               [&] { return mm_blocked<BoolSemiring>(a, b, 32); });
     const double tiled_ms =
         mm_row(json, n, "bool", "tiled", trials, expect, naive_ms,
                [&] { return kernels::mm_tiled<BoolSemiring>(a, b); });
@@ -182,8 +169,8 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
         mm_row(json, n, "bool", "auto", trials, expect, naive_ms,
                [&] { return kernels::mm_auto<BoolSemiring>(a, b); });
     t.add_row({std::to_string(n), Table::fmt(naive_ms, 2),
-               Table::fmt(blocked_ms, 2), Table::fmt(tiled_ms, 2),
-               Table::fmt(bit_scalar_ms, 2), Table::fmt(bit_ms, 2),
+               Table::fmt(tiled_ms, 2), Table::fmt(bit_scalar_ms, 2),
+               Table::fmt(bit_ms, 2),
                Table::fmt(auto_ms, 2), fmt_speedup(naive_ms, bit_ms)});
     if (cs.check && n >= 256 && naive_ms < 4.0 * bit_ms)
       cs.fail("boolean bitpacked speedup < 4x at n=" + std::to_string(n));
@@ -197,8 +184,8 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
               "saturation-shortcut\nmicro-kernel, parallel shards rows over "
               "the kernel pool, %zu worker(s)):\n\n",
               kernels::pool().size());
-  Table t({"n", "naive ms", "blocked ms", "tiled scalar ms", "tiled ms",
-           "parallel ms", "auto ms", "simd speedup"});
+  Table t({"n", "naive ms", "tiled scalar ms", "tiled ms", "parallel ms",
+           "auto ms", "simd speedup"});
   for (std::size_t n : sizes) {
     const auto a = random_minplus(n, 21);
     const auto b = random_minplus(n, 22);
@@ -210,9 +197,6 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
               {"kernel", "naive"},
               {"wall_ms", naive_ms},
               {"speedup", 1.0}});
-    const double blocked_ms =
-        mm_row(json, n, "minplus", "blocked", trials, expect, naive_ms,
-               [&] { return mm_blocked<MinPlusSemiring>(a, b, 32); });
     const double tiled_scalar_ms =
         mm_row(json, n, "minplus", "tiled_scalar", trials, expect, naive_ms,
                [&] {
@@ -232,7 +216,7 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
     const double best =
         std::min({tiled_ms, parallel_ms, auto_ms});
     t.add_row({std::to_string(n), Table::fmt(naive_ms, 2),
-               Table::fmt(blocked_ms, 2), Table::fmt(tiled_scalar_ms, 2),
+               Table::fmt(tiled_scalar_ms, 2),
                Table::fmt(tiled_ms, 2), Table::fmt(parallel_ms, 2),
                Table::fmt(auto_ms, 2),
                fmt_speedup(tiled_scalar_ms, tiled_ms)});
@@ -252,9 +236,10 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
 
 void ring_mm_table(benchjson::Writer& json,
                    const std::vector<std::size_t>& sizes, int trials) {
-  std::printf("\nRing MM (I64Ring; auto routes large squares to Strassen "
-              "when the pool\nis unavailable, else to the parallel tiled "
-              "kernel):\n\n");
+  std::printf("\nRing MM (I64Ring; auto shards onto the kernel pool when it "
+              "is available,\nelse runs the tiled kernel; Strassen is the "
+              "DESIGN.md §1 stand-in for\nfast ring MM and no dispatch "
+              "picks it):\n\n");
   Table t({"n", "naive ms", "tiled ms", "strassen ms", "auto ms",
            "auto speedup"});
   for (std::size_t n : sizes) {
@@ -284,93 +269,128 @@ void ring_mm_table(benchjson::Writer& json,
   t.print();
 }
 
-// Per-entry reference pack/unpack (the seed's implementation), for the
-// codec throughput comparison.
-BitVector pack_per_entry(const std::vector<std::int64_t>& values,
+// Per-entry reference codec (the seed's implementation): every bulk pack
+// and unpack below must reproduce it bit for bit.
+template <Semiring S>
+BitVector pack_per_entry(const std::vector<typename S::Value>& values,
                          unsigned entry_bits) {
   BitVector bv;
   for (const auto& v : values)
-    bv.append_bits(encode_value<I64Ring>(v, entry_bits), entry_bits);
+    bv.append_bits(encode_value<S>(v, entry_bits), entry_bits);
   return bv;
 }
 
+template <Semiring S>
+std::vector<typename S::Value> unpack_per_entry(const BitVector& bv,
+                                                std::size_t count,
+                                                unsigned entry_bits) {
+  std::vector<typename S::Value> out;
+  for (std::size_t i = 0; i < count; ++i)
+    out.push_back(decode_value<S>(bv.read_bits(i * entry_bits, entry_bits),
+                                  entry_bits));
+  return out;
+}
+
+// Best-of-`trials` wall time of `run` at each of `levels`, after one untimed
+// warm-up call. The levels alternate inside each trial and swap order
+// between trials, so no column alone pays for a cold cache or first-touch
+// page faults. Every result goes to `check`, outside the timed region.
+template <typename Run, typename Check>
+std::vector<double> best_ms_per_level(const std::vector<simd::Level>& levels,
+                                      int trials, Run&& run, Check&& check) {
+  check(run());
+  std::vector<double> best(levels.size(), 0.0);
+  for (int t = 0; t < trials; ++t) {
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+      const std::size_t l = t % 2 == 0 ? k : levels.size() - 1 - k;
+      simd::force(levels[l]);
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto got = run();
+      const auto t1 = std::chrono::steady_clock::now();
+      simd::clear_force();
+      check(got);
+      const double ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      if (t == 0 || ms < best[l]) best[l] = ms;
+    }
+  }
+  return best;
+}
+
+// Pack and unpack `values` at `entry_bits` through pack_entries /
+// unpack_entries at every dispatch level: one table row and one JSON row
+// per (op, level).
+template <Semiring S>
+void packing_rows(benchjson::Writer& json, Table& t, const char* semiring,
+                  unsigned entry_bits,
+                  const std::vector<typename S::Value>& values, int trials) {
+  using V = typename S::Value;
+  const auto fail_unless = [&](bool ok, const char* op) {
+    if (ok) return;
+    std::printf("FATAL: %s mismatch for %s at entry_bits=%u\n", op,
+                semiring, entry_bits);
+    std::exit(1);
+  };
+  const std::span<const V> span(values);
+  const BitVector ref = pack_per_entry<S>(values, entry_bits);
+  const auto ref_out = unpack_per_entry<S>(ref, values.size(), entry_bits);
+  fail_unless(ref_out == values, "per-entry round-trip");
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::detected() != simd::Level::kScalar)
+    levels.push_back(simd::detected());
+  const auto pack_ms = best_ms_per_level(
+      levels, trials, [&] { return pack_entries<S>(span, entry_bits); },
+      [&](const BitVector& got) {
+        fail_unless(got == ref, "pack_entries vs per-entry");
+      });
+  const auto unpack_ms = best_ms_per_level(
+      levels, trials,
+      [&] { return unpack_entries<S>(ref, values.size(), entry_bits); },
+      [&](const std::vector<V>& got) {
+        fail_unless(got == ref_out, "unpack_entries vs per-entry");
+      });
+  for (const auto& [op, ms] : {std::pair{"pack", pack_ms},
+                               std::pair{"unpack", unpack_ms}}) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      json.add({{"semiring", semiring},
+                {"entry_bits", entry_bits},
+                {"op", op},
+                {"path", simd::level_name(levels[l])},
+                {"wall_ms", ms[l]},
+                {"mentries_per_s",
+                 ms[l] > 0 ? static_cast<double>(values.size()) /
+                                 (ms[l] * 1000.0)
+                           : 0.0}});
+    }
+    const bool vec = levels.size() > 1;
+    t.add_row({semiring, std::to_string(entry_bits), op,
+               Table::fmt(ms[0], 3), vec ? Table::fmt(ms[1], 3) : "-",
+               vec ? fmt_speedup(ms[0], ms[1]) : "-"});
+  }
+}
+
+// The two entry shapes the block MM schedules send: Boolean entries at 1 bit
+// (every Boolean block product; the AVX2 build takes the vector 1-bit
+// codec) and (min,+) distances at 20 bits (apsp_clique's width at n = 512
+// with weights ≤ 1000; the ∞ remap keeps it on the generic path at every
+// level).
 void packing_table(benchjson::Writer& json, int trials) {
   constexpr std::size_t kCount = 1 << 20;
-  std::printf("\nEntry packing (%zu entries; bulk = word-at-a-time paths in "
-              "pack_entries/\nunpack_entries, ref = per-entry "
-              "append_bits/read_bits):\n\n",
-              kCount);
-  Table t({"entry_bits", "pack ref ms", "pack scalar ms", "pack bulk ms",
-           "unpack ref ms", "unpack scalar ms", "unpack bulk ms",
-           "pack speedup"});
-  for (unsigned entry_bits : {1u, 8u, 13u, 32u}) {
-    SplitMix64 rng(1000 + entry_bits);
-    const std::uint64_t cap = (std::uint64_t{1} << entry_bits) - 1;
-    std::vector<std::int64_t> values(kCount);
-    for (auto& v : values)
-      v = static_cast<std::int64_t>(rng.next_below(cap + 1));
-    const std::span<const std::int64_t> span(values);
-
-    BitVector bulk, ref, bulk_scalar;
-    const double ref_pack_ms = time_best_ms(
-        trials, [&] { ref = pack_per_entry(values, entry_bits); });
-    const double scalar_pack_ms = time_best_ms(trials, [&] {
-      bulk_scalar = at_level(simd::Level::kScalar, [&] {
-        return pack_entries<I64Ring>(span, entry_bits);
-      });
-    });
-    const double bulk_pack_ms = time_best_ms(
-        trials, [&] { bulk = pack_entries<I64Ring>(span, entry_bits); });
-    if (!(bulk == ref) || !(bulk_scalar == ref)) {
-      std::printf("FATAL: bulk pack disagrees with per-entry reference at "
-                  "entry_bits=%u\n",
-                  entry_bits);
-      std::exit(1);
-    }
-    std::vector<std::int64_t> ref_out, bulk_out, scalar_out;
-    const double ref_unpack_ms = time_best_ms(trials, [&] {
-      ref_out.clear();
-      for (std::size_t i = 0; i < kCount; ++i)
-        ref_out.push_back(decode_value<I64Ring>(
-            bulk.read_bits(i * entry_bits, entry_bits), entry_bits));
-    });
-    const double scalar_unpack_ms = time_best_ms(trials, [&] {
-      scalar_out = at_level(simd::Level::kScalar, [&] {
-        return unpack_entries<I64Ring>(bulk, kCount, entry_bits);
-      });
-    });
-    const double bulk_unpack_ms = time_best_ms(trials, [&] {
-      bulk_out = unpack_entries<I64Ring>(bulk, kCount, entry_bits);
-    });
-    if (!(bulk_out == ref_out) || !(bulk_out == values) ||
-        !(scalar_out == values)) {
-      std::printf("FATAL: bulk unpack disagrees at entry_bits=%u\n",
-                  entry_bits);
-      std::exit(1);
-    }
-    const double mentries =
-        bulk_pack_ms > 0 ? kCount / (bulk_pack_ms * 1000.0) : 0.0;
-    json.add({{"entry_bits", entry_bits},
-              {"path", "bulk"},
-              {"wall_ms", bulk_pack_ms},
-              {"mentries_per_s", mentries}});
-    json.add({{"entry_bits", entry_bits},
-              {"path", "bulk_scalar"},
-              {"wall_ms", scalar_pack_ms},
-              {"mentries_per_s",
-               scalar_pack_ms > 0 ? kCount / (scalar_pack_ms * 1000.0)
-                                  : 0.0}});
-    json.add({{"entry_bits", entry_bits},
-              {"path", "per_entry"},
-              {"wall_ms", ref_pack_ms},
-              {"mentries_per_s",
-               ref_pack_ms > 0 ? kCount / (ref_pack_ms * 1000.0) : 0.0}});
-    t.add_row({std::to_string(entry_bits), Table::fmt(ref_pack_ms, 2),
-               Table::fmt(scalar_pack_ms, 2), Table::fmt(bulk_pack_ms, 2),
-               Table::fmt(ref_unpack_ms, 2), Table::fmt(scalar_unpack_ms, 2),
-               Table::fmt(bulk_unpack_ms, 2),
-               fmt_speedup(ref_pack_ms, bulk_pack_ms)});
-  }
+  std::printf("\nEntry packing (%zu entries through pack_entries/"
+              "unpack_entries at each\nSIMD dispatch level, best of %d "
+              "after one warm-up call, levels alternated):\n\n",
+              kCount, trials);
+  Table t({"semiring", "entry_bits", "op", "scalar ms", "avx2 ms",
+           "avx2 speedup"});
+  SplitMix64 rng(1000);
+  std::vector<std::uint8_t> bools(kCount);
+  for (auto& v : bools) v = rng.next_bool(0.5) ? 1 : 0;
+  packing_rows<BoolSemiring>(json, t, "bool", 1, bools, trials);
+  std::vector<std::uint64_t> dists(kCount);
+  for (auto& v : dists)
+    v = rng.next_bool(0.2) ? MinPlusSemiring::infinity()
+                           : rng.next_below(512 * 1000 + 1);
+  packing_rows<MinPlusSemiring>(json, t, "minplus", 20, dists, trials);
   t.print();
 }
 
@@ -438,151 +458,10 @@ int run_comparison(std::vector<std::size_t> sizes, bool check) {
   return 0;
 }
 
-// ---- micro mode (google-benchmark) ---------------------------------------
-
-void BM_EngineBroadcast(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::gnp(n, 0.3, 7);
-  for (auto _ : state) {
-    auto r = Engine::run(g, [](NodeCtx& ctx) {
-      auto rows = ctx.broadcast(ctx.adj_row());
-      ctx.output(rows[0].popcount());
-    });
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-  state.SetLabel("thread-per-node engine, one full row broadcast");
-}
-BENCHMARK(BM_EngineBroadcast)->Arg(16)->Arg(64)->Arg(128);
-
-void BM_EngineShareBit(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::empty(n);
-  for (auto _ : state) {
-    auto r = Engine::run(g, [](NodeCtx& ctx) {
-      bool b = ctx.id() % 2 == 0;
-      for (int i = 0; i < 8; ++i) b = ctx.any(b);
-      ctx.decide(b);
-    });
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-}
-BENCHMARK(BM_EngineShareBit)->Arg(16)->Arg(64);
-
-void BM_RouteBalanced(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::empty(n);
-  for (auto _ : state) {
-    auto r = Engine::run(g, [](NodeCtx& ctx) {
-      SplitMix64 rng(ctx.id() + 1);
-      std::vector<RoutedMessage> msgs;
-      for (NodeId i = 0; i < ctx.n(); ++i) {
-        NodeId dst;
-        do {
-          dst = static_cast<NodeId>(rng.next_below(ctx.n()));
-        } while (dst == ctx.id());
-        msgs.push_back({dst, Word(1, 1)});
-      }
-      auto got = route_balanced(ctx, msgs);
-      ctx.output(got.size());
-    });
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-}
-BENCHMARK(BM_RouteBalanced)->Arg(16)->Arg(64);
-
-void BM_MmNaive(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = random_square<I64Ring>(n, 1, 100);
-  auto b = random_square<I64Ring>(n, 2, 100);
-  for (auto _ : state) {
-    auto c = mm_naive<I64Ring>(a, b);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_MmNaive)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MmTiled(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = random_square<I64Ring>(n, 1, 100);
-  auto b = random_square<I64Ring>(n, 2, 100);
-  for (auto _ : state) {
-    auto c = kernels::mm_tiled<I64Ring>(a, b);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_MmTiled)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MmStrassen(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = random_square<I64Ring>(n, 1, 100);
-  auto b = random_square<I64Ring>(n, 2, 100);
-  for (auto _ : state) {
-    auto c = mm_strassen<I64Ring>(a, b, 64);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_MmStrassen)->Arg(128)->Arg(256);
-
-void BM_BitMm(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = kernels::BitMatrix::from_matrix(random_square<BoolSemiring>(n, 1, 2));
-  auto b = kernels::BitMatrix::from_matrix(random_square<BoolSemiring>(n, 2, 2));
-  for (auto _ : state) {
-    auto c = kernels::bit_mm(a, b);
-    benchmark::DoNotOptimize(&c);
-  }
-}
-BENCHMARK(BM_BitMm)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_OracleMaxIS(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::gnp(n, 0.6, 11);
-  for (auto _ : state) {
-    auto w = oracle::max_independent_set(g);
-    benchmark::DoNotOptimize(w.data());
-  }
-}
-BENCHMARK(BM_OracleMaxIS)->Arg(24)->Arg(40);
-
-void BM_OracleDominatingSet(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::gnp(n, 0.25, 13);
-  for (auto _ : state) {
-    auto w = oracle::dominating_set(g, 3);
-    benchmark::DoNotOptimize(&w);
-  }
-}
-BENCHMARK(BM_OracleDominatingSet)->Arg(20)->Arg(28);
-
 }  // namespace
 }  // namespace ccq
 
-// Hand-rolled main: the shared --trace=<path> flag is stripped by
-// TraceSession before google-benchmark's flag parser (which rejects unknown
-// flags) sees argv; --micro selects the gbench micro-benchmarks, everything
-// else runs the comparison tables.
 int main(int argc, char** argv) {
-  ccq::benchjson::TraceSession trace_session(&argc, argv);
-
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-
-  if (micro) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (!trace_session.finish(nullptr)) return 1;
-    return 0;
-  }
-
   std::size_t only_n = 0;
   bool check = false;
   for (int i = 1; i < argc; ++i) {
@@ -592,16 +471,12 @@ int main(int argc, char** argv) {
     } else if (ccq::benchargs::flag_is(argv[i], "--check")) {
       check = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--n=N] [--check] [--trace=PATH] [--micro]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--n=N] [--check]\n", argv[0]);
       return 2;
     }
   }
   std::vector<std::size_t> sizes = {128, 256, 512};
   if (only_n != 0) sizes = {only_n};
 
-  const int rc = ccq::run_comparison(sizes, check);
-  if (!trace_session.finish(nullptr)) return 1;
-  return rc;
+  return ccq::run_comparison(sizes, check);
 }

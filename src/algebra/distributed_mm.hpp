@@ -42,8 +42,8 @@ namespace ccq {
 
 /// True when encode_value<S>/decode_value<S> are the identity cast (plus a
 /// range check): the packed stream is then a plain little-endian scalar
-/// stream and the simd word-stream paths may (un)pack it directly. MinPlus
-/// is the one exception — its all-ones ∞ codepoint remaps values.
+/// stream and the simd 1-bit codec may (un)pack it directly. MinPlus is the
+/// one exception — its all-ones ∞ codepoint remaps values.
 template <Semiring S>
 inline constexpr bool kIdentityEncoding =
     !std::is_same_v<S, MinPlusSemiring>;
@@ -92,9 +92,11 @@ inline MinPlusSemiring::Value decode_value<MinPlusSemiring>(
 /// 64-bit words instead of calling append_bits per entry (which resizes the
 /// vector every call). Two bulk paths: when entry_bits divides 64, each
 /// output word is filled from a whole number of entries with no carry state;
-/// otherwise a shift-carry accumulator spills completed words. Bit layout is
-/// identical to the per-entry reference (LSB-first, entry i at bit offset
-/// i·entry_bits) — tests/algebra/kernels_test.cpp checks that bit-for-bit.
+/// otherwise a shift-carry accumulator spills completed words. Boolean
+/// entries at entry_bits 1 — every Boolean block product — go through the
+/// vector codec first. Bit layout is identical to the per-entry reference
+/// (LSB-first, entry i at bit offset i·entry_bits) —
+/// tests/algebra/kernels_test.cpp checks that bit-for-bit.
 template <Semiring S>
 BitVector pack_entries(std::span<const typename S::Value> values,
                        unsigned entry_bits) {
@@ -102,20 +104,15 @@ BitVector pack_entries(std::span<const typename S::Value> values,
   using V = typename S::Value;
   const std::size_t total = values.size() * entry_bits;
   std::vector<std::uint64_t> words(ceil_div(total, 64), 0);
-  // Vector word-stream paths for identity-encoded value types. On any
-  // out-of-range entry (or a scalar-only dispatch level) they leave `words`
-  // in a fully-overwritable state and return false, and the generic writers
+  // Vector 1-bit path for identity-encoded byte values. On any
+  // out-of-range entry (or a scalar-only dispatch level) it leaves `words`
+  // in a fully-overwritable state and returns false, and the generic writers
   // below redo the pack — re-checking every entry so the canonical range
   // error fires at the exact offending value.
   if constexpr (kIdentityEncoding<S> && sizeof(V) == 1) {
     if (entry_bits == 1 &&
         simd::pack_bits_u8(reinterpret_cast<const std::uint8_t*>(values.data()),
                            values.size(), words.data()))
-      return BitVector::from_words(std::move(words), total);
-  } else if constexpr (kIdentityEncoding<S> && sizeof(V) == 8) {
-    if (simd::pack_words_u64(
-            reinterpret_cast<const std::uint64_t*>(values.data()),
-            values.size(), entry_bits, words.data()))
       return BitVector::from_words(std::move(words), total);
   }
   if (64 % entry_bits == 0) {
@@ -162,7 +159,7 @@ std::vector<typename S::Value> unpack_entries(const BitVector& bv,
   CCQ_CHECK(bv.size() == count * entry_bits);
   using V = typename S::Value;
   std::vector<V> out;
-  // Vector word-stream paths (identity encodings only; bit-for-bit the
+  // Vector 1-bit path (identity-encoded bytes only; bit-for-bit the
   // generic extraction below). False means the scalar dispatch level is
   // active — fall through with the buffer reset.
   if constexpr (kIdentityEncoding<S> && sizeof(V) == 1) {
@@ -170,15 +167,6 @@ std::vector<typename S::Value> unpack_entries(const BitVector& bv,
       out.resize(count);
       if (simd::unpack_bits_u8(bv.words().data(), count,
                                reinterpret_cast<std::uint8_t*>(out.data())))
-        return out;
-      out.clear();
-    }
-  } else if constexpr (kIdentityEncoding<S> && sizeof(V) == 8) {
-    if (entry_bits == 8 || entry_bits == 16 || entry_bits == 32) {
-      out.resize(count);
-      if (simd::unpack_words_u64(
-              bv.words().data(), count, entry_bits,
-              reinterpret_cast<std::uint64_t*>(out.data())))
         return out;
       out.clear();
     }

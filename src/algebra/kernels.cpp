@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "algebra/simd.hpp"
@@ -100,26 +99,6 @@ Matrix<std::uint8_t> BitMatrix::to_matrix() const {
   return m;
 }
 
-BitMatrix BitMatrix::transpose() const {
-  BitMatrix t(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const std::uint64_t* src = row(i);
-    const std::uint64_t imask = std::uint64_t{1} << (i & 63);
-    const std::size_t iw = i >> 6;
-    // Walk only the set bits of row i: one countr_zero per edge.
-    for (std::size_t w = 0; w < wpr_; ++w) {
-      std::uint64_t bits = src[w];
-      while (bits) {
-        const std::size_t j =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        t.row(j)[iw] |= imask;
-      }
-    }
-  }
-  return t;
-}
-
 BitMatrix bit_mm(const BitMatrix& a, const BitMatrix& b) {
   CCQ_CHECK(a.cols() == b.rows());
   BitMatrix c(a.rows(), b.cols());
@@ -148,38 +127,6 @@ BitMatrix bit_mm(const BitMatrix& a, const BitMatrix& b) {
   return c;
 }
 
-BitMatrix bit_mm_popcount(const BitMatrix& a, const BitMatrix& b) {
-  CCQ_CHECK(a.cols() == b.rows());
-  const BitMatrix bt = b.transpose();
-  BitMatrix c(a.rows(), b.cols());
-  const std::size_t wpr = a.words_per_row();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const std::uint64_t* ar = a.row(i);
-    std::uint64_t* cr = c.row(i);
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      // popcount > 0 — existence is enough, tested four words at a time.
-      if (simd::rows_intersect(ar, bt.row(j), wpr))
-        cr[j >> 6] |= std::uint64_t{1} << (j & 63);
-    }
-  }
-  return c;
-}
-
-BitMatrix bit_closure(BitMatrix m) {
-  CCQ_CHECK(m.rows() == m.cols());
-  const std::size_t n = m.rows();
-  for (std::size_t i = 0; i < n; ++i) m.set(i, i, true);
-  // (I ∨ A)^(2^t) covers walks of ≤ 2^t edges; simple paths need ≤ n−1.
-  std::uint64_t covered = 1;
-  while (n > 1 && covered < n - 1) {
-    BitMatrix sq = bit_mm(m, m);
-    covered *= 2;
-    if (sq == m) break;  // fixpoint reached early
-    m = std::move(sq);
-  }
-  return m;
-}
-
 std::size_t bit_first_common(const BitVector& a, const BitVector& b,
                              std::size_t from) {
   CCQ_CHECK(a.size() == b.size());
@@ -201,20 +148,6 @@ Matrix<std::uint8_t> bool_mm_bitpacked(const Matrix<std::uint8_t>& a,
                                        const Matrix<std::uint8_t>& b) {
   return bit_mm(BitMatrix::from_matrix(a), BitMatrix::from_matrix(b))
       .to_matrix();
-}
-
-BitMatrix bit_spgemm(const SparseMatrix<std::uint8_t>& a, const BitMatrix& b) {
-  CCQ_CHECK(a.cols() == b.rows());
-  BitMatrix c(a.rows(), b.cols());
-  const std::size_t wpr = b.words_per_row();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    std::uint64_t* cr = c.row(i);
-    for (std::size_t t = a.row_begin(i); t < a.row_end(i); ++t) {
-      if (a.values()[t] == 0) continue;  // stored zero: no contribution
-      simd::or_row(cr, b.row(a.col_idx()[t]), wpr);
-    }
-  }
-  return c;
 }
 
 }  // namespace ccq::kernels

@@ -12,8 +12,9 @@
 // Three pillars (DESIGN.md §11 has the dispatch table):
 //
 //  * BitMatrix — Boolean matrices packed 64 entries per uint64_t word.
-//    bit_mm (OR-row) and bit_mm_popcount (transpose + AND) give word-level
-//    parallelism for mm over BoolSemiring, closure, and triangle scans.
+//    bit_mm (OR-row) gives word-level parallelism for mm over BoolSemiring
+//    (mm_local's Boolean blocks, and through mm_auto the Boolean closure);
+//    bit_first_common is the word scan behind triangle_clique.
 //
 //  * mm_tiled / mm_parallel — register-tiled scalar kernels (row-pointer
 //    inner loops, no at() in the hot path) with micro-kernel
@@ -22,10 +23,10 @@
 //    worker count and grain: output rows are disjoint, each computed by the
 //    same serial micro-kernel, so the partition cannot leak into results.
 //
-//  * mm_auto / mm_local — dispatch (semiring × size × pool availability) so
-//    callers pick up the best kernel without hand-tuning. mm_local is the
-//    serial subset, safe inside engine node programs (a pooled-scheduler
-//    fiber must never block on the kernel pool).
+//  * mm_auto / mm_local — dispatch (semiring × size × density × pool
+//    availability) so callers pick up the best kernel without hand-tuning.
+//    mm_local is the serial subset, safe inside engine node programs (a
+//    pooled-scheduler fiber must never block on the kernel pool).
 //
 // All kernels produce results bit-for-bit identical to mm_naive<S>: the
 // accumulation order over k is increasing for every output entry, and the
@@ -33,13 +34,12 @@
 // saturation shortcut) are guarded by O(n²) domain scans that fall back to
 // the generic kernel when an input strays outside the representable range.
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
 #include "algebra/matrix.hpp"
-#include "algebra/mm.hpp"
 #include "algebra/simd.hpp"
 #include "algebra/sparse.hpp"
 #include "util/bit_vector.hpp"
@@ -104,8 +104,6 @@ class BitMatrix {
   }
   std::uint64_t* row(std::size_t i) { return words_.data() + i * wpr_; }
 
-  BitMatrix transpose() const;
-
   bool operator==(const BitMatrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && words_ == o.words_;
   }
@@ -119,15 +117,6 @@ class BitMatrix {
 /// row i of c — ~64× word-level parallelism over the scalar product.
 BitMatrix bit_mm(const BitMatrix& a, const BitMatrix& b);
 
-/// Boolean product, transpose-based AND kernel: c(i,j) = [row_a(i) ∩
-/// row_bᵀ(j) ≠ ∅], early exit on the first common word. Same result as
-/// bit_mm; wins when the product is dense in zeros (e.g. existence tests).
-BitMatrix bit_mm_popcount(const BitMatrix& a, const BitMatrix& b);
-
-/// Reflexive-transitive closure by repeated bit_mm squaring; stops once the
-/// doubling covers walks of length n−1 or a fixpoint is reached earlier.
-BitMatrix bit_closure(BitMatrix m);
-
 /// First index ≥ from set in both vectors, or a.size() if none — the
 /// word-parallel inner step of the triangle/subgraph local patterns.
 std::size_t bit_first_common(const BitVector& a, const BitVector& b,
@@ -137,12 +126,6 @@ std::size_t bit_first_common(const BitVector& a, const BitVector& b,
 /// unpack). Requires entries in {0, 1}; mm_auto checks that before routing.
 Matrix<std::uint8_t> bool_mm_bitpacked(const Matrix<std::uint8_t>& a,
                                        const Matrix<std::uint8_t>& b);
-
-/// Bit-packed Boolean SpGEMM: for every stored nonzero a(i,k), OR word-row
-/// k of b into word-row i of the result — the sparse-A analogue of bit_mm,
-/// nnz(a)·cols(b)/64 word ops instead of rows·cols(a)·cols(b)/64. Same
-/// result as bit_mm on the densified a.
-BitMatrix bit_spgemm(const SparseMatrix<std::uint8_t>& a, const BitMatrix& b);
 
 // ---- scalar kernels -------------------------------------------------------
 
@@ -339,14 +322,9 @@ SparseMatrix<typename S::Value> spgemm_auto(
   return spgemm<S>(a, b);
 }
 
-/// Minimum square dimension before a Ring product routes to Strassen
-/// (cutoff-64 leaves win ~(7/8) per halving; padding waste is gated below).
-inline constexpr std::size_t kStrassenMinN = 256;
-
 /// Maximum measured density at which mm_auto routes through the SpGEMM
-/// kernels: below 1/20 the per-nonzero work (p²·n³ scalar, p·n³/64
-/// bit-packed) clearly beats every dense kernel including the bit-packed
-/// Boolean path (n³/64).
+/// kernels: below 1/20 the per-nonzero work (p²·n³) clearly beats every
+/// dense kernel including the bit-packed Boolean path (n³/64).
 inline constexpr double kSparseDispatchMaxDensity = 0.05;
 
 /// Minimum dimension before the sparse route pays for its CSR conversion.
@@ -362,13 +340,6 @@ Matrix<typename S::Value> mm_auto(const Matrix<typename S::Value>& a,
   if (std::min({a.rows(), a.cols(), b.cols()}) >= kSparseDispatchMinDim &&
       density_of<S>(a) <= kSparseDispatchMaxDensity &&
       density_of<S>(b) <= kSparseDispatchMaxDensity) {
-    if constexpr (std::is_same_v<S, BoolSemiring>) {
-      if (detail::bool_in_domain(a) && detail::bool_in_domain(b)) {
-        return bit_spgemm(SparseMatrix<std::uint8_t>::template from_dense<S>(a),
-                          BitMatrix::from_matrix(b))
-            .to_matrix();
-      }
-    }
     return spgemm_auto<S>(SparseMatrix<V>::template from_dense<S>(a),
                           SparseMatrix<V>::template from_dense<S>(b))
         .template to_dense<S>();
@@ -377,16 +348,6 @@ Matrix<typename S::Value> mm_auto(const Matrix<typename S::Value>& a,
     if (a.cols() >= 64 && detail::bool_in_domain(a) &&
         detail::bool_in_domain(b))
       return bool_mm_bitpacked(a, b);
-  } else if constexpr (Ring<S>) {
-    const std::size_t lo =
-        std::min({a.rows(), a.cols(), b.cols()});
-    const std::size_t hi =
-        std::max({a.rows(), a.cols(), b.cols()});
-    std::size_t p = 1;
-    while (p < hi) p <<= 1;
-    // Strassen pads to p×p; only worth it when the padding waste is small.
-    if (lo >= kStrassenMinN && p <= hi + hi / 4 && !pool_available())
-      return mm_strassen<S>(a, b);
   }
   if (a.rows() >= kParallelMinRows && pool_available())
     return mm_parallel<S>(a, b);

@@ -1,31 +1,22 @@
 #pragma once
 
-// Centralised matrix multiplication kernels.
+// Centralised matrix multiplication: the reference oracle and the
+// closure/power drivers.
 //
-// These serve as (a) the local-computation step of the distributed clique
-// algorithms, (b) reference results for tests, and (c) the "galactic
-// substitute": the paper's Ring-MM exponent 1−2/ω rests on fast centralised
-// MM, which we represent with Strassen (ω = log₂7) — see DESIGN.md §1.
+// mm_naive is the single oracle every kernel in algebra/kernels.hpp is
+// pinned against bit for bit. mm_strassen is the "galactic substitute": the
+// paper's Ring-MM exponent 1−2/ω rests on fast centralised MM, which we
+// represent with Strassen (ω = log₂7) — see DESIGN.md §1. mm_power and
+// semiring_closure square through kernels::mm_auto.
 
 #include <algorithm>
 
+#include "algebra/kernels.hpp"
 #include "algebra/matrix.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 
 namespace ccq {
-
-// Dispatching kernels live in algebra/kernels.hpp (included at the bottom
-// of this header: kernels needs mm_strassen, while mm_power and
-// semiring_closure below only need these declarations).
-namespace kernels {
-template <Semiring S>
-Matrix<typename S::Value> mm_auto(const Matrix<typename S::Value>& a,
-                                  const Matrix<typename S::Value>& b);
-template <Semiring S>
-Matrix<typename S::Value> mm_tiled(const Matrix<typename S::Value>& a,
-                                   const Matrix<typename S::Value>& b);
-}  // namespace kernels
 
 /// Naive O(n³) product over any semiring (ikj loop order for locality).
 template <Semiring S>
@@ -42,36 +33,6 @@ Matrix<typename S::Value> mm_naive(const Matrix<typename S::Value>& a,
       V* crow = c.row_data(i);
       for (std::size_t j = 0; j < b.cols(); ++j) {
         crow[j] = S::add(crow[j], S::mul(aik, brow[j]));
-      }
-    }
-  }
-  return c;
-}
-
-/// Cache-blocked product; identical results to mm_naive.
-template <Semiring S>
-Matrix<typename S::Value> mm_blocked(const Matrix<typename S::Value>& a,
-                                     const Matrix<typename S::Value>& b,
-                                     std::size_t block = 32) {
-  CCQ_CHECK(a.cols() == b.rows());
-  CCQ_CHECK(block >= 1);
-  using V = typename S::Value;
-  Matrix<V> c(a.rows(), b.cols(), S::zero());
-  for (std::size_t ii = 0; ii < a.rows(); ii += block) {
-    const std::size_t imax = std::min(ii + block, a.rows());
-    for (std::size_t kk = 0; kk < a.cols(); kk += block) {
-      const std::size_t kmax = std::min(kk + block, a.cols());
-      for (std::size_t jj = 0; jj < b.cols(); jj += block) {
-        const std::size_t jmax = std::min(jj + block, b.cols());
-        for (std::size_t i = ii; i < imax; ++i) {
-          for (std::size_t k = kk; k < kmax; ++k) {
-            const V aik = a.at(i, k);
-            if (aik == S::zero()) continue;
-            for (std::size_t j = jj; j < jmax; ++j) {
-              c.at(i, j) = S::add(c.at(i, j), S::mul(aik, b.at(k, j)));
-            }
-          }
-        }
       }
     }
   }
@@ -234,7 +195,3 @@ Matrix<typename R::Value> mm_strassen(const Matrix<typename R::Value>& a,
 }
 
 }  // namespace ccq
-
-#include "algebra/kernels.hpp"  // IWYU pragma: keep — completes the
-                                // kernels::mm_auto/mm_tiled declarations
-                                // used by mm_power and semiring_closure.

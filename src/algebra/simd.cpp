@@ -1,10 +1,7 @@
 #include "algebra/simd.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "algebra/semiring.hpp"
@@ -144,18 +141,6 @@ void or_select_rows_scalar(const std::uint64_t* base, std::size_t stride,
   }
 }
 
-void or_row_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t nwords) {
-  for (std::size_t w = 0; w < nwords; ++w) dst[w] |= src[w];
-}
-
-bool rows_intersect_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t nwords) {
-  for (std::size_t w = 0; w < nwords; ++w)
-    if (a[w] & b[w]) return true;
-  return false;
-}
-
 std::size_t first_common_word_scalar(const std::uint64_t* a,
                                      const std::uint64_t* b, std::size_t from,
                                      std::size_t nwords) {
@@ -232,35 +217,6 @@ CCQ_TARGET_AVX2 void or_select_rows_avx2(const std::uint64_t* base,
       acc |= base[std::size_t{ks[s]} * stride + t];
     out[t] = acc;
   }
-}
-
-CCQ_TARGET_AVX2 void or_row_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                                 std::size_t nwords) {
-  std::size_t w = 0;
-  for (; w + 4 <= nwords; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-  }
-  for (; w < nwords; ++w) dst[w] |= src[w];
-}
-
-CCQ_TARGET_AVX2 bool rows_intersect_avx2(const std::uint64_t* a,
-                                         const std::uint64_t* b,
-                                         std::size_t nwords) {
-  std::size_t w = 0;
-  for (; w + 4 <= nwords; w += 4) {
-    const __m256i both = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    if (!_mm256_testz_si256(both, both)) return true;
-  }
-  for (; w < nwords; ++w)
-    if (a[w] & b[w]) return true;
-  return false;
 }
 
 CCQ_TARGET_AVX2 std::size_t first_common_word_avx2(const std::uint64_t* a,
@@ -345,75 +301,6 @@ CCQ_TARGET_AVX2 void unpack_bits_u8_avx2(const std::uint64_t* words,
     out[i] = static_cast<std::uint8_t>((words[i >> 6] >> (i & 63)) & 1u);
 }
 
-CCQ_TARGET_AVX2 bool range_check_u64_avx2(const std::uint64_t* values,
-                                          std::size_t count,
-                                          std::uint64_t limit) {
-  // Unsigned v < limit via the sign-flip trick on signed epi64 compares.
-  const __m256i flip = _mm256_set1_epi64x(
-      static_cast<long long>(std::uint64_t{1} << 63));
-  const __m256i lim = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(limit)), flip);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i)),
-        flip);
-    const __m256i ok = _mm256_cmpgt_epi64(lim, x);
-    if (static_cast<std::uint32_t>(_mm256_movemask_epi8(ok)) != 0xffffffffu)
-      return false;
-  }
-  for (; i < count; ++i)
-    if (values[i] >= limit) return false;
-  return true;
-}
-
-CCQ_TARGET_AVX2 void unpack_u8_to_u64_avx2(const std::uint8_t* src,
-                                           std::size_t count,
-                                           std::uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    int quad;
-    std::memcpy(&quad, src + i, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(quad)));
-  }
-  for (; i < count; ++i) out[i] = src[i];
-}
-
-CCQ_TARGET_AVX2 void unpack_u16_to_u64_avx2(const std::uint8_t* src,
-                                            std::size_t count,
-                                            std::uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i v = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(src + i * 2));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_cvtepu16_epi64(v));
-  }
-  for (; i < count; ++i) {
-    std::uint16_t v;
-    std::memcpy(&v, src + i * 2, 2);
-    out[i] = v;
-  }
-}
-
-CCQ_TARGET_AVX2 void unpack_u32_to_u64_avx2(const std::uint8_t* src,
-                                            std::size_t count,
-                                            std::uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src + i * 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_cvtepu32_epi64(v));
-  }
-  for (; i < count; ++i) {
-    std::uint32_t v;
-    std::memcpy(&v, src + i * 4, 4);
-    out[i] = v;
-  }
-}
-
 }  // namespace
 
 #endif  // CCQ_SIMD_BUILD_AVX2
@@ -441,24 +328,6 @@ void or_select_rows(const std::uint64_t* base, std::size_t stride,
   }
 #endif
   or_select_rows_scalar(base, stride, ks, nks, out, nwords);
-}
-
-void or_row(std::uint64_t* dst, const std::uint64_t* src, std::size_t nwords) {
-#if defined(CCQ_SIMD_BUILD_AVX2)
-  if (active() == Level::kAvx2) {
-    or_row_avx2(dst, src, nwords);
-    return;
-  }
-#endif
-  or_row_scalar(dst, src, nwords);
-}
-
-bool rows_intersect(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t nwords) {
-#if defined(CCQ_SIMD_BUILD_AVX2)
-  if (active() == Level::kAvx2) return rows_intersect_avx2(a, b, nwords);
-#endif
-  return rows_intersect_scalar(a, b, nwords);
 }
 
 std::size_t first_common_word(const std::uint64_t* a, const std::uint64_t* b,
@@ -492,63 +361,6 @@ bool unpack_bits_u8(const std::uint64_t* words, std::size_t count,
 #endif
   (void)words;
   (void)count;
-  (void)out;
-  return false;
-}
-
-bool pack_words_u64(const std::uint64_t* values, std::size_t count,
-                    unsigned entry_bits, std::uint64_t* words) {
-  if (entry_bits >= 64 || 64 % entry_bits != 0) return false;
-#if defined(CCQ_SIMD_BUILD_AVX2)
-  if (active() == Level::kAvx2) {
-    const std::uint64_t limit = std::uint64_t{1} << entry_bits;
-    if (!range_check_u64_avx2(values, count, limit)) return false;
-    // Every entry checked in range above: assemble without per-entry
-    // branches, in the exact LSB-first layout of the generic writer.
-    const unsigned per = 64u / entry_bits;
-    std::size_t idx = 0, w = 0;
-    while (idx < count) {
-      std::uint64_t acc = 0;
-      const std::size_t lim = std::min<std::size_t>(per, count - idx);
-      for (unsigned e = 0; e < lim; ++e, ++idx)
-        acc |= values[idx] << (e * entry_bits);
-      words[w++] = acc;
-    }
-    return true;
-  }
-#endif
-  (void)values;
-  (void)count;
-  (void)words;
-  return false;
-}
-
-bool unpack_words_u64(const std::uint64_t* words, std::size_t count,
-                      unsigned entry_bits, std::uint64_t* out) {
-#if defined(CCQ_SIMD_BUILD_AVX2)
-  if (active() == Level::kAvx2) {
-    // Entry i sits at bit offset i·entry_bits; with entry_bits ∈ {8,16,32}
-    // and the LSB-first layout that is exactly a little-endian scalar
-    // stream, so widening byte loads reproduce the generic extraction.
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(words);
-    switch (entry_bits) {
-      case 8:
-        unpack_u8_to_u64_avx2(bytes, count, out);
-        return true;
-      case 16:
-        unpack_u16_to_u64_avx2(bytes, count, out);
-        return true;
-      case 32:
-        unpack_u32_to_u64_avx2(bytes, count, out);
-        return true;
-      default:
-        return false;
-    }
-  }
-#endif
-  (void)words;
-  (void)count;
-  (void)entry_bits;
   (void)out;
   return false;
 }

@@ -5,9 +5,10 @@
 //
 // The congested-clique cost model charges communication only, so every
 // local-compute speedup lands 1:1 on end-to-end wall-clock without moving a
-// single CostMeter counter. This layer vectorizes the hot inner loops of
-// ccq::kernels — the (min,+) saturation row update, the OR/AND word-row ops
-// behind BitMatrix, and the fixed-width entry (un)packing streams — behind a
+// single CostMeter counter. This layer vectorizes the inner loops that some
+// schedule actually runs — the (min,+) saturation row update of APSP's block
+// products, the OR-select and first-common-word scans behind BitMatrix, and
+// the 1-bit Boolean entry codec of the block MM schedules — behind a
 // *runtime* CPU-feature dispatch:
 //
 //  * detected() probes the CPU once (AVX2 + POPCNT on x86-64; anything else
@@ -25,8 +26,8 @@
 // associative and commutative over words) and holds for the (min,+) row
 // update because the per-entry fold is independent across j — the vector
 // path changes *which lanes* compute in parallel, never the fold order of
-// any single output entry. The packing paths reproduce the exact LSB-first
-// layout of the scalar writer and fall back (returning false) rather than
+// any single output entry. The packing path reproduces the exact LSB-first
+// layout of the scalar writer and falls back (returning false) rather than
 // weaken any range check.
 
 #include <cstddef>
@@ -75,23 +76,16 @@ void or_select_rows(const std::uint64_t* base, std::size_t stride,
                     const std::uint32_t* ks, std::size_t nks,
                     std::uint64_t* out, std::size_t nwords);
 
-/// dst[w] |= src[w] for w in [0, nwords) — the bit_spgemm inner step.
-void or_row(std::uint64_t* dst, const std::uint64_t* src, std::size_t nwords);
-
-/// True iff a[w] & b[w] ≠ 0 for some w in [0, nwords) — the existence test
-/// behind bit_mm_popcount (popcount > 0 without computing the count).
-bool rows_intersect(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t nwords);
-
 /// Smallest w in [from, nwords) with a[w] & b[w] ≠ 0, else nwords — the
 /// word scan behind bit_first_common.
 std::size_t first_common_word(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t from, std::size_t nwords);
 
-// ---- entry (un)packing streams --------------------------------------------
+// ---- 1-bit Boolean entry codec --------------------------------------------
 //
-// These four return false when they did NOT produce the result — because the
-// active level is scalar, the width is unsupported, or an input is out of
+// pack_entries/unpack_entries (algebra/distributed_mm.hpp) route Boolean
+// entries at entry_bits 1 here. Both return false when they did NOT produce
+// the result — because the active level is scalar or (pack) a byte is out of
 // range — and the caller must fall back to its generic path (which re-checks
 // every entry and throws the canonical range error). On success the output
 // is bit-for-bit the generic path's. `words` must be zero-initialised.
@@ -103,15 +97,5 @@ bool pack_bits_u8(const std::uint8_t* values, std::size_t count,
 /// Inverse of pack_bits_u8: expand `count` bits to one byte each.
 bool unpack_bits_u8(const std::uint64_t* words, std::size_t count,
                     std::uint8_t* out);
-
-/// Pack `count` u64 values at entry_bits per entry (entry_bits must divide
-/// 64 and be < 64): one vectorized range scan, then branch-free assembly.
-bool pack_words_u64(const std::uint64_t* values, std::size_t count,
-                    unsigned entry_bits, std::uint64_t* words);
-
-/// Unpack `count` entries of entry_bits ∈ {8, 16, 32} into zero-extended
-/// u64s via vector widening loads.
-bool unpack_words_u64(const std::uint64_t* words, std::size_t count,
-                      unsigned entry_bits, std::uint64_t* out);
 
 }  // namespace ccq::simd

@@ -14,9 +14,10 @@
 //
 // The SpGEMM kernel is Gustavson's (kernels::spgemm): a dense accumulator
 // row — one V[cols] row plus a touched list — per output row. Its
-// pool-parallel sharding (kernels::spgemm_parallel) and the bit-packed
-// Boolean variant (kernels::bit_spgemm) live in kernels.hpp next to
-// BitMatrix; mm_auto dispatches between them on a measured density scan.
+// pool-parallel sharding (kernels::spgemm_parallel) and the serial-or-
+// parallel dispatch (kernels::spgemm_auto) that sparse Step B calls live in
+// kernels.hpp; mm_auto routes to spgemm_auto, for every semiring, on a
+// measured density scan.
 
 #include <algorithm>
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,16 +118,27 @@ class ThreadPerNodeScheduler final : public Scheduler {
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
-      threads.emplace_back([this, &body, v] {
-        try {
-          body(v);
-          task_returned();
-        } catch (Aborted&) {
-          // Another node already recorded the error.
-        } catch (...) {
-          abort_run(std::current_exception());
-        }
-      });
+      try {
+        threads.emplace_back([this, &body, v] {
+          try {
+            body(v);
+            task_returned();
+          } catch (Aborted&) {
+            // Another node already recorded the error.
+          } catch (...) {
+            abort_run(std::current_exception());
+          }
+        });
+      } catch (const std::exception& e) {
+        // Out of threads or address space: abort the run so the nodes that
+        // did start unwind out of their collective, then join them below —
+        // destroying a joinable std::thread would terminate the process.
+        abort_run(std::make_exception_ptr(ModelViolation(
+            "thread-per-node backend could not start the thread of node " +
+            std::to_string(v) + " of " + std::to_string(n) + ": " +
+            e.what())));
+        break;
+      }
     }
     for (auto& t : threads) t.join();
     if (error_) std::rethrow_exception(error_);

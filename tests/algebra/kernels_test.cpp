@@ -97,20 +97,6 @@ TEST(BitMatrix, SetClearKeepsEquality) {
   EXPECT_EQ(a, b);  // clears must not leave stray padding bits
 }
 
-TEST(BitMatrix, TransposeInvolution) {
-  for (std::size_t n : {1ul, 63ul, 64ul, 65ul, 127ul}) {
-    const auto m = random_bool(n, n + 3, 23 * n);
-    const BitMatrix bm = BitMatrix::from_matrix(m);
-    const BitMatrix t = bm.transpose();
-    EXPECT_EQ(t.rows(), bm.cols());
-    EXPECT_EQ(t.cols(), bm.rows());
-    for (std::size_t i = 0; i < bm.rows(); ++i)
-      for (std::size_t j = 0; j < bm.cols(); ++j)
-        ASSERT_EQ(t.get(j, i), bm.get(i, j));
-    EXPECT_EQ(t.transpose(), bm);
-  }
-}
-
 TEST(BitMatrix, BitMmMatchesNaive) {
   for (std::size_t n : kSizes) {
     const auto a = random_bool(n, n, 2 * n + 1);
@@ -119,8 +105,6 @@ TEST(BitMatrix, BitMmMatchesNaive) {
     const auto ba = BitMatrix::from_matrix(a);
     const auto bb = BitMatrix::from_matrix(b);
     EXPECT_EQ(kernels::bit_mm(ba, bb).to_matrix(), expect) << "n=" << n;
-    EXPECT_EQ(kernels::bit_mm_popcount(ba, bb).to_matrix(), expect)
-        << "n=" << n;
     EXPECT_EQ(kernels::bool_mm_bitpacked(a, b), expect) << "n=" << n;
   }
 }
@@ -130,21 +114,6 @@ TEST(BitMatrix, BitMmRectangular) {
   const auto b = random_bool(130, 67, 6);
   const auto expect = mm_naive<BoolSemiring>(a, b);
   EXPECT_EQ(kernels::bool_mm_bitpacked(a, b), expect);
-  EXPECT_EQ(kernels::bit_mm_popcount(BitMatrix::from_matrix(a),
-                                     BitMatrix::from_matrix(b))
-                .to_matrix(),
-            expect);
-}
-
-TEST(BitMatrix, ClosureMatchesSemiringClosure) {
-  for (std::size_t n : {1ul, 2ul, 17ul, 64ul, 65ul}) {
-    auto adj = random_bool(n, n, 31 * n, 0.08);
-    for (std::size_t i = 0; i < n; ++i) adj.at(i, i) = 0;
-    const auto expect = semiring_closure<BoolSemiring>(adj);
-    EXPECT_EQ(kernels::bit_closure(BitMatrix::from_matrix(adj)).to_matrix(),
-              expect)
-        << "n=" << n;
-  }
 }
 
 TEST(BitFirstCommon, MatchesScalarScan) {
@@ -451,14 +420,10 @@ TEST(SimdLevels, BitKernelsBitEqual) {
   const BitMatrix b = BitMatrix::from_matrix(bm);
   simd::force(simd::Level::kScalar);
   const BitMatrix or_s = kernels::bit_mm(a, b);
-  const BitMatrix pc_s = kernels::bit_mm_popcount(a, b);
-  const BitMatrix cl_s = kernels::bit_closure(a);
   simd::force(simd::Level::kAvx2);
   EXPECT_TRUE(kernels::bit_mm(a, b) == or_s);
-  EXPECT_TRUE(kernels::bit_mm_popcount(a, b) == pc_s);
-  EXPECT_TRUE(kernels::bit_closure(a) == cl_s);
   simd::clear_force();
-  EXPECT_TRUE(or_s == pc_s);
+  EXPECT_EQ(or_s.to_matrix(), mm_naive<BoolSemiring>(am, bm));
 }
 
 // ---- mm_auto dispatch boundaries ------------------------------------------

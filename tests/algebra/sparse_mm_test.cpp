@@ -83,18 +83,6 @@ TEST(SpGemm, MinPlusMatchesNaive) { check_spgemm<MinPlusSemiring>(30, 12); }
 TEST(SpGemm, I64RingMatchesNaive) { check_spgemm<I64Ring>(9, 13); }
 TEST(SpGemm, MaxMinMatchesNaive) { check_spgemm<MaxMinSemiring>(15, 14); }
 
-TEST(SpGemm, BitPackedBooleanMatchesNaive) {
-  SplitMix64 rng(21);
-  for (std::size_t n : {3u, 64u, 100u}) {
-    const auto a = random_matrix<BoolSemiring>(n, n, 0.03, 2, rng);
-    const auto b = random_matrix<BoolSemiring>(n, n, 0.3, 2, rng);
-    const auto c = kernels::bit_spgemm(
-        SparseMatrix<std::uint8_t>::from_dense<BoolSemiring>(a),
-        kernels::BitMatrix::from_matrix(b));
-    EXPECT_EQ(c.to_matrix(), mm_naive<BoolSemiring>(a, b)) << "n=" << n;
-  }
-}
-
 TEST(SpGemm, MmAutoDispatchesSparseInputs) {
   // Above the size floor and below the density ceiling mm_auto must take the
   // sparse route; correctness is all we can observe, so check both semiring

@@ -9,9 +9,14 @@
 #include "clique/scheduler.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "clique/chaos.hpp"
 #include "clique/engine.hpp"
@@ -275,6 +280,64 @@ TEST(SchedulerAbort, ChaosCorruptedCollectiveUnwindsCleanly) {
         g, [](NodeCtx& ctx) { ctx.decide(ctx.all(true)); }, config_for(s));
     EXPECT_TRUE(r.accepted()) << s.name;
   }
+}
+
+// Sanitizer runtimes reserve terabytes of shadow address space, so an
+// RLIMIT_AS probe cannot run under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kSanitizerBuild = true;
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+#else
+constexpr bool kSanitizerBuild = false;
+#endif
+
+/// This process's address-space size (VmSize) in bytes, or 0 if unknown.
+std::uint64_t vm_size_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stoull(line.substr(7)) * 1024;  // reported in kB
+  return 0;
+}
+
+// Thread-per-node start-up that runs out of threads part-way must surface a
+// ModelViolation after joining the nodes that did start — destroying their
+// joinable std::threads would std::terminate the process. The death-test
+// child caps its address space 64 MiB above its current size, which fits
+// only a handful of 8 MiB thread stacks out of 256, and exits 0 only if
+// Engine::run throws ModelViolation.
+TEST(SchedulerAbort, ThreadStartFailureIsModelViolation) {
+  if (kSanitizerBuild) GTEST_SKIP() << "RLIMIT_AS probe needs a plain build";
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const Graph g = gen::empty(256);
+        Engine::Config cfg;
+        cfg.backend = ExecutionBackend::kThreadPerNode;
+        rlimit lim{};
+        const std::uint64_t vm = vm_size_bytes();
+        if (vm == 0 || getrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(3);
+        lim.rlim_cur = vm + (std::uint64_t{64} << 20);
+        if (setrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(3);
+        int code = 1;  // no exception: the limit did not bite
+        try {
+          Engine::run(
+              g, [](NodeCtx& ctx) { ctx.decide(ctx.any(false)); }, cfg);
+        } catch (const ModelViolation&) {
+          code = 0;
+        } catch (...) {
+          code = 2;
+        }
+        std::_Exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SchedulerAbort, RoundLimitEnforcedOnPooledBackend) {
