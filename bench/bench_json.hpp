@@ -7,8 +7,8 @@
 //
 // Usage:
 //   benchjson::Writer out;
-//   out.add({{"n", 512}, {"backend", "pooled"}, {"wall_ms", 12.3}});
-//   out.write("BENCH_routing.json");
+//   out.add({{"cell", id}, {"rounds", 8}, {"wall_ms", 12.3}});
+//   out.write("BENCH_matrix.json");
 //
 // TraceSession (below) is the shared --trace=<path> plumbing: construct it
 // first thing in main() and call finish() before writing BENCH_*.json.

@@ -1,17 +1,19 @@
 // Scenario-matrix sweep driver (DESIGN.md §14, EXPERIMENTS.md).
 //
 // Reads a declarative manifest describing a {algorithm} × {graph family} ×
-// {n} × {backend} × {chaos on/off} grid, runs every expanded cell
-// through the engine with a fresh RoundTrace attached, cross-checks each
-// cell's CostMeter against its trace ledger, and writes one machine-
-// readable BENCH_matrix.json. tools/check_trajectory.py compares that file
-// against the committed baseline: any round-count regression, or a
+// {n} × {backend} × {workers} × {chaos on/off} grid, runs every expanded
+// cell through the engine traced and untraced, cross-checks each cell's
+// CostMeter against its trace ledger, and writes one machine-readable
+// BENCH_*.json. tools/check_trajectory.py compares that file against the
+// committed baseline: a regression of any deterministic field, or a
 // wall-clock regression beyond tolerance, fails CI.
 //
 // Every correctness gate is always on: a cell whose ledger does not
-// reproduce its meter, whose trials disagree, or whose run throws, names
-// itself and exits non-zero — a broken cell can never be committed as a
-// baseline.
+// reproduce its meter, whose runs disagree (traced vs untraced, or across
+// trials), or whose run throws, names itself; so does any pair of cells
+// that differ only in backend and workers yet disagree on outputs, faults
+// or meters. The bench then exits non-zero without writing its JSON — a
+// broken cell can never be committed as a baseline.
 //
 // Usage: bench_matrix [--manifest=PATH] [--out=PATH] [--trials=N] [--check]
 //   --manifest=PATH  manifest to run (default bench/manifests/default.json;
@@ -23,7 +25,9 @@
 //   --check          CI smoke mode: additionally rerun every cell at a
 //                    different worker count and fail unless outputs and
 //                    meters are bit-identical (the engine's cross-team
-//                    determinism contract, per cell)
+//                    determinism contract, per cell), and fail any cell
+//                    whose tracing overhead is out of bounds
+//                    (harness::check_trace_overhead)
 
 #include <cstdio>
 #include <cstdlib>
@@ -53,42 +57,59 @@ int run(const std::string& manifest_path, const std::string& out_path,
       trials_override > 0 ? trials_override : manifest.trials;
   std::printf(
       "Scenario matrix '%s': %zu cell(s), best of %d trial(s)%s\n"
-      "(meter == trace ledger asserted per cell)\n\n",
+      "(meter == trace ledger and traced == untraced asserted per cell)\n\n",
       manifest.name.c_str(), manifest.cells.size(), trials,
-      check ? ", worker-determinism check on" : "");
+      check ? ", worker-determinism and tracing-overhead gates on" : "");
 
-  benchjson::Writer json;
-  Table table({"cell", "rounds", "messages", "bits", "wall ms", "faults",
-               "meter==trace"});
+  Table table({"cell", "rounds", "messages", "bits", "wall ms",
+               "untraced ms", "faults"});
+  std::vector<harness::CellResult> results;
   bool all_ok = true;
+  auto fail = [&](const std::string& id, const std::string& why) {
+    std::fprintf(stderr, "FATAL: cell %s: %s\n", id.c_str(), why.c_str());
+    all_ok = false;
+  };
   for (const harness::CellSpec& spec : manifest.cells) {
     harness::CellResult r;
     try {
       r = harness::run_cell(spec, trials);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "FATAL: cell %s: %s\n", spec.id().c_str(),
-                   e.what());
+      fail(spec.id(), e.what());
       return 1;
     }
     if (!r.ok) {
-      std::fprintf(stderr, "FATAL: cell %s: %s\n", spec.id().c_str(),
-                   r.fail_reason.c_str());
-      all_ok = false;
+      fail(spec.id(), r.fail_reason);
       continue;
     }
     if (check) {
-      const std::string diag = harness::check_worker_determinism(spec);
+      std::string diag = harness::check_worker_determinism(spec);
+      if (diag.empty()) diag = harness::check_trace_overhead(r);
       if (!diag.empty()) {
-        std::fprintf(stderr, "FATAL: cell %s: %s\n", spec.id().c_str(),
-                     diag.c_str());
-        all_ok = false;
+        fail(spec.id(), diag);
         continue;
       }
     }
     table.add_row({spec.id(), std::to_string(r.cost.rounds),
                    std::to_string(r.cost.messages),
                    std::to_string(r.cost.bits), Table::fmt(r.wall_ms, 2),
-                   std::to_string(r.faults), "yes"});
+                   Table::fmt(r.untraced_ms, 2), std::to_string(r.faults)});
+    results.push_back(std::move(r));
+  }
+  table.print();
+  for (const std::string& diag : harness::check_equivalence(results)) {
+    std::fprintf(stderr, "FATAL: %s\n", diag.c_str());
+    all_ok = false;
+  }
+  if (!all_ok) {
+    std::fprintf(stderr,
+                 "\nbench_matrix: one or more cells FAILED; not writing %s\n",
+                 out_path.c_str());
+    return 1;
+  }
+
+  benchjson::Writer json;
+  for (const harness::CellResult& r : results) {
+    const harness::CellSpec& spec = r.spec;
     char fp[32];
     std::snprintf(fp, sizeof fp, "%016llx",
                   static_cast<unsigned long long>(r.output_fp));
@@ -106,15 +127,9 @@ int run(const std::string& manifest_path, const std::string& out_path,
               {"max_sent", r.cost.max_node_sent},
               {"max_received", r.cost.max_node_received},
               {"wall_ms", r.wall_ms},
+              {"untraced_ms", r.untraced_ms},
               {"faults", r.faults},
               {"output_fp", fp}});
-  }
-  table.print();
-  if (!all_ok) {
-    std::fprintf(stderr,
-                 "\nbench_matrix: one or more cells FAILED; not writing %s\n",
-                 out_path.c_str());
-    return 1;
   }
   if (!json.write(out_path)) {
     std::fprintf(stderr, "bench_matrix: cannot write %s\n", out_path.c_str());
@@ -123,8 +138,8 @@ int run(const std::string& manifest_path, const std::string& out_path,
   std::printf("\nwrote %s (%zu cells)\n", out_path.c_str(),
               manifest.cells.size());
   if (check)
-    std::printf("CHECK OK: every cell ledger-consistent and "
-                "worker-deterministic\n");
+    std::printf("CHECK OK: every cell ledger-consistent, "
+                "worker-deterministic and within its tracing budget\n");
   return 0;
 }
 

@@ -2,11 +2,12 @@
 // (DESIGN.md §1). Measures both routers on the load regimes the paper's
 // algorithms generate: balanced all-to-all (Lenzen's regime: ≤ n sent and
 // received per node ⇒ O(1) rounds) and a skewed single-hot-pair load where
-// indirection is mandatory.
+// indirection is mandatory. Wall-clock rows of the routing loads (uniform
+// balanced routing, ring rounds across backends) are bench_matrix cells.
+//
+// Usage: bench_routing [--trace=PATH]
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_json.hpp"
 #include "clique/routing.hpp"
@@ -18,19 +19,6 @@ using namespace ccq;
 
 namespace {
 
-// Machine-readable mirror of the comparison tables; written to
-// BENCH_routing.json at exit so CI can diff runs.
-benchjson::Writer g_json;
-
-void record(NodeId n, const char* backend, double ms, const RunResult& r) {
-  g_json.add({{"n", n},
-              {"backend", backend},
-              {"wall_ms", ms},
-              {"rounds", r.cost.rounds},
-              {"messages", r.cost.messages},
-              {"bits", r.cost.bits}});
-}
-
 template <typename Router>
 std::uint64_t measure(NodeId n, Router router,
                       const std::function<std::vector<RoutedMessage>(
@@ -41,79 +29,6 @@ std::uint64_t measure(NodeId n, Router router,
     ctx.output(got.size());
   });
   return res.cost.rounds;
-}
-
-// Wall-clock of the rendezvous-bound regime — many light supersteps, the
-// load the pooled scheduler targets — under a given execution backend. The
-// cost meters must be byte-identical across backends, which we assert here.
-// (Delivery-compute-bound loads like route_balanced at large n spend their
-// time in the shared serial delivery step, identical across backends, so
-// they cannot tell the schedulers apart.)
-struct BackendSample {
-  double millis = 0;
-  RunResult result;
-};
-
-BackendSample run_backend(NodeId n, ExecutionBackend backend, int trials) {
-  Engine::Config cfg;
-  cfg.backend = backend;
-  const auto program = [](NodeCtx& ctx) {
-    std::uint64_t got = 0;
-    for (int r = 0; r < 8; ++r) {
-      std::vector<std::pair<NodeId, Word>> sends;
-      if (ctx.n() > 1)
-        sends.emplace_back((ctx.id() + 1) % ctx.n(), Word(r % 2, 1));
-      auto in = ctx.round(sends);
-      for (NodeId v = 0; v < ctx.n(); ++v) {
-        if (in[v]) got += in[v]->value + 1;
-      }
-    }
-    ctx.output(got);
-  };
-  // Best-of-k to shed scheduler noise on a shared machine; the RunResult is
-  // required to be identical on every trial, so any of them can be kept.
-  BackendSample s;
-  for (int t = 0; t < trials; ++t) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto res = Engine::run(gen::empty(n), program, cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (t == 0 || ms < s.millis) s.millis = ms;
-    s.result = std::move(res);
-  }
-  return s;
-}
-
-void backend_comparison() {
-  std::printf(
-      "\nExecution backends (rendezvous-bound load: 8 light ring supersteps,\n"
-      "best of 3 trials): pooled superstep scheduler vs thread-per-node\n"
-      "reference. Cost meters must be byte-identical; only wall-clock may\n"
-      "differ:\n");
-  Table t({"n", "thread/node ms", "pooled ms", "speedup", "counts equal"});
-  for (NodeId n : {128u, 256u, 512u}) {
-    const auto tpn = run_backend(n, ExecutionBackend::kThreadPerNode, 3);
-    const auto pool = run_backend(n, ExecutionBackend::kPooled, 3);
-    const bool same =
-        tpn.result.outputs == pool.result.outputs &&
-        tpn.result.cost.rounds == pool.result.cost.rounds &&
-        tpn.result.cost.messages == pool.result.cost.messages &&
-        tpn.result.cost.bits == pool.result.cost.bits &&
-        tpn.result.cost.collectives == pool.result.cost.collectives &&
-        tpn.result.cost.max_node_sent == pool.result.cost.max_node_sent &&
-        tpn.result.cost.max_node_received ==
-            pool.result.cost.max_node_received;
-    if (!same) {
-      std::printf("FATAL: backends disagree on metered cost at n=%u\n", n);
-      std::exit(1);
-    }
-    record(n, "thread-per-node", tpn.millis, tpn.result);
-    record(n, "pooled", pool.millis, pool.result);
-    t.add_row({std::to_string(n), Table::fmt(tpn.millis, 1),
-               Table::fmt(pool.millis, 1),
-               Table::fmt(tpn.millis / pool.millis, 1), "yes"});
-  }
-  t.print();
 }
 
 }  // namespace
@@ -175,21 +90,13 @@ int main(int argc, char** argv) {
   }
   ts.print();
 
-  backend_comparison();
-
-  // Flush the trace (if any) before BENCH_routing.json so the per-phase
-  // breakdown rows land in the artifact; a failed self-check (per-record
-  // sums != metered totals) fails the bench.
-  if (!trace_session.finish(&g_json)) return 1;
-
-  if (g_json.write("BENCH_routing.json")) {
-    std::printf("\nwrote BENCH_routing.json\n");
-  }
+  // Flush the trace (if any); a failed self-check (per-record sums !=
+  // metered totals) fails the bench.
+  if (!trace_session.finish(nullptr)) return 1;
 
   std::printf(
       "\nShape check: balanced-load rounds stay O(1) as n grows; skewed "
       "direct grows\nlinearly in m while the two-phase router stays near "
-      "2·⌈m/n⌉·2; the pooled\nscheduler wins wall-clock on rendezvous-bound "
-      "loads\nwithout moving a single metered count.\n");
+      "2·⌈m/n⌉·2.\n");
   return 0;
 }

@@ -20,14 +20,6 @@ const char* fault_kind_name(FaultKind k) {
   return "fault";
 }
 
-namespace chaos {
-namespace {
-ChaosPlan* g_plan = nullptr;
-}  // namespace
-void set_global(ChaosPlan* plan) { g_plan = plan; }
-ChaosPlan* global() { return g_plan; }
-}  // namespace chaos
-
 namespace {
 
 /// Per-destination word queues; index = destination node id.

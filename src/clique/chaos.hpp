@@ -94,11 +94,10 @@ struct AdversaryView {
 /// trivial ModelViolation instead of a soundness probe).
 using Adversary = std::function<std::uint64_t(const AdversaryView&)>;
 
-/// A fault schedule plus its ledger. Attach via Engine::Config::chaos or
-/// process-wide via chaos::set_global (mirroring trace::set_global); a plan
-/// already driving another run is skipped (the run executes fault-free)
-/// rather than interleaved, and the ledger accumulates across sequential
-/// runs until clear().
+/// A fault schedule plus its ledger. Attach via Engine::Config::chaos; a
+/// plan already driving another run is skipped (the run executes
+/// fault-free) rather than interleaved, and the ledger accumulates across
+/// sequential runs until clear().
 class ChaosPlan {
  public:
   struct Config {
@@ -161,15 +160,6 @@ class ChaosPlan {
   std::uint64_t overflow_ = 0;
   std::atomic<bool> in_use_{false};
 };
-
-namespace chaos {
-/// Process-wide default plan picked up by every Engine::run whose config
-/// carries no explicit plan (benches' fault campaigns). Not thread-safe
-/// against concurrent set_global; runs racing on one plan are serialised by
-/// try_acquire (the loser executes fault-free).
-void set_global(ChaosPlan* plan);
-ChaosPlan* global();
-}  // namespace chaos
 
 namespace detail {
 /// Wrap `inner` so every deposited word passes through `plan`'s fault

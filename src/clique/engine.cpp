@@ -391,15 +391,6 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
                 "config.workers = " << config.workers << " exceeds n = " << n
                                     << "; a worker (or shard) beyond the "
                                        "node count can never own a node");
-  // 16 KiB floor: the fiber switch already parks a signal frame, the
-  // resume trampoline and the collective's deposit scan on that stack; an
-  // 8 KiB stack overflows it before the first rendezvous.
-  CCQ_CHECK_MSG(config.fiber_stack_bytes == 0 ||
-                    config.fiber_stack_bytes >= 16 * 1024,
-                "config.fiber_stack_bytes = "
-                    << config.fiber_stack_bytes
-                    << " is below the 16 KiB fiber-switch floor (0 selects "
-                       "the 256 KiB default)");
   for (const Labelling& z : instance.labels) {
     CCQ_CHECK_MSG(z.size() == n, "labelling must assign a label per node");
   }
@@ -429,11 +420,9 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
     st.owned_plane = detail::make_message_plane();
     st.plane = st.owned_plane.get();
   }
-  // Attach the fault plane, if any: Config::chaos wins, else the
-  // process-wide default. Same single-run protocol as the trace below — a
-  // plan already driving another run leaves this run fault-free.
-  ChaosPlan* chaos_plan =
-      config.chaos != nullptr ? config.chaos : chaos::global();
+  // Attach the fault plane, if any. Same single-run protocol as the trace
+  // below — a plan already driving another run leaves this run fault-free.
+  ChaosPlan* chaos_plan = config.chaos;
   if (chaos_plan != nullptr && !chaos_plan->try_acquire()) {
     chaos_plan = nullptr;
   }
@@ -508,8 +497,7 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
     if (detail::on_scheduler_fiber()) {
       backend = ExecutionBackend::kThreadPerNode;
     }
-    owned_sched = detail::make_scheduler(backend, config.workers,
-                                         config.fiber_stack_bytes);
+    owned_sched = detail::make_scheduler(backend, config.workers);
     sched = owned_sched.get();
   } else {
     // A session scheduler cannot be rerouted to thread-per-node mid-run;
@@ -553,8 +541,7 @@ EngineSession::EngineSession(const Shape& shape) : shape_(shape) {
   CCQ_CHECK_MSG(shape.n >= 1 && shape.n <= 8192,
                 "EngineSession shape.n = " << shape.n
                                            << " outside [1, 8192]");
-  sched_ = detail::make_scheduler(shape.backend, shape.workers,
-                                  shape.fiber_stack_bytes);
+  sched_ = detail::make_scheduler(shape.backend, shape.workers);
   plane_ = detail::make_message_plane();
 }
 
@@ -563,7 +550,7 @@ EngineSession::~EngineSession() = default;
 RunResult EngineSession::run(const Instance& instance,
                              const NodeProgram& program,
                              const Engine::Config& config) {
-  // The warm objects are shaped by (n, B, backend, workers, stacks);
+  // The warm objects are shaped by (n, B, backend, workers);
   // a config naming a different shape must not silently run on them — the
   // caller keyed its cache wrong.
   CCQ_CHECK_MSG(instance.graph.n() == shape_.n,
@@ -572,8 +559,7 @@ RunResult EngineSession::run(const Instance& instance,
                     << instance.graph.n());
   CCQ_CHECK_MSG(config.bandwidth_multiplier == shape_.bandwidth_multiplier &&
                     config.backend == shape_.backend &&
-                    config.workers == shape_.workers &&
-                    config.fiber_stack_bytes == shape_.fiber_stack_bytes,
+                    config.workers == shape_.workers,
                 "EngineSession::run config names a different engine shape "
                 "than the session was built for");
   RunResult result = detail::run_engine(instance, program, config,

@@ -213,17 +213,12 @@ class Engine {
     /// 0 = one per shared-pool thread. Values above n are rejected at
     /// run() entry (ModelViolation).
     std::size_t workers = 0;
-    /// Fiber backends: per-node fiber stack size (0 = 256 KiB). Nonzero
-    /// values below the 16 KiB switch-frame floor are rejected at run()
-    /// entry (ModelViolation).
-    std::size_t fiber_stack_bytes = 0;
     /// Per-collective recorder (clique/trace.hpp); nullptr falls back to
     /// the process-wide trace::global() (benches' --trace), and untraced
     /// when that is null too. A trace already recording another run is
     /// skipped (the run executes untraced) rather than interleaved.
     RoundTrace* trace = nullptr;
-    /// Fault-injection plan (clique/chaos.hpp); nullptr falls back to the
-    /// process-wide chaos::global(), and fault-free when that is null too.
+    /// Fault-injection plan (clique/chaos.hpp); nullptr runs fault-free.
     /// Attached the same way as `trace`: a plan already driving another
     /// run is skipped (this run executes fault-free) rather than shared.
     ChaosPlan* chaos = nullptr;
@@ -271,7 +266,6 @@ class EngineSession {
     unsigned bandwidth_multiplier = 1;
     ExecutionBackend backend = ExecutionBackend::kPooled;
     std::size_t workers = 0;
-    std::size_t fiber_stack_bytes = 0;
 
     bool operator==(const Shape&) const = default;
   };

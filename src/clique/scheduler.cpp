@@ -272,6 +272,9 @@ struct Fiber {
 // The fiber the calling worker thread is currently executing, if any.
 thread_local Fiber* tls_fiber = nullptr;
 
+// Per-node fiber stack size (see make_fiber for how stacks are allocated).
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
 void spin_pause(unsigned& spins) {
   if (++spins < 64) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -284,9 +287,6 @@ void spin_pause(unsigned& spins) {
 
 class FiberSchedulerBase : public Scheduler {
  public:
-  explicit FiberSchedulerBase(std::size_t stack_bytes)
-      : stack_bytes_(stack_bytes == 0 ? kDefaultStackBytes : stack_bytes) {}
-
   void run(NodeId n, const NodeBody& body) final {
     n_ = n;
     body_ = &body;
@@ -368,8 +368,6 @@ class FiberSchedulerBase : public Scheduler {
   }
 
  protected:
-  static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
-
   // ---- backend hooks ------------------------------------------------------
   // plan_run: serial (the caller's thread, before any worker starts) —
   // size the worker team and build the backend's resume schedule; returns
@@ -412,11 +410,10 @@ class FiberSchedulerBase : public Scheduler {
     // Recycle a banked stack from the previous run if one is available
     // (EngineSession reuse: at a fixed n the steady state allocates no
     // stacks). The pool is mutex-guarded because the sharded backend calls
-    // make_fiber from its owning workers in parallel; all stacks in the
-    // pool were sized by this instance's fixed stack_bytes_, so any one
-    // fits. Default-initialised (not value-initialised) allocation so
-    // untouched stack pages stay lazily unmapped — 4096 fibers must not
-    // commit a gigabyte.
+    // make_fiber from its owning workers in parallel; every stack has the
+    // one fixed size, so any one fits. Default-initialised (not
+    // value-initialised) allocation so untouched stack pages stay lazily
+    // unmapped — 4096 fibers must not commit a gigabyte.
     {
       std::lock_guard<std::mutex> lk(stack_pool_mu_);
       if (!stack_pool_.empty()) {
@@ -424,14 +421,14 @@ class FiberSchedulerBase : public Scheduler {
         stack_pool_.pop_back();
       }
     }
-    if (f->stack == nullptr) f->stack.reset(new char[stack_bytes_]);
+    if (f->stack == nullptr) f->stack.reset(new char[kFiberStackBytes]);
 #ifdef CCQ_FAST_FIBER
     // Seed the stack so the first ccq_fiber_swap "returns" into
     // ccq_fiber_entry with the Fiber* in r12. The slot order matches the
     // swap's restore path; the -56-byte offset leaves rsp ≡ 8 (mod 16) so
     // the entry shim's call site sees a correctly aligned stack.
     const auto top =
-        reinterpret_cast<std::uintptr_t>(f->stack.get() + stack_bytes_) &
+        reinterpret_cast<std::uintptr_t>(f->stack.get() + kFiberStackBytes) &
         ~std::uintptr_t(15);
     auto* slots = reinterpret_cast<void**>(top);
     slots[-1] = reinterpret_cast<void*>(&ccq_fiber_entry);  // ret target
@@ -452,7 +449,7 @@ class FiberSchedulerBase : public Scheduler {
 #else
     CCQ_CHECK(getcontext(&f->ctx) == 0);
     f->ctx.uc_stack.ss_sp = f->stack.get();
-    f->ctx.uc_stack.ss_size = stack_bytes_;
+    f->ctx.uc_stack.ss_size = kFiberStackBytes;
     f->ctx.uc_link = nullptr;
     // makecontext only passes ints; smuggle the Fiber* through two halves.
     const auto p = reinterpret_cast<std::uintptr_t>(f.get());
@@ -652,8 +649,7 @@ class FiberSchedulerBase : public Scheduler {
     done_ = parked == 0;
   }
 
-  const std::size_t stack_bytes_;
-  // Recycled fiber stacks (all of size stack_bytes_); see make_fiber.
+  // Recycled fiber stacks; see make_fiber.
   std::mutex stack_pool_mu_;
   std::vector<std::unique_ptr<char[]>> stack_pool_;
 
@@ -690,8 +686,7 @@ class FiberSchedulerBase : public Scheduler {
 // rest of the team. The price is one contended fetch_add per resume.
 class PooledScheduler final : public FiberSchedulerBase {
  public:
-  PooledScheduler(std::size_t workers, std::size_t stack_bytes)
-      : FiberSchedulerBase(stack_bytes), workers_cap_(workers) {}
+  explicit PooledScheduler(std::size_t workers) : workers_cap_(workers) {}
 
  private:
   std::size_t plan_run(std::size_t pool_size) override {
@@ -734,11 +729,11 @@ class PooledScheduler final : public FiberSchedulerBase {
 // keeps switching through is memory it allocated itself. Static ownership
 // trades the pooled backend's load balance for that locality, which is the
 // right trade exactly when n ≫ cores: with hundreds of fibers per worker,
-// per-shard imbalance averages out (bench_sharding measures this).
+// per-shard imbalance averages out (the scenario matrix's sharded
+// routing_uniform and mm_bool_3d cells measure this).
 class ShardedScheduler final : public FiberSchedulerBase {
  public:
-  ShardedScheduler(std::size_t shards, std::size_t stack_bytes)
-      : FiberSchedulerBase(stack_bytes), shards_cfg_(shards) {}
+  explicit ShardedScheduler(std::size_t shards) : shards_cfg_(shards) {}
 
  private:
   std::size_t plan_run(std::size_t pool_size) override {
@@ -791,15 +786,14 @@ extern "C" void ccq_fiber_main(void* fiber) {
 bool on_scheduler_fiber() { return tls_fiber != nullptr; }
 
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
-                                          std::size_t workers,
-                                          std::size_t stack_bytes) {
+                                          std::size_t workers) {
   switch (backend) {
     case ExecutionBackend::kThreadPerNode:
       return std::make_unique<ThreadPerNodeScheduler>();
     case ExecutionBackend::kPooled:
-      return std::make_unique<PooledScheduler>(workers, stack_bytes);
+      return std::make_unique<PooledScheduler>(workers);
     case ExecutionBackend::kSharded:
-      return std::make_unique<ShardedScheduler>(workers, stack_bytes);
+      return std::make_unique<ShardedScheduler>(workers);
   }
   CCQ_CHECK_MSG(false, "unknown execution backend");
   return nullptr;

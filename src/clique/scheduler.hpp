@@ -158,13 +158,12 @@ class Scheduler {
 };
 
 /// Backend factory. `workers` caps the pooled worker team, or sets the
-/// sharded backend's shard count (0 = one per shared-pool thread);
-/// `stack_bytes` sizes fiber stacks (0 = 256 KiB). Both are ignored by the
-/// thread-per-node backend. Value validation (workers ≤ n, stack floor) is
-/// Engine::run's job — the factory only wires the backend.
+/// sharded backend's shard count (0 = one per shared-pool thread); the
+/// thread-per-node backend ignores it. Fiber stacks are a fixed 256 KiB.
+/// Value validation (workers ≤ n) is Engine::run's job — the factory only
+/// wires the backend.
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
-                                          std::size_t workers,
-                                          std::size_t stack_bytes);
+                                          std::size_t workers);
 
 /// True when the calling thread is currently executing a pooled-scheduler
 /// fiber. Engine::run uses this to route nested runs (a node program that

@@ -32,7 +32,8 @@
 // == nullptr and no global trace installed) costs one pointer test per
 // collective on the leader path and one per span push/pop in node code —
 // nothing per deposited word. All per-node scans and allocations happen
-// only when a trace is attached. bench_exchange carries the overhead gate.
+// only when a trace is attached. bench_matrix --check gates the enabled
+// cost per cell (harness::check_trace_overhead).
 //
 // Exports: write_jsonl() (one self-describing JSON object per line; schema
 // below, round-trips through load_jsonl) and write_chrome() (Trace Event

@@ -88,6 +88,8 @@ struct FamilySpec {
   double p_in = 0.5;             ///< community in-block density
   double p_out = 0.05;           ///< community cross-block density
   std::string path;              ///< edgelist / csr file to load
+
+  bool operator==(const FamilySpec&) const = default;
 };
 
 /// Registered family names: empty, complete, cycle, path, star, gnp,

@@ -123,9 +123,10 @@ namespace {
 // Expand one cell group (a JSON object with scalar-or-array axis keys) into
 // `out`, checking expanded ids against `seen_ids`. Shared by parse_manifest
 // (each entry of "cells") and parse_job_cell (a ccqd job body, which must
-// expand to exactly one cell).
+// expand to exactly one cell and may name only algorithm_names(), not a
+// load).
 void expand_cell_group(const JsonValue& group, const std::string& origin,
-                       std::set<std::string>& seen_ids,
+                       bool job, std::set<std::string>& seen_ids,
                        std::vector<CellSpec>& out) {
   if (group.kind != JsonValue::Kind::kObject)
     fail_at(origin, group.line, "each cell must be a JSON object");
@@ -134,9 +135,6 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
   CellSpec base;
   if (const JsonValue* v = group.find("label"))
     base.label = as_string(*v, "label", origin);
-  if (const JsonValue* v = group.find("workers"))
-    base.workers = static_cast<std::size_t>(
-        as_uint(*v, 0, 8192, "workers", origin));
   if (const JsonValue* v = group.find("bandwidth"))
     base.bandwidth =
         static_cast<unsigned>(as_uint(*v, 1, 4, "bandwidth", origin));
@@ -181,16 +179,24 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
   const auto ns = axis_values(group, "n", origin);
   if (ns.empty()) fail_at(origin, group.line, "missing 'n'");
   const auto backends = axis_values(group, "backend", origin);
+  const auto workers = axis_values(group, "workers", origin);
   const auto chaoses = axis_values(group, "chaos", origin);
 
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& s) {
+    return std::find(names.begin(), names.end(), s) != names.end();
+  };
   for (const JsonValue* av : algs) {
     CellSpec a = base;
     a.algorithm = as_string(*av, "algorithm", origin);
-    const auto& known = algorithm_names();
-    if (std::find(known.begin(), known.end(), a.algorithm) == known.end()) {
+    const bool load = listed(load_names(), a.algorithm);
+    if (!listed(algorithm_names(), a.algorithm) && (job || !load)) {
       std::ostringstream os;
-      os << "unknown algorithm '" << a.algorithm << "' (known:";
-      for (const auto& s : known) os << " " << s;
+      os << (load ? "bench load '" : "unknown algorithm '") << a.algorithm
+         << (load ? "' cannot run as a job (known:" : "' (known:");
+      for (const auto& s : algorithm_names()) os << " " << s;
+      if (!job)
+        for (const auto& s : load_names()) os << " " << s;
       os << ")";
       fail_at(origin, av->line, os.str());
     }
@@ -216,6 +222,14 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
           for (const JsonValue* bv : backends)
             be.push_back(parse_backend(*bv, origin));
         }
+        std::vector<std::size_t> ws;
+        if (workers.empty()) {
+          ws.push_back(0);
+        } else {
+          for (const JsonValue* wv : workers)
+            ws.push_back(static_cast<std::size_t>(
+                as_uint(*wv, 0, 8192, "workers", origin)));
+        }
         std::vector<bool> ch;
         if (chaoses.empty()) {
           ch.push_back(false);
@@ -224,17 +238,19 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
             ch.push_back(as_bool(*cv, "chaos", origin));
         }
         for (ExecutionBackend b : be)
-          for (bool cx : ch) {
-            CellSpec cell = c;
-            cell.backend = b;
-            cell.chaos = cx;
-            const std::string cid = cell.id();
-            if (!seen_ids.insert(cid).second)
-              fail_at(origin, group.line,
-                      "duplicate expanded cell id '" + cid +
-                          "' (use 'label' to disambiguate)");
-            out.push_back(std::move(cell));
-          }
+          for (std::size_t w : ws)
+            for (bool cx : ch) {
+              CellSpec cell = c;
+              cell.backend = b;
+              cell.workers = w;
+              cell.chaos = cx;
+              const std::string cid = cell.id();
+              if (!seen_ids.insert(cid).second)
+                fail_at(origin, group.line,
+                        "duplicate expanded cell id '" + cid +
+                            "' (use 'label' to disambiguate)");
+              out.push_back(std::move(cell));
+            }
       }
     }
   }
@@ -262,14 +278,14 @@ Manifest parse_manifest(const std::string& text, const std::string& origin) {
 
   std::set<std::string> seen_ids;
   for (const JsonValue& group : cells->arr)
-    expand_cell_group(group, origin, seen_ids, m.cells);
+    expand_cell_group(group, origin, /*job=*/false, seen_ids, m.cells);
   return m;
 }
 
 CellSpec parse_job_cell(const json::Value& job, const std::string& origin) {
   std::set<std::string> seen_ids;
   std::vector<CellSpec> cells;
-  expand_cell_group(job, origin, seen_ids, cells);
+  expand_cell_group(job, origin, /*job=*/true, seen_ids, cells);
   if (cells.size() != 1)
     fail_at(origin, job.line,
             "a job must describe exactly one cell (axis arrays expand to " +

@@ -3,10 +3,10 @@
 // Declarative sweep manifests for the scenario matrix (DESIGN.md §14).
 //
 // A manifest is a JSON file describing a grid of measurement cells:
-// {algorithm} × {graph family} × {n} × {backend} × {chaos on/off}.
-// Each entry in "cells" is a *group* whose axis-valued keys (algorithm,
-// family, n, backend, chaos) may be single values or non-empty arrays; the
-// group expands to the cross product. Parsing is strict: unknown keys,
+// {algorithm} × {graph family} × {n} × {backend} × {workers} ×
+// {chaos on/off}. Each entry in "cells" is a *group* whose axis-valued
+// keys (algorithm, family, n, backend, workers, chaos) may be single
+// values or non-empty arrays; the group expands to the cross product. Parsing is strict: unknown keys,
 // unknown enum values, out-of-range numbers, empty axis arrays, and
 // duplicate expanded cell ids are all ModelViolations naming the manifest —
 // a manifest nobody can trust is a trajectory nobody can read.
@@ -51,6 +51,8 @@ struct CellSpec {
   /// part of the id — cells are *scenarios*; retuning one is a baseline
   /// refresh, not a new scenario.
   std::string id() const;
+
+  bool operator==(const CellSpec&) const = default;
 };
 
 struct Manifest {
@@ -68,8 +70,9 @@ Manifest load_manifest(const std::string& path);
 
 /// Parse one ccqd job body (an already-parsed JSON object using the cell
 /// schema above). Same validation as a manifest cell group, but the object
-/// must expand to exactly one cell — axis arrays are rejected. `origin`
-/// names the connection in errors.
+/// must expand to exactly one cell — axis arrays are rejected — and name
+/// one of algorithm_names(), not a bench load. `origin` names the
+/// connection in errors.
 CellSpec parse_job_cell(const json::Value& job, const std::string& origin);
 
 const char* backend_name(ExecutionBackend b);

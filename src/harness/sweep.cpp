@@ -1,5 +1,6 @@
 #include "harness/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -25,39 +26,35 @@ std::uint64_t fnv_fold(std::uint64_t fp, std::uint64_t v) {
   return fp;
 }
 
+// Fingerprint of (source, word) pairs — what a node received.
+std::uint64_t received_fp(std::uint64_t fp, NodeId src, const Word& w) {
+  return fnv_fold(fp, (std::uint64_t{src} << 8) | w.value);
+}
+
+std::uint64_t routed_fp(const std::vector<std::pair<NodeId, Word>>& got) {
+  std::uint64_t fp = kFnvOffset;
+  for (const auto& [src, w] : got) fp = received_fp(fp, src, w);
+  return fp;
+}
+
 // ---- registered node programs -------------------------------------------
 //
 // Each program reads only the cell's instance (adjacency row + id) so a
 // cell is a pure function of its CellSpec. Outputs are per-node
 // fingerprints: any delivery or compute divergence is visible in output_fp.
 
-// One payload word per incident edge, delivered link-direct. Payloads are
+// One payload word per incident edge, through `Router`: route_direct
+// delivers link-direct; route_balanced uses the two-phase router (relay
+// headers + salted stripes — the Lenzen-regime collective). Payloads are
 // single bits, so the program is insensitive to chaos bit-flips' *framing*
 // (a flipped payload changes outputs, never the collective structure).
-void routing_direct_program(NodeCtx& ctx) {
-  const NodeId n = ctx.n();
+template <auto Router>
+void routing_program(NodeCtx& ctx) {
   std::vector<RoutedMessage> msgs;
   const BitVector& adj = ctx.adj_row();
-  for (NodeId v = 0; v < n; ++v)
+  for (NodeId v = 0; v < ctx.n(); ++v)
     if (adj.get(v)) msgs.push_back({v, Word((ctx.id() + v) & 1, 1)});
-  std::uint64_t fp = kFnvOffset;
-  for (const auto& [src, w] : route_direct(ctx, msgs))
-    fp = fnv_fold(fp, (std::uint64_t{src} << 8) | w.value);
-  ctx.output(fp);
-}
-
-// The same per-edge load through the two-phase balanced router (relay
-// headers + salted stripes — the Lenzen-regime collective).
-void routing_balanced_program(NodeCtx& ctx) {
-  const NodeId n = ctx.n();
-  std::vector<RoutedMessage> msgs;
-  const BitVector& adj = ctx.adj_row();
-  for (NodeId v = 0; v < n; ++v)
-    if (adj.get(v)) msgs.push_back({v, Word((ctx.id() + v) & 1, 1)});
-  std::uint64_t fp = kFnvOffset;
-  for (const auto& [src, w] : route_balanced(ctx, msgs))
-    fp = fnv_fold(fp, (std::uint64_t{src} << 8) | w.value);
-  ctx.output(fp);
+  ctx.output(routed_fp(Router(ctx, msgs)));
 }
 
 // Learn-everything primitive: every node broadcasts its adjacency row
@@ -69,31 +66,87 @@ void broadcast_adj_program(NodeCtx& ctx) {
   ctx.output(fp);
 }
 
-// Boolean A² of the adjacency matrix via the 3-D semiring schedule
-// (§7 / Censor-Hillel et al.); node v ends with row v of A².
-void mm_bool_3d_program(NodeCtx& ctx) {
-  const NodeId n = ctx.n();
+// Row v of the Boolean A² of the adjacency matrix, via the 3-D semiring
+// schedule (§7 / Censor-Hillel et al.).
+std::vector<std::uint8_t> adjacency_squared_row(NodeCtx& ctx) {
   const BitVector& adj = ctx.adj_row();
-  std::vector<std::uint8_t> row(n);
-  for (NodeId j = 0; j < n; ++j) row[j] = adj.get(j) ? 1 : 0;
-  const auto row_c = mm_distributed_3d<BoolSemiring>(ctx, row, row, 1);
+  std::vector<std::uint8_t> row(ctx.n());
+  for (NodeId j = 0; j < ctx.n(); ++j) row[j] = adj.get(j) ? 1 : 0;
+  return mm_distributed_3d<BoolSemiring>(ctx, row, row, 1);
+}
+
+void mm_bool_3d_program(NodeCtx& ctx) {
   std::uint64_t fp = kFnvOffset;
-  for (NodeId j = 0; j < n; ++j) fp = fnv_fold(fp, row_c[j]);
+  for (std::uint8_t c : adjacency_squared_row(ctx)) fp = fnv_fold(fp, c);
   ctx.output(fp);
 }
 
 // Triangle count through v: |{ j : (A²)[v][j] ∧ A[v][j] }| — the MM-based
 // detector pattern, output-sensitive to the family's clustering.
 void triangle_mm_program(NodeCtx& ctx) {
-  const NodeId n = ctx.n();
-  const BitVector& adj = ctx.adj_row();
-  std::vector<std::uint8_t> row(n);
-  for (NodeId j = 0; j < n; ++j) row[j] = adj.get(j) ? 1 : 0;
-  const auto row_c = mm_distributed_3d<BoolSemiring>(ctx, row, row, 1);
+  const auto row_c = adjacency_squared_row(ctx);
   std::uint64_t count = 0;
-  for (NodeId j = 0; j < n; ++j)
-    if (row_c[j] != 0 && adj.get(j)) ++count;
+  for (NodeId j = 0; j < ctx.n(); ++j)
+    if (row_c[j] != 0 && ctx.adj_row().get(j)) ++count;
   ctx.output(count);
+}
+
+// ---- synthetic engine loads ---------------------------------------------
+//
+// Loads read only n and the node id (their cells use the empty family);
+// each outputs an FNV fingerprint of every word it received.
+
+// Skewed all-to-all: 16 exchange_flat supersteps, in each of which a node
+// sends (id + dst + r) mod 4 one-bit words to every destination — the
+// allocation-bound delivery load of the counting-sort plane.
+void exchange_skewed_load(NodeCtx& ctx) {
+  const NodeId n = ctx.n();
+  std::uint64_t fp = kFnvOffset;
+  std::vector<std::pair<NodeId, Word>> sends;
+  for (int r = 0; r < 16; ++r) {
+    sends.clear();
+    for (NodeId v = 0; v < n; ++v) {
+      const NodeId reps = (ctx.id() + v + r) % 4;
+      for (NodeId i = 0; i < reps; ++i)
+        sends.emplace_back(v, Word((i + r) % 2, 1));
+    }
+    const FlatInbox in = ctx.exchange_flat(sends);
+    for (NodeId v = 0; v < n; ++v)
+      for (const Word& w : in.from(v)) fp = received_fp(fp, v, w);
+  }
+  ctx.output(fp);
+}
+
+// Lenzen's regime: every node routes n one-bit words to seeded uniform
+// destinations other than itself through the two-phase balanced router.
+void routing_uniform_load(NodeCtx& ctx) {
+  const NodeId n = ctx.n();
+  SplitMix64 rng(ctx.id() * 7919 + 13);
+  std::vector<RoutedMessage> msgs;
+  msgs.reserve(n);
+  for (NodeId i = 0; i < n; ++i) {
+    NodeId dst;
+    do {
+      dst = static_cast<NodeId>(rng.next_below(n));
+    } while (n > 1 && dst == ctx.id());
+    msgs.push_back({dst, Word(i % 2, 1)});
+  }
+  ctx.output(routed_fp(route_balanced(ctx, msgs)));
+}
+
+// Rendezvous-bound: 8 supersteps of one word to the ring successor, so the
+// barrier, not delivery, dominates — the load that separates backends.
+void ring_rounds_load(NodeCtx& ctx) {
+  const NodeId n = ctx.n();
+  std::uint64_t fp = kFnvOffset;
+  for (int r = 0; r < 8; ++r) {
+    std::vector<std::pair<NodeId, Word>> sends;
+    if (n > 1) sends.emplace_back((ctx.id() + 1) % n, Word(r % 2, 1));
+    const auto in = ctx.round(sends);
+    for (NodeId v = 0; v < n; ++v)
+      if (in[v]) fp = received_fp(fp, v, *in[v]);
+  }
+  ctx.output(fp);
 }
 
 struct Algo {
@@ -101,18 +154,46 @@ struct Algo {
   void (*fn)(NodeCtx&);
 };
 
+// The ccqd job surface: perfbench's ccqd-mix enumerates this table, so an
+// entry added here changes that workload.
 constexpr Algo kAlgos[] = {
-    {"routing_direct", routing_direct_program},
-    {"routing_balanced", routing_balanced_program},
+    {"routing_direct", routing_program<route_direct>},
+    {"routing_balanced", routing_program<route_balanced>},
     {"broadcast_adj", broadcast_adj_program},
     {"mm_bool_3d", mm_bool_3d_program},
     {"triangle_mm", triangle_mm_program},
 };
 
+// Manifest-only engine loads.
+constexpr Algo kLoads[] = {
+    {"exchange_skewed", exchange_skewed_load},
+    {"routing_uniform", routing_uniform_load},
+    {"ring_rounds", ring_rounds_load},
+};
+
+template <std::size_t N>
+std::vector<std::string> names_of(const Algo (&table)[N]) {
+  std::vector<std::string> v;
+  for (const Algo& a : table) v.emplace_back(a.name);
+  return v;
+}
+
 }  // namespace
+
+const std::vector<std::string>& algorithm_names() {
+  static const std::vector<std::string> names = names_of(kAlgos);
+  return names;
+}
+
+const std::vector<std::string>& load_names() {
+  static const std::vector<std::string> names = names_of(kLoads);
+  return names;
+}
 
 NodeProgram find_algorithm(const std::string& name) {
   for (const Algo& a : kAlgos)
+    if (name == a.name) return NodeProgram(a.fn);
+  for (const Algo& a : kLoads)
     if (name == a.name) return NodeProgram(a.fn);
   std::ostringstream os;
   os << "unknown sweep algorithm '" << name << "'";
@@ -160,7 +241,11 @@ Engine::Config cell_engine_config(const CellSpec& spec) {
   cfg.backend = spec.backend;
   cfg.workers = std::min<std::size_t>(spec.workers, spec.n);
   cfg.bandwidth_multiplier = spec.bandwidth;
-  cfg.seed = mix64(spec.seed ^ 0x5ce9a11ceull);
+  // A load reads only n and the node id, so the cell seed does not reach
+  // it: loads keep the engine's default common seed.
+  const auto is_load = [&](const Algo& a) { return spec.algorithm == a.name; };
+  if (std::none_of(std::begin(kLoads), std::end(kLoads), is_load))
+    cfg.seed = mix64(spec.seed ^ 0x5ce9a11ceull);
   return cfg;
 }
 
@@ -173,15 +258,6 @@ ChaosPlan::Config cell_chaos_config(const CellSpec& spec) {
   return ch;
 }
 
-const std::vector<std::string>& algorithm_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> v;
-    for (const Algo& a : kAlgos) v.emplace_back(a.name);
-    return v;
-  }();
-  return names;
-}
-
 CellResult run_cell(const CellSpec& spec, int trials) {
   CCQ_CHECK_MSG(trials >= 1, "run_cell requires trials >= 1");
   CellResult out;
@@ -189,60 +265,68 @@ CellResult run_cell(const CellSpec& spec, int trials) {
 
   const Graph g = corpus::make_family(spec.family, spec.n);
   const NodeProgram program = find_algorithm(spec.algorithm);
-  Engine::Config cfg = cell_engine_config(spec);
+  const Engine::Config base = cell_engine_config(spec);
 
-  bool have_ref = false;
-  std::vector<std::uint64_t> ref_outputs;
-  for (int t = 0; t < trials; ++t) {
+  // One run of the cell with a fresh fault plan; a traced run also
+  // cross-checks its ledger. Returns a diagnostic, or "" on success.
+  RunResult res;
+  std::uint64_t faults = 0;
+  double ms = 0;
+  auto run_once = [&](bool traced) -> std::string {
     RoundTrace trace;
-    cfg.trace = &trace;
     ChaosPlan plan(cell_chaos_config(spec));
+    Engine::Config cfg = base;
+    cfg.trace = traced ? &trace : nullptr;
     cfg.chaos = spec.chaos ? &plan : nullptr;
-
-    RunResult res;
     const auto t0 = std::chrono::steady_clock::now();
     try {
       res = Engine::run(g, program, cfg);
     } catch (const std::exception& e) {
-      out.ok = false;
-      out.fail_reason = std::string("engine run failed: ") + e.what();
-      return out;
+      return std::string("engine run failed: ") + e.what();
     }
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (t == 0 || ms < out.wall_ms) out.wall_ms = ms;
-
+    ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    faults = plan.total_faults();
+    if (!traced) return "";
     // Per-cell ledger cross-check: the trace's per-record sums must
     // reproduce its own metered totals, and those totals must be exactly
     // the run's CostMeter — the meter and the ledger are two independent
     // accountings of the same collectives.
-    if (!trace.totals_match()) {
-      out.ok = false;
-      out.fail_reason = "trace ledger does not sum to its metered totals";
-      return out;
-    }
-    if (!meters_equal(trace.metered_totals(), res.cost)) {
-      out.ok = false;
-      out.fail_reason = "trace metered totals diverge from the run's meter";
-      return out;
-    }
+    if (!trace.totals_match())
+      return "trace ledger does not sum to its metered totals";
+    if (!meters_equal(trace.metered_totals(), res.cost))
+      return "trace metered totals diverge from the run's meter";
+    return "";
+  };
 
-    if (!have_ref) {
-      have_ref = true;
-      ref_outputs = res.outputs;
-      out.cost = res.cost;
-      out.output_fp = outputs_fp(res.outputs);
-      out.faults = plan.total_faults();
-    } else {
-      if (res.outputs != ref_outputs || !meters_equal(res.cost, out.cost)) {
-        out.ok = false;
-        out.fail_reason = "trials disagree (nondeterministic cell)";
+  // Each trial runs the cell traced and untraced, alternating which goes
+  // first. The first run (traced) is the reference every later run must
+  // reproduce: tracing may cost wall-clock, never a metered word.
+  std::vector<std::uint64_t> ref_outputs;
+  for (int t = 0; t < trials; ++t) {
+    for (int k = 0; k < 2; ++k) {
+      const bool traced = (k == 0) == (t % 2 == 0);
+      if (std::string diag = run_once(traced); !diag.empty()) {
+        out.fail_reason = std::move(diag);
         return out;
       }
-      if (plan.total_faults() != out.faults) {
-        out.ok = false;
-        out.fail_reason = "fault schedule not reproducible across trials";
+      double& best = traced ? out.wall_ms : out.untraced_ms;
+      if (t == 0 || ms < best) best = ms;
+      if (t == 0 && k == 0) {
+        ref_outputs = res.outputs;
+        out.cost = res.cost;
+        out.output_fp = outputs_fp(res.outputs);
+        out.faults = faults;
+        continue;
+      }
+      if (res.outputs != ref_outputs || !meters_equal(res.cost, out.cost)) {
+        out.fail_reason = traced ? "trials disagree (nondeterministic cell)"
+                                 : "the untraced run's outputs or meters "
+                                   "differ from the traced run's";
+        return out;
+      }
+      if (faults != out.faults) {
+        out.fail_reason = "fault schedule not reproducible across runs";
         return out;
       }
     }
@@ -261,13 +345,49 @@ std::string check_worker_determinism(const CellSpec& spec) {
   const CellResult b = run_cell(alt, 1);
   if (!a.ok) return "base cell failed: " + a.fail_reason;
   if (!b.ok) return "alt-workers cell failed: " + b.fail_reason;
-  if (a.output_fp != b.output_fp)
-    return "outputs differ across worker counts";
-  if (!meters_equal(a.cost, b.cost))
-    return "meters differ across worker counts";
-  if (a.faults != b.faults)
-    return "fault counts differ across worker counts";
-  return "";
+  const std::vector<std::string> diags = check_equivalence({a, b});
+  return diags.empty() ? "" : diags.front();
+}
+
+std::vector<std::string> check_equivalence(
+    const std::vector<CellResult>& results) {
+  std::vector<std::string> diags;
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    const CellResult& b = results[j];
+    // Compare against the first earlier cell of b's group: a spec equal to
+    // b's once backend and workers are set to b's.
+    for (std::size_t i = 0; i < j; ++i) {
+      const CellResult& a = results[i];
+      CellSpec probe = a.spec;
+      probe.backend = b.spec.backend;
+      probe.workers = b.spec.workers;
+      if (!(probe == b.spec)) continue;
+      const char* what = nullptr;
+      if (a.output_fp != b.output_fp)
+        what = "output_fp";
+      else if (a.faults != b.faults)
+        what = "faults";
+      else if (!meters_equal(a.cost, b.cost))
+        what = "meters";
+      if (what != nullptr)
+        diags.push_back(b.spec.id() + " disagrees with " + a.spec.id() +
+                        " on " + what +
+                        " (the cells differ only in backend and workers)");
+      break;
+    }
+  }
+  return diags;
+}
+
+std::string check_trace_overhead(const CellResult& r) {
+  constexpr double kMinMs = 2.0;  // below this, best-of-k is timer noise
+  constexpr double kRatio = 1.5;
+  if (r.untraced_ms < kMinMs || r.wall_ms <= kRatio * r.untraced_ms)
+    return "";
+  std::ostringstream os;
+  os << "tracing costs " << r.wall_ms << " ms against " << r.untraced_ms
+     << " ms untraced (allowed " << kRatio << "x)";
+  return os.str();
 }
 
 }  // namespace ccq::harness

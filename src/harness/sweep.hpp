@@ -4,17 +4,17 @@
 //
 // run_cell() executes one manifest cell end to end: instantiate the graph
 // family, build the Engine::Config the cell names (backend, workers,
-// bandwidth), attach a fresh RoundTrace (and, for chaos cells, a fresh
-// ChaosPlan), run the registered algorithm, and cross-check the CostMeter
-// against the trace ledger — per cell, every run. A cell whose ledger does
-// not reproduce its meter, or whose repeated trials disagree on outputs or
-// meters, reports ok == false with a reason; bench_matrix exits non-zero
-// on it, so a broken cell can never be committed as a baseline.
+// bandwidth), and run the registered program twice per trial — once with a
+// fresh RoundTrace attached, once untraced (each chaos run with a fresh
+// ChaosPlan). Every traced run cross-checks its CostMeter against the
+// trace ledger, and every run must reproduce the first run's outputs,
+// meters and fault count. A cell failing any of these reports ok == false
+// with a reason; bench_matrix exits non-zero on it, so a broken cell can
+// never be committed as a baseline.
 //
-// Algorithms are node programs over the cell's graph instance, registered
-// by name (algorithm_names()): they exercise the routing, broadcast, and
-// distributed-MM collectives the benches measure, parameterised only by
-// the instance, so every cell is a pure function of its CellSpec.
+// Programs are registered by name in two tables, algorithm_names() and
+// load_names(), and depend only on the instance, so every cell is a pure
+// function of its CellSpec.
 
 #include <cstdint>
 #include <string>
@@ -27,16 +27,21 @@
 
 namespace ccq::harness {
 
-/// Registered sweep algorithms: routing_direct, routing_balanced,
-/// broadcast_adj, mm_bool_3d, triangle_mm.
+/// Registered sweep algorithms, the ccqd job surface: routing_direct,
+/// routing_balanced, broadcast_adj, mm_bool_3d, triangle_mm.
 const std::vector<std::string>& algorithm_names();
 
-/// Resolve a registered algorithm by name (ModelViolation if unknown).
+/// Manifest-only engine loads: exchange_skewed, routing_uniform,
+/// ring_rounds.
+const std::vector<std::string>& load_names();
+
+/// Resolve an algorithm or load by name (ModelViolation if unknown).
 NodeProgram find_algorithm(const std::string& name);
 
 /// The Engine::Config a cell names: backend, workers (clamped to n),
-/// bandwidth, and the cell-derived engine seed. trace/chaos are left null —
-/// callers attach per-run instruments.
+/// bandwidth, and the cell-derived engine seed (a load keeps the engine's
+/// default seed). trace/chaos are left null — callers attach per-run
+/// instruments.
 Engine::Config cell_engine_config(const CellSpec& spec);
 
 /// The cell's deterministic fault schedule (seeded from the cell seed).
@@ -58,20 +63,34 @@ struct CellResult {
   CellSpec spec;
   bool ok = false;          ///< ledger cross-check + trial agreement
   std::string fail_reason;  ///< set when !ok
-  CostMeter cost;           ///< deterministic across trials (asserted)
-  double wall_ms = 0;       ///< best of trials
+  CostMeter cost;           ///< deterministic across runs (asserted)
+  double wall_ms = 0;       ///< traced runs, best of trials
+  double untraced_ms = 0;   ///< untraced runs, best of trials
   std::uint64_t output_fp = 0;  ///< FNV-1a over the per-node outputs
   std::uint64_t faults = 0;     ///< chaos faults injected (0 when off)
 };
 
-/// Run one cell for `trials` repetitions (>= 1). Throws ModelViolation on
-/// unknown family/algorithm or unloadable corpus file; engine-level
-/// violations surface as ok == false with the exception text.
+/// Run one cell for `trials` repetitions (>= 1), each a traced and an
+/// untraced run. Throws ModelViolation on unknown family/algorithm or
+/// unloadable corpus file; engine-level violations surface as ok == false
+/// with the exception text.
 CellResult run_cell(const CellSpec& spec, int trials);
 
 /// Determinism probe used by bench_matrix --check: rerun the cell at a
 /// different worker count and require bit-identical outputs and meters.
 /// Returns empty string on agreement, a diagnostic otherwise.
 std::string check_worker_determinism(const CellSpec& spec);
+
+/// Cross-backend equivalence over the cells of one bench run: any two
+/// cells whose specs differ only in backend and workers must agree on
+/// output_fp, faults and all six meters. Returns one diagnostic per cell
+/// that disagrees with the first cell of its group, naming both ids.
+std::vector<std::string> check_equivalence(
+    const std::vector<CellResult>& results);
+
+/// bench_matrix --check's tracing-overhead gate: a diagnostic when the
+/// untraced best is at least 2 ms and the traced best exceeds 1.5 times
+/// it, else "". Faster cells are below what best-of-k can resolve.
+std::string check_trace_overhead(const CellResult& r);
 
 }  // namespace ccq::harness

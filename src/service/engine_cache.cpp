@@ -87,7 +87,6 @@ EngineSession::Shape cell_shape(const harness::CellSpec& spec) {
   shape.bandwidth_multiplier = cfg.bandwidth_multiplier;
   shape.backend = cfg.backend;
   shape.workers = cfg.workers;
-  shape.fiber_stack_bytes = cfg.fiber_stack_bytes;
   return shape;
 }
 

@@ -14,7 +14,7 @@
 //     Engine::run would derive per run.
 //
 //   * EngineCache — keyed by EngineSession::Shape (n, B-multiplier,
-//     backend, workers, stack bytes): a pool of idle warm sessions.
+//     backend, workers): a pool of idle warm sessions.
 //     acquire() hands out an exclusive lease (concurrent jobs on the same
 //     key get *distinct* sessions — a session is single-run); release()
 //     returns the session for the next job, evicting least-recently-used

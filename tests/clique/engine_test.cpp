@@ -425,9 +425,8 @@ TEST(Engine, SingleNodeClique) {
 TEST(Engine, ConfigValidationAtRunEntry) {
   // Bad configs must be rejected before any node program runs — each of
   // these used to slip through and fail later in confusing ways (a zero
-  // bandwidth multiplier made every word a violation; an 8 KiB fiber stack
-  // overflowed under the first deep collective; workers > n spun up owners
-  // that could never own a node).
+  // bandwidth multiplier made every word a violation; workers > n spun up
+  // owners that could never own a node).
   const Graph g = gen::empty(8);
   auto trivial = [](NodeCtx& ctx) { ctx.output(0); };
   struct Case {
@@ -447,12 +446,6 @@ TEST(Engine, ConfigValidationAtRunEntry) {
          c.workers = 9;
        },
        false},
-      {"stack=8KiB",
-       [](Engine::Config& c) { c.fiber_stack_bytes = 8 * 1024; }, false},
-      {"stack=16KiB floor",
-       [](Engine::Config& c) { c.fiber_stack_bytes = 16 * 1024; }, true},
-      {"stack=0 default",
-       [](Engine::Config& c) { c.fiber_stack_bytes = 0; }, true},
   };
   for (const Case& tc : kCases) {
     Engine::Config cfg;

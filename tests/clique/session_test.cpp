@@ -84,7 +84,6 @@ EngineSession::Shape shape_for(NodeId n, const Engine::Config& cfg) {
   s.bandwidth_multiplier = cfg.bandwidth_multiplier;
   s.backend = cfg.backend;
   s.workers = cfg.workers;
-  s.fiber_stack_bytes = cfg.fiber_stack_bytes;
   return s;
 }
 

@@ -15,6 +15,7 @@
 #include "harness/manifest.hpp"
 #include "harness/sweep.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace ccq {
 namespace {
@@ -247,15 +248,20 @@ TEST(Corpus, ManifestAxisExpansion) {
       "family": "gnp", "p": 0.2,
       "n": [16, 32],
       "backend": ["pooled", "sharded"],
+      "workers": [0, 3],
       "chaos": [false, true]
     }]
   })json", "inline");
   EXPECT_EQ(m.trials, 3);
-  EXPECT_EQ(m.cells.size(), 16u);  // 2 algos x 2 n x 2 backends x 2 chaos
+  // 2 algos x 2 n x 2 backends x 2 workers x 2 chaos
+  EXPECT_EQ(m.cells.size(), 32u);
   std::vector<std::string> ids;
   for (const auto& c : m.cells) ids.push_back(c.id());
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(),
+                      "routing_direct/gnp/n=32/sharded/chaos=on/w=3"),
+            ids.end());
 }
 
 TEST(Corpus, ManifestRejectionTable) {
@@ -313,6 +319,12 @@ TEST(Corpus, ManifestRejectionTable) {
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 16, "backend": []}]})",
        "table:2: axis 'backend' is an empty array"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "workers": []}]})",
+       "table:2: axis 'workers' is an empty array"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "workers": [1, 9000]}]})",
+       "workers 9000 out of range [0, 8192]"},
       // Nesting far past any real manifest must not recurse off the stack.
       {std::string(30000, '[') + std::string(30000, ']'),
        "nesting deeper than 64 levels"},
@@ -326,6 +338,118 @@ TEST(Corpus, ManifestRejectionTable) {
           << "error '" << e.what() << "' lacks '" << needle << "'";
     }
   }
+}
+
+// ---- sweep registry and bench-level checks -------------------------------
+
+TEST(Sweep, JobAlgorithmsUnchanged) {
+  // perfbench's ccqd-mix enumerates this list; a load added to it would
+  // change that workload.
+  const std::vector<std::string> kJobAlgorithms = {
+      "routing_direct", "routing_balanced", "broadcast_adj", "mm_bool_3d",
+      "triangle_mm"};
+  EXPECT_EQ(harness::algorithm_names(), kJobAlgorithms);
+}
+
+TEST(Sweep, LoadsAreManifestCellsNotJobs) {
+  const harness::Manifest m = harness::parse_manifest(R"json({
+    "name": "loads", "cells": [{
+      "algorithm": ["exchange_skewed", "routing_uniform", "ring_rounds"],
+      "family": "empty", "n": 16}]})json", "inline");
+  EXPECT_EQ(m.cells.size(), 3u);
+  for (const std::string& load : harness::load_names()) {
+    json::Value job = json::parse(
+        "{\"algorithm\": \"" + load + "\", \"family\": \"empty\", \"n\": 16}",
+        "job");
+    try {
+      harness::parse_job_cell(job, "job");
+      ADD_FAILURE() << "a job ran the bench load " << load;
+    } catch (const ModelViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot run as a job"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A manifest's unknown-algorithm error lists both tables.
+  try {
+    harness::parse_manifest(R"({"name": "x", "cells": [{"algorithm":
+        "nope", "family": "empty", "n": 16}]})", "inline");
+    ADD_FAILURE() << "accepted an unknown algorithm";
+  } catch (const ModelViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("triangle_mm"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("ring_rounds"), std::string::npos);
+  }
+}
+
+harness::CellResult fake_result(harness::CellSpec spec) {
+  harness::CellResult r;
+  r.spec = std::move(spec);
+  r.ok = true;
+  r.cost.rounds = 4;
+  r.cost.messages = 40;
+  r.cost.bits = 400;
+  r.cost.collectives = 2;
+  r.output_fp = 0x1234;
+  return r;
+}
+
+TEST(Sweep, EquivalenceCheckNamesBothCellsOfAPair) {
+  harness::CellSpec spec;
+  spec.algorithm = "routing_uniform";
+  spec.family.name = "empty";
+  spec.n = 1024;
+  const harness::CellResult pooled = fake_result(spec);
+  spec.backend = ExecutionBackend::kSharded;
+  spec.workers = 2;
+  harness::CellResult sharded = fake_result(spec);
+  EXPECT_TRUE(harness::check_equivalence({pooled, sharded}).empty());
+
+  sharded.output_fp ^= 1;
+  auto diags = harness::check_equivalence({pooled, sharded});
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find(pooled.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find(sharded.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find("output_fp"), std::string::npos) << diags[0];
+
+  sharded.output_fp = pooled.output_fp;
+  sharded.cost.max_node_received += 1;
+  diags = harness::check_equivalence({pooled, sharded});
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find("meters"), std::string::npos) << diags[0];
+}
+
+TEST(Sweep, EquivalenceCheckGroupsOnlyBackendAndWorkers) {
+  harness::CellSpec spec;
+  spec.algorithm = "mm_bool_3d";
+  spec.family.name = "gnp";
+  spec.family.p = 0.25;
+  spec.n = 64;
+  const harness::CellResult a = fake_result(spec);
+  // Same backend, different p: two scenarios, never compared.
+  spec.family.p = 0.1;
+  harness::CellResult b = fake_result(spec);
+  b.output_fp ^= 1;
+  EXPECT_TRUE(harness::check_equivalence({a, b}).empty());
+  // Different backend *and* seed: still two scenarios.
+  spec.family.p = 0.25;
+  spec.backend = ExecutionBackend::kSharded;
+  spec.seed = 7;
+  harness::CellResult c = fake_result(spec);
+  c.output_fp ^= 1;
+  EXPECT_TRUE(harness::check_equivalence({a, c}).empty());
+}
+
+TEST(Sweep, TraceOverheadGate) {
+  harness::CellResult r;
+  r.untraced_ms = 2.0;
+  r.wall_ms = 3.1;  // > 1.5 x 2 ms
+  EXPECT_NE(harness::check_trace_overhead(r), "");
+  r.wall_ms = 2.9;
+  EXPECT_EQ(harness::check_trace_overhead(r), "");
+  // Under the 2 ms floor the gate stays quiet whatever the ratio.
+  r.untraced_ms = 1.9;
+  r.wall_ms = 10.0;
+  EXPECT_EQ(harness::check_trace_overhead(r), "");
 }
 
 // ---- end-to-end: cells through the engine with ledger cross-check --------

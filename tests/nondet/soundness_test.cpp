@@ -266,21 +266,6 @@ TEST(ChaosDeterminism, ZeroProbabilityPlanIsAnExactNoop) {
   EXPECT_TRUE(plan.ledger().empty());
 }
 
-TEST(ChaosLifecycle, GlobalPlanAttachesAndReleases) {
-  ChaosPlan::Config cfg;
-  cfg.seed = 3;
-  cfg.p_flip = 1.0;
-  ChaosPlan plan(cfg);
-  chaos::set_global(&plan);
-  const Graph g = gen::empty(4);
-  Engine::run(g, all_to_all_sum, Engine::Config{});
-  chaos::set_global(nullptr);
-  EXPECT_GT(plan.total_faults(), 0u);
-  // Released on exit: a fresh acquire must succeed.
-  EXPECT_TRUE(plan.try_acquire());
-  plan.release();
-}
-
 TEST(ChaosLifecycle, BusyPlanRunsFaultFree) {
   ChaosPlan::Config cfg;
   cfg.p_flip = 1.0;

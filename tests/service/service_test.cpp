@@ -143,6 +143,25 @@ TEST(Protocol, BadJobsAreNamed) {
                     &code),
       "error");
   EXPECT_EQ(code, kErrBadJob);
+  // Bench loads are manifest cells, not jobs.
+  EXPECT_EQ(
+      response_type(client.request(submit_body(
+                        "{\"algorithm\": \"exchange_skewed\", \"family\": "
+                        "\"empty\", \"n\": 16, \"backend\": \"pooled\", "
+                        "\"chaos\": false}")),
+                    &code),
+      "error");
+  EXPECT_EQ(code, kErrBadJob);
+  // workers is an axis like backend: an array is manifest syntax too.
+  EXPECT_EQ(
+      response_type(client.request(submit_body(
+                        "{\"algorithm\": \"routing_balanced\", \"family\": "
+                        "\"gnp\", \"p\": 0.25, \"n\": 16, "
+                        "\"backend\": \"sharded\", \"workers\": [1, 2], "
+                        "\"chaos\": false}")),
+                    &code),
+      "error");
+  EXPECT_EQ(code, kErrBadJob);
   // A job that parses but fails in the executor (edge list file that does
   // not exist) must be a named job_failed response, not a dead worker.
   EXPECT_EQ(

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (CI `docs` job).
 
-Two checks, both over the repository's own files only:
+Three checks, all over the repository's own files only:
 
 1. Intra-repo markdown links resolve. Every relative `[text](target)` link
    in a tracked *.md file must point at an existing file or directory
    (anchors are stripped; http/https/mailto links are ignored — CI must not
    depend on the network).
 
-2. EXPERIMENTS.md covers every bench target. Each executable declared in
-   bench/CMakeLists.txt (`ccq_add_bench(<name> ...)` or a plain
-   `add_executable(bench_* ...)`) must be mentioned in EXPERIMENTS.md, so a
-   new bench cannot land without its experiment-book section.
+2. Bench names in the docs match the bench targets, both ways. Each
+   executable declared in bench/CMakeLists.txt (`ccq_add_bench(<name> ...)`
+   or a plain `add_executable(bench_* ...)`) must be mentioned in
+   EXPERIMENTS.md, so a new bench cannot land without its experiment-book
+   section. And every `bench_<name>` that README.md, DESIGN.md,
+   EXPERIMENTS.md or the verify skill names must be declared there, so a
+   deleted bench cannot linger in the docs. Tokens followed by a file
+   extension (`bench_json.hpp`) or a glob star are not bench names.
 
 3. The manifest schema documented in DESIGN.md §14 matches the keys the
    parser accepts. The key lists in src/harness/manifest.cpp sit between
@@ -39,6 +43,12 @@ BENCH_DECL_RE = re.compile(
     r"^\s*(?:ccq_add_bench|add_executable)\s*\(\s*(bench_[A-Za-z0-9_]+)",
     re.MULTILINE,
 )
+# A bench_<name> token in prose; a following extension or glob star makes
+# it a file name or pattern, not a bench target.
+BENCH_NAME_RE = re.compile(r"\bbench_[A-Za-z0-9_]+\b(?!\.[A-Za-z]|\*)")
+# The docs whose bench names must all be declared targets.
+BENCH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+              ".claude/skills/verify/SKILL.md")
 # Fenced code blocks: links inside them are examples, not navigation.
 FENCE_RE = re.compile(r"^(```|~~~)")
 
@@ -101,6 +111,18 @@ def check_bench_coverage() -> list[str]:
                 f"EXPERIMENTS.md:1: bench target '{t}' (declared in "
                 f"bench/CMakeLists.txt) has no experiment-book entry"
             )
+    declared = set(targets)
+    for doc in BENCH_DOCS:
+        path = REPO / doc
+        if not path.exists():
+            continue
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1):
+            for name in BENCH_NAME_RE.findall(line):
+                if name not in declared:
+                    problems.append(
+                        f"{doc}:{lineno}: names '{name}', which "
+                        f"bench/CMakeLists.txt does not declare")
     return problems
 
 

@@ -4,10 +4,16 @@
 Compares a freshly measured scenario matrix against the committed baseline
 and exits non-zero on any regression:
 
-* **Rounds** (and messages/bits) are deterministic model quantities — any
-  increase over the baseline for the same cell id is a hard failure, on any
-  machine. A *decrease* is reported as an improvement (refresh the baseline
-  to lock it in).
+* **Costs** — rounds, messages, bits, collectives, max_sent and
+  max_received — are deterministic model quantities: any increase over the
+  baseline for the same cell id is a hard failure, on any machine. A
+  *decrease* is reported as an improvement (refresh the baseline to lock it
+  in).
+
+* **Identity** — faults and output_fp — is deterministic too, but has no
+  better direction: any change is a hard failure (a different output
+  fingerprint is a different answer; a different fault count is a
+  different chaos schedule).
 
 * **Wall-clock** is machine-shaped, so the default mode (`normalized`)
   first estimates the machine-speed ratio as the median of
@@ -18,7 +24,7 @@ and exits non-zero on any regression:
   e.g. tools/refresh_bench.sh users); `--wall-mode=off` disables the gate.
   Cells whose baseline time is under `--wall-min-ms` (default 2 ms) are
   excluded from the wall gate — sub-millisecond timings cannot support a
-  15% bound — but their rounds/messages/bits still gate exactly.
+  15% bound — but their deterministic fields still gate exactly.
 
 Cells present only in the baseline are reported but do not fail (CI runs
 the smoke manifest, a subset of the default grid); cells present only in
@@ -38,6 +44,11 @@ exist, not a machine artifact.
 "baseline round count hand-lowered" case — and exits non-zero if the gate
 fails to fire. No dependencies beyond the standard library.
 """
+
+# Deterministic cell fields: costs may only fall, identities never change.
+COST_FIELDS = ("rounds", "messages", "bits", "collectives", "max_sent",
+               "max_received")
+IDENTITY_FIELDS = ("faults", "output_fp")
 
 import argparse
 import json
@@ -99,7 +110,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
     # Deterministic quantities: exact, machine-independent.
     for cid in shared:
         base, cur = baseline[cid], current[cid]
-        for field in ("rounds", "messages", "bits"):
+        for field in COST_FIELDS:
             b, c = base.get(field), cur.get(field)
             if b is None or c is None:
                 continue
@@ -110,6 +121,10 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
                 notes.append(
                     f"{cid}: {field} improved {b} -> {c} "
                     f"(refresh the baseline to lock it in)")
+        for field in IDENTITY_FIELDS:
+            b, c = base.get(field), cur.get(field)
+            if b is not None and c is not None and b != c:
+                failures.append(f"{cid}: {field} changed {b} -> {c}")
 
     # Wall clock: machine-shaped, gate per --wall-mode.
     if wall_mode != "off":
@@ -289,7 +304,9 @@ def selftest():
     """The gate must fire on synthetic regressions and stay quiet on noise."""
     def cell(cid, rounds, wall):
         return {"cell": cid, "rounds": rounds, "messages": rounds * 10,
-                "bits": rounds * 100, "wall_ms": wall}
+                "bits": rounds * 100, "collectives": 2, "max_sent": 7,
+                "max_received": 7, "faults": 0,
+                "output_fp": "00000000000000aa", "wall_ms": wall}
 
     base = {r["cell"]: r for r in
             [cell("a/x/n=64", 8, 1.0), cell("b/x/n=64", 12, 2.0),
@@ -314,6 +331,26 @@ def selftest():
     f, _ = compare(base, worse, "off", 0.15)
     checks.append(("round regression fails", any(
         "rounds regressed 8 -> 9" in x for x in f)))
+
+    # Every deterministic field gates, not only the paper's three meters.
+    raised = {cid: dict(row) for cid, row in same.items()}
+    raised["b/x/n=64"]["max_received"] = 8
+    f, _ = compare(base, raised, "off", 0.15)
+    checks.append(("raised max_received fails", any(
+        "max_received regressed 7 -> 8" in x for x in f)))
+
+    fp = {cid: dict(row) for cid, row in same.items()}
+    fp["c/x/n=64"]["output_fp"] = "00000000000000ab"
+    f, _ = compare(base, fp, "off", 0.15)
+    checks.append(("changed output_fp fails", any(
+        "c/x/n=64: output_fp changed" in x for x in f)))
+
+    # A fault count has no better direction: fewer faults fail too.
+    faults = {cid: dict(row) for cid, row in base.items()}
+    faults["a/x/n=64"]["faults"] = 3
+    f, _ = compare(faults, same, "off", 0.15)
+    checks.append(("changed fault count fails", any(
+        "a/x/n=64: faults changed 3 -> 0" in x for x in f)))
 
     # Uniformly 3x slower machine: normalized mode passes, absolute fails.
     slow = {cid: dict(row, wall_ms=row["wall_ms"] * 3) for cid, row

@@ -4,13 +4,13 @@
 # Rebuilds the Release tree and reruns each JSON-writing bench with its
 # default sweep, rewriting the BENCH_*.json files at the repo root:
 #
-#   BENCH_routing.json    bench_routing     (router + backend tables)
-#   BENCH_exchange.json   bench_exchange    (exchange delivery, trace off/on)
 #   BENCH_kernels.json    bench_kernels     (local-compute kernels)
 #   BENCH_chaos.json      bench_chaos_verifiers (soundness campaign)
-#   BENCH_sharding.json   bench_sharding    (owner-computes backend)
 #   BENCH_mm_sparse.json  bench_mm_sparse   (sparse vs dense MM)
 #   BENCH_matrix.json     bench_matrix      (scenario matrix, default manifest)
+#   BENCH_scale.json      bench_matrix      (scale manifest: routing_uniform
+#                                            at n = 4096, pooled and sharded;
+#                                            about a minute, ~9 GB resident)
 #   BENCH_service.json    bench_service     (ccqd daemon, warm vs cold load)
 #
 # Every bench self-verifies (fatal on any result divergence), so a baseline
@@ -33,8 +33,8 @@ cd "$(dirname "$0")/.."
 
 BUILD=build-rel
 BENCHES=(
-  bench_routing bench_exchange bench_kernels bench_chaos_verifiers
-  bench_sharding bench_mm_sparse bench_matrix bench_service
+  bench_kernels bench_chaos_verifiers bench_mm_sparse bench_matrix
+  bench_service
 )
 
 # --only=<bench> selects a subset; the selection is validated against
@@ -96,14 +96,13 @@ run_bench() {
   fi
 }
 
-run_bench bench_routing
-run_bench bench_exchange
 run_bench bench_kernels
 run_bench bench_chaos_verifiers
-run_bench bench_sharding
 run_bench bench_mm_sparse
 run_bench bench_matrix --manifest=bench/manifests/default.json --check \
   --out=BENCH_matrix.json
+run_bench bench_matrix --manifest=bench/manifests/scale.json \
+  --out=BENCH_scale.json
 run_bench bench_service --check --out=BENCH_service.json
 
 echo
