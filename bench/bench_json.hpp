@@ -12,6 +12,7 @@
 //
 // TraceSession (below) is the shared --trace=<path> plumbing: construct it
 // first thing in main() and call finish() before writing BENCH_*.json.
+// ShapeChecks turns a bench's printed pass/fail markers into its exit code.
 
 #include <cstdint>
 #include <cstdio>
@@ -190,6 +191,21 @@ class TraceSession {
   RoundTrace trace_;
   std::string path_;
   bool finished_ = false;
+};
+
+/// A bench's shape checks: check(ok, pass, fail) returns the marker to
+/// print, and exit_code() is 1 once any check failed, so a failed check
+/// both shows in the table and fails the run.
+class ShapeChecks {
+ public:
+  const char* operator()(bool ok, const char* pass, const char* fail) {
+    failed_ = failed_ || !ok;
+    return ok ? pass : fail;
+  }
+  int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
 };
 
 }  // namespace ccq::benchjson

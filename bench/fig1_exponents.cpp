@@ -16,6 +16,7 @@ using namespace ccq;
 
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession ccq_trace_session(&argc, argv);
+  ccq::benchjson::ShapeChecks check;
   std::printf("FIG1: the fine-grained complexity map, measured\n\n");
 
   auto problems = figure1_problems();
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
     } else if (!measured(e.to) || !measured(e.from)) {
       status = "endpoint not in sweep";
     } else {
-      status = is_violated(e) ? "VIOLATED" : "holds (measured)";
+      status = check(!is_violated(e), "holds (measured)", "VIOLATED");
     }
     tb.add_row({e.to, e.from, e.source, status});
   }
@@ -82,5 +83,5 @@ int main(int argc, char** argv) {
       "1. Absolute exponents carry a log-factor drag at these n\n(B = "
       "⌈log₂n⌉ grows too), which inflates slopes toward the upper bounds.\n");
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return check.exit_code();
 }

@@ -24,6 +24,7 @@ using namespace ccq;
 
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession ccq_trace_session(&argc, argv);
+  ccq::benchjson::ShapeChecks check;
   std::printf("SEC8: randomness — MST baseline and MC->nondet\n\n");
 
   std::printf("(a) Deterministic Boruvka MST (the baseline the randomised\n"
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
     const bool ok = r.weight == oracle::msf_weight(g);
     ta.add_row({std::to_string(n), std::to_string(r.phases),
                 std::to_string(ceil_log2(n)), std::to_string(r.cost.rounds),
-                ok ? "yes" : "NO"});
+                check(ok, "yes", "NO")});
   }
   ta.print();
 
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
       vrounds = run.cost.rounds;
     }
     tb.add_row({c.name, expect ? "yes" : "no",
-                z ? (ok ? "yes (verified)" : "FAIL") : "no seed works",
+                z ? check(ok, "yes (verified)", "FAIL") : "no seed works",
                 z ? std::to_string(vrounds) : "-", std::to_string(tried)});
   }
   tb.print();
@@ -90,5 +91,5 @@ int main(int argc, char** argv) {
       "deterministic, while\nno-instances admit none — the §8 conversion, "
       "end to end.\n");
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return check.exit_code();
 }

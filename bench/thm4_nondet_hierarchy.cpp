@@ -17,6 +17,7 @@ using namespace ccq;
 
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession ccq_trace_session(&argc, argv);
+  ccq::benchjson::ShapeChecks check;
   std::printf("THM4: nondeterministic time hierarchy\n\n");
 
   std::printf("(a) Counting with the proof's parameters (t = T/4):\n");
@@ -29,8 +30,8 @@ int main(int argc, char** argv) {
                   std::to_string(row.L), std::to_string(row.M),
                   Table::fmt(row.loglog_nondet_protocols, 1),
                   Table::fmt(row.loglog_funcs, 1),
-                  row.inequality_holds ? "holds" : "FAILS",
-                  row.hard_function_exists ? "yes" : "NO"});
+                  check(row.inequality_holds, "holds", "FAILS"),
+                  check(row.hard_function_exists, "yes", "NO")});
     }
   }
   ta.print();
@@ -62,5 +63,5 @@ int main(int argc, char** argv) {
       "strictly enlarges the zero-round class (2 → 10 of\n16 functions) "
       "but still misses XOR-like functions.\n");
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return check.exit_code();
 }

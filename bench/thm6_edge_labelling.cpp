@@ -19,6 +19,7 @@ using namespace ccq;
 
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession ccq_trace_session(&argc, argv);
+  ccq::benchjson::ShapeChecks check;
   std::printf("THM6: the edge-labelling canonical family for NCLIQUE(1)\n\n");
 
   struct Case {
@@ -59,10 +60,10 @@ int main(int argc, char** argv) {
       no_ok = !edge_labelling_satisfied(c.no, p, forged);
     }
     t.add_row({c.v.name, std::to_string(bits),
-               bits <= 4 * (node_id_bits(n) + 3) * c.v.rounds(n) ? "yes"
-                                                                 : "NO",
-               yes_ok ? "labels exist+verify" : "FAIL",
-               no_ok ? "rejected" : "FAIL"});
+               check(bits <= 4 * (node_id_bits(n) + 3) * c.v.rounds(n), "yes",
+                     "NO"),
+               check(yes_ok, "labels exist+verify", "FAIL"),
+               check(no_ok, "rejected", "FAIL")});
   }
   t.print();
 
@@ -79,5 +80,5 @@ int main(int argc, char** argv) {
       "labelling is\nsolvable exactly on the verifier's yes-instances — "
       "Theorem 6's canonical-family\nclaim, run concretely.\n");
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return check.exit_code();
 }

@@ -20,6 +20,7 @@ using namespace ccq;
 
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession ccq_trace_session(&argc, argv);
+  ccq::benchjson::ShapeChecks check;
   std::printf("THM7: all problems are in Sigma_2 (unlimited labels)\n\n");
 
   struct Lang {
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     auto algo2 = sigma2_universal(lang.name, lang.f);
     const bool caught = !accepts_for_all_suffix(truth, algo2, z1);
     t.add_row({lang.name, std::to_string(total), std::to_string(correct),
-               caught ? "yes" : "NO"});
+               check(caught, "yes", "NO")});
   }
   t.print();
 
@@ -88,5 +89,5 @@ int main(int argc, char** argv) {
       "O(n log n) budget from n = 8 on —\nwhich is why the logarithmic "
       "hierarchy does NOT collapse (Theorem 8).\n");
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return check.exit_code();
 }

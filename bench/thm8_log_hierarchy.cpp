@@ -15,6 +15,7 @@ using namespace ccq;
 
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession ccq_trace_session(&argc, argv);
+  ccq::benchjson::ShapeChecks check;
   std::printf(
       "THM8: a problem outside every level of the logarithmic "
       "hierarchy\n\n");
@@ -31,8 +32,8 @@ int main(int argc, char** argv) {
                   std::to_string(k * row.M + row.L),
                   Table::fmt(row.loglog_protocols, 1),
                   Table::fmt(row.loglog_funcs, 1),
-                  row.inequality_holds ? "holds" : "FAILS",
-                  row.hard_function_exists ? "yes" : "NO"});
+                  check(row.inequality_holds, "holds", "FAILS"),
+                  check(row.hard_function_exists, "yes", "NO")});
     }
   }
   ta.print();
@@ -56,5 +57,5 @@ int main(int argc, char** argv) {
       "(both levels sit at 10/16), matching the proof's intuition that\n"
       "label *size*, not alternation depth, is the binding resource here.\n");
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return check.exit_code();
 }

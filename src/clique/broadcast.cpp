@@ -3,17 +3,11 @@
 namespace ccq {
 
 std::vector<std::optional<Word>> BcastCtx::round(std::optional<Word> mine) {
-  std::vector<std::pair<NodeId, Word>> sends;
-  if (mine.has_value()) {
-    sends.reserve(n() > 0 ? n() - 1 : 0);
-    for (NodeId v = 0; v < n(); ++v) {
-      if (v != id()) sends.emplace_back(v, *mine);
-    }
-  }
-  // round_flat keeps round()'s cost semantics (exactly 1 round even when
-  // everyone stays silent) but returns arena-backed spans, skipping the
-  // per-call queue allocations of the generic round().
-  const FlatInbox in = inner_.round_flat(sends);
+  // A 0- or 1-word broadcast: round()'s cost semantics (exactly 1 round
+  // even when everyone stays silent), with the word stored once.
+  const FlatInbox in = inner_.round_broadcast(
+      mine.has_value() ? std::span<const Word>(&*mine, 1)
+                       : std::span<const Word>());
   std::vector<std::optional<Word>> received(n());
   for (NodeId v = 0; v < n(); ++v) {
     const auto got = in.from(v);

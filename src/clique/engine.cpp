@@ -319,36 +319,55 @@ std::vector<BitVector> NodeCtx::broadcast(const BitVector& mine) {
   return result;
 }
 
+FlatInbox NodeCtx::round_broadcast(std::span<const Word> mine) {
+  st_->sched->collective(
+      id_, OpTag{detail::kOpRound, 0},
+      [&] { st_->plane->deposit_broadcast(id_, mine); },
+      [st = st_] {
+        detail::deliver(*st, detail::kOpRound);
+        detail::charge_rounds(*st, 1);
+      });
+  return st_->plane->inbox(id_);
+}
+
+namespace {
+
+// Source `src`'s bit in a one-bit broadcast round. Another node may have
+// met the same collective through round_flat without a word for us.
+bool shared_bit(const FlatInbox& in, NodeId src) {
+  const auto got = in.from(src);
+  CCQ_CHECK_MSG(!got.empty(), "share_bit: missing bit");
+  return got.front().value != 0;
+}
+
+// Set bits in a one-bit broadcast round, `mine` standing in for self.
+// Every source is checked: no early exit.
+NodeId ones(const FlatInbox& in, NodeId self, bool mine) {
+  NodeId count = mine ? 1 : 0;
+  for (NodeId v = 0; v < in.n(); ++v)
+    if (v != self) count += shared_bit(in, v) ? 1 : 0;
+  return count;
+}
+
+}  // namespace
+
 std::vector<bool> NodeCtx::share_bit(bool mine) {
-  const NodeId nn = st_->n;
-  std::vector<std::pair<NodeId, Word>> sends;
-  sends.reserve(nn > 0 ? nn - 1 : 0);
-  for (NodeId v = 0; v < nn; ++v) {
-    if (v != id_) sends.emplace_back(v, Word(mine ? 1 : 0, 1));
-  }
-  auto received = round(sends);
-  std::vector<bool> bits(nn, false);
-  for (NodeId v = 0; v < nn; ++v) {
-    if (v == id_) {
-      bits[v] = mine;
-    } else {
-      CCQ_CHECK_MSG(received[v].has_value(), "share_bit: missing bit");
-      bits[v] = received[v]->value != 0;
-    }
-  }
+  const Word w(mine ? 1 : 0, 1);
+  const FlatInbox in = round_broadcast({&w, 1});
+  std::vector<bool> bits(st_->n, false);
+  for (NodeId v = 0; v < st_->n; ++v)
+    bits[v] = v == id_ ? mine : shared_bit(in, v);
   return bits;
 }
 
 bool NodeCtx::any(bool mine) {
-  for (bool b : share_bit(mine))
-    if (b) return true;
-  return false;
+  const Word w(mine ? 1 : 0, 1);
+  return ones(round_broadcast({&w, 1}), id_, mine) > 0;
 }
 
 bool NodeCtx::all(bool mine) {
-  for (bool b : share_bit(mine))
-    if (!b) return false;
-  return true;
+  const Word w(mine ? 1 : 0, 1);
+  return ones(round_broadcast({&w, 1}), id_, mine) == st_->n;
 }
 
 void NodeCtx::output(std::uint64_t value) {

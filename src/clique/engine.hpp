@@ -44,6 +44,7 @@ namespace ccq {
 
 class RoundTrace;  // clique/trace.hpp
 class ChaosPlan;   // clique/chaos.hpp
+class BcastCtx;    // clique/broadcast.hpp
 
 namespace detail {
 struct SharedState;
@@ -137,8 +138,15 @@ class NodeCtx {
 
  private:
   friend class Engine;
+  friend class BcastCtx;
   friend struct detail::EngineAccess;
   NodeCtx(NodeId id, detail::SharedState* st) : id_(id), st_(st) {}
+
+  /// One round in which every node broadcasts `mine` (at most one word,
+  /// possibly none) to every other node: round() semantics and trace op,
+  /// but the plane stores each word once. Behind share_bit/any/all and
+  /// BcastCtx::round; nodes may mix it with round_flat in one collective.
+  FlatInbox round_broadcast(std::span<const Word> mine);
 
   NodeId id_;
   detail::SharedState* st_;

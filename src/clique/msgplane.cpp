@@ -11,11 +11,14 @@ namespace ccq {
 class FlatInboxAccess {
  public:
   static FlatInbox flat(const Word* words, const std::uint32_t* cursor,
-                        const std::uint32_t* counts, NodeId self, NodeId n) {
+                        const std::uint32_t* counts,
+                        const detail::BroadcastSlot* bcast, NodeId self,
+                        NodeId n) {
     FlatInbox ib;
     ib.words_ = words;
     ib.cursor_ = cursor;
     ib.counts_ = counts;
+    ib.bcast_ = bcast;
     ib.self_ = self;
     ib.n_ = n;
     return ib;
@@ -52,20 +55,33 @@ struct NodeStats {
 // FlatPlane: arena-backed counting-sort delivery.
 //
 // Deposits record a pointer to the node's outbox and fill the node's row of
-// a [src][dst] histogram (validating bandwidth in the same scan). Delivery
-// runs entirely over persisted arrays:
+// a [src][dst] histogram (validating bandwidth in the same scan). A
+// broadcast deposit instead leaves its row all zero and records its length
+// in a per-source broadcast slot: its words are stored once, and every
+// receiver reads the same region. The arena is laid out as
 //
-//   1. fold per-source stats into the meter, in id order (serial, O(n));
-//   2. column sums → words per destination, and received_words (parallel
-//      over destination chunks);
-//   3. exclusive prefix over destinations → each destination's base offset
-//      in the shared arena (serial, O(n));
+//   [ broadcast regions, in source-id order | inbox of dst 0 | dst 1 | ... ]
+//
+// Delivery runs entirely over persisted arrays:
+//
+//   1. fold per-source stats into the meter and give each broadcast source
+//      its region offset, in id order (serial, O(n));
+//   2. column sums → run words per destination (parallel over destination
+//      chunks);
+//   3. exclusive prefix over destinations, starting after the broadcast
+//      regions → each destination's base offset in the shared arena, and
+//      received_words (serial, O(n));
 //   4. per-pair cursors: cursor[u][v] = base[v] + Σ_{u'<u} counts[u'][v],
 //      i.e. where source u's run for destination v starts (parallel over
 //      destination chunks — each chunk walks its columns top-down);
 //   5. scatter: each source copies its words through its cursor row, leaving
-//      every cursor one past the end of its run (parallel over source
-//      chunks). FlatInbox recovers a run as [cursor - count, cursor).
+//      every cursor one past the end of its run, and each broadcast source
+//      copies its words once into its region (parallel over source chunks).
+//      FlatInbox recovers a run as [cursor - count, cursor).
+//
+// A collective in which every deposit is a broadcast touches no histogram
+// block, so passes 2 and 4 are not dispatched at all: it costs O(n + words)
+// instead of O(n² · L).
 //
 // Every parallel pass writes data partitioned by node id, and every serial
 // reduction iterates in id order, so results are bit-identical for any
@@ -83,12 +99,14 @@ struct NodeStats {
 // of this rests: a clear chunk bit implies every count in that chunk of
 // the row is zero (bits may over-approximate the other way).
 //
-// The histogram is double-buffered: a node may deposit for collective k+1
-// while a straggler still reads its collective-k inbox (whose FlatInbox
-// dereferences the *delivered* histogram), so deposits must not scribble on
-// the buffer backing live inboxes. The arena and cursors need no buffering:
-// they are rewritten only inside deliver(), which runs after every node has
-// parked — no inbox from the previous collective can still be read.
+// The histogram, its touch masks and the broadcast slots are
+// double-buffered: a node may deposit for collective k+1 while a straggler
+// still reads its collective-k inbox (whose FlatInbox dereferences the
+// *delivered* histogram and slots), so deposits must not scribble on the
+// buffers backing live inboxes. The arena, the cursors and the slots'
+// offsets need no buffering: they are written only inside deliver(), which
+// runs after every node has parked — no inbox from the previous collective
+// can still be read.
 // ---------------------------------------------------------------------------
 class FlatPlane final : public MessagePlane {
  public:
@@ -108,6 +126,8 @@ class FlatPlane final : public MessagePlane {
     touch_[0].assign(static_cast<std::size_t>(n) * mask_words_, 0);
     touch_[1].assign(static_cast<std::size_t>(n) * mask_words_, 0);
     block_touch_.assign(num_chunks() * mask_words_, 0);
+    bcast_[0].assign(n, {});
+    bcast_[1].assign(n, {});
   }
 
   void deposit_runs(NodeId self, std::span<const WordRun> runs) override {
@@ -137,6 +157,7 @@ class FlatPlane final : public MessagePlane {
       s.row_max = std::max(s.row_max, q);
     }
     stats_[self] = s;
+    slot(self).len = 0;  // not a broadcast
     deposits_[self] =
         Deposit{Deposit::kRuns, runs.data(), nullptr, nullptr, runs.size()};
   }
@@ -174,6 +195,7 @@ class FlatPlane final : public MessagePlane {
       }
     }
     stats_[self] = s;
+    slot(self).len = 0;  // not a broadcast
     deposits_[self] =
         Deposit{Deposit::kPairs, nullptr, out.data(), nullptr, out.size()};
   }
@@ -187,19 +209,14 @@ class FlatPlane final : public MessagePlane {
                         << "-bit word but B = " << bandwidth_);
       wbits += w.bits;
     }
-    std::uint32_t* cnt = row(self);
     CCQ_CHECK_MSG(words.size() <= 0xffffffffull,
                   "broadcast exceeds 2^32 words");
     const std::uint32_t k = static_cast<std::uint32_t>(words.size());
-    std::fill_n(cnt, n_, k);
-    cnt[self] = 0;
-    // Dense row: every chunk is (over-approximately, around self) touched.
-    std::uint64_t* m = mask(self);
-    if (k > 0) {
-      fill_all_touched(m);
-    } else {
-      std::fill_n(m, mask_words_, std::uint64_t{0});
-    }
+    // The words go once into the arena's broadcast region, not through this
+    // row: leave the row all zero and its mask clear, so passes 2 and 4
+    // skip it and FlatInbox::from reads the slot instead.
+    clear_touched(row(self), mask(self));
+    slot(self).len = k;
     NodeStats s;
     if (n_ > 1 && k > 0) {
       s.msgs = static_cast<std::uint64_t>(n_ - 1) * k;
@@ -213,59 +230,72 @@ class FlatPlane final : public MessagePlane {
 
   void deliver(Scheduler& sched, DeliveryAccounting& acc) override {
     const std::uint32_t* cnt = counts_[parity_].data();
+    BroadcastSlot* bc = bcast_[parity_].data();
+    // Pass 1: the meter, and the broadcast regions in source-id order at
+    // the front of the arena (a non-broadcasting source gets an empty one).
+    std::uint64_t bcast_words = 0;
     for (NodeId u = 0; u < n_; ++u) {
       const NodeStats& s = stats_[u];
       acc.max_queue = std::max(acc.max_queue, s.row_max);
       acc.messages += s.msgs;
       acc.bits += s.bits;
       acc.sent_words[u] += s.msgs;
+      // Truncation past 2^32 is caught by the in-flight check below,
+      // before any offset is used.
+      bc[u].off = static_cast<std::uint32_t>(bcast_words);
+      bcast_words += bc[u].len;
     }
 
     const std::size_t chunks = num_chunks();
     // Pass 1.5: fold the per-source touch masks into per-source-block masks
     // (OR over each kChunk-source block). Serial and O(n · maskwords) —
     // cheap next to what it lets passes 2 and 4 skip.
+    std::uint64_t touched = 0;
     {
       std::fill(block_touch_.begin(), block_touch_.end(), std::uint64_t{0});
       const std::uint64_t* tm = touch_[parity_].data();
       for (NodeId u = 0; u < n_; ++u) {
         std::uint64_t* bt = block_touch_.data() + (u / kChunk) * mask_words_;
         const std::uint64_t* rm = tm + static_cast<std::size_t>(u) * mask_words_;
-        for (std::size_t i = 0; i < mask_words_; ++i) bt[i] |= rm[i];
+        for (std::size_t i = 0; i < mask_words_; ++i) {
+          bt[i] |= rm[i];
+          touched |= rm[i];
+        }
       }
     }
 
-    // Pass 2: column sums + received_words, chunked by destination; source
-    // blocks that deposited nothing for this destination chunk are skipped
-    // wholesale (the shard×shard block-sparse walk).
-    sched.leader_parallel_for(chunks, [&](std::size_t c) {
-      const NodeId v0 = chunk_begin(c), v1 = chunk_end(c);
-      std::fill(col_base_.begin() + v0 + 1, col_base_.begin() + v1 + 1,
-                std::uint64_t{0});
-      const std::size_t cw = c >> 6;
-      const std::uint64_t cb = std::uint64_t{1} << (c & 63);
-      for (std::size_t b = 0; b < chunks; ++b) {
-        if (!(block_touch_[b * mask_words_ + cw] & cb)) continue;
-        const NodeId u0 = chunk_begin(b), u1 = chunk_end(b);
-        for (NodeId u = u0; u < u1; ++u) {
-          const std::uint32_t* r = cnt + static_cast<std::size_t>(u) * n_;
-          for (NodeId v = v0; v < v1; ++v) col_base_[v + 1] += r[v];
+    // Pass 2: column sums, chunked by destination; source blocks that
+    // deposited nothing for this destination chunk are skipped wholesale
+    // (the shard×shard block-sparse walk), and with no touched block at all
+    // (every deposit a broadcast, or nothing sent) so is the dispatch.
+    std::fill(col_base_.begin(), col_base_.end(), std::uint64_t{0});
+    if (touched != 0) {
+      sched.leader_parallel_for(chunks, [&](std::size_t c) {
+        const NodeId v0 = chunk_begin(c), v1 = chunk_end(c);
+        const std::size_t cw = c >> 6;
+        const std::uint64_t cb = std::uint64_t{1} << (c & 63);
+        for (std::size_t b = 0; b < chunks; ++b) {
+          if (!(block_touch_[b * mask_words_ + cw] & cb)) continue;
+          const NodeId u0 = chunk_begin(b), u1 = chunk_end(b);
+          for (NodeId u = u0; u < u1; ++u) {
+            const std::uint32_t* r = cnt + static_cast<std::size_t>(u) * n_;
+            for (NodeId v = v0; v < v1; ++v) col_base_[v + 1] += r[v];
+          }
         }
-      }
-      for (NodeId v = v0; v < v1; ++v) {
-        acc.received_words[v] +=
-            col_base_[v + 1] - cnt[static_cast<std::size_t>(v) * n_ + v];
-      }
-    });
+      });
+    }
 
-    // Pass 3: exclusive prefix → per-destination arena base. Before the
-    // prefix folds it away, col_base_[v + 1] is still v's raw column sum,
-    // so the receiver-side max (self run excluded) falls out for free.
-    col_base_[0] = 0;
+    // Pass 3: exclusive prefix → per-destination arena base, after the
+    // broadcast regions. Before the prefix folds it away, col_base_[v + 1]
+    // is still v's raw column sum, so v's received words (self run and own
+    // broadcast excluded) and the receiver-side max fall out for free.
+    col_base_[0] = bcast_words;
     for (NodeId v = 0; v < n_; ++v) {
-      acc.max_node_in = std::max(
-          acc.max_node_in,
-          col_base_[v + 1] - cnt[static_cast<std::size_t>(v) * n_ + v]);
+      const std::uint64_t in = col_base_[v + 1] -
+                               cnt[static_cast<std::size_t>(v) * n_ + v] +
+                               bcast_words - bc[v].len;
+      acc.received_words[v] += in;
+      acc.max_node_in = std::max(acc.max_node_in, in);
       col_base_[v + 1] += col_base_[v];
     }
     const std::uint64_t total = col_base_[n_];
@@ -279,29 +309,31 @@ class FlatPlane final : public MessagePlane {
     // counts are all zero (mask invariant), so the running cursors pass over
     // it unchanged; its cursor entries keep stale values, which are never
     // read (count == 0 ⇒ FlatInbox::from returns early).
-    sched.leader_parallel_for(chunks, [&](std::size_t c) {
-      const NodeId v0 = chunk_begin(c), v1 = chunk_end(c);
-      const std::size_t cw = c >> 6;
-      const std::uint64_t cb = std::uint64_t{1} << (c & 63);
-      std::uint32_t run[kChunk];
-      for (NodeId v = v0; v < v1; ++v) {
-        run[v - v0] = static_cast<std::uint32_t>(col_base_[v]);
-      }
-      for (std::size_t b = 0; b < chunks; ++b) {
-        if (!(block_touch_[b * mask_words_ + cw] & cb)) continue;
-        const NodeId u0 = chunk_begin(b), u1 = chunk_end(b);
-        for (NodeId u = u0; u < u1; ++u) {
-          const std::size_t base = static_cast<std::size_t>(u) * n_;
-          for (NodeId v = v0; v < v1; ++v) {
-            cursor_[base + v] = run[v - v0];
-            run[v - v0] += cnt[base + v];
+    if (touched != 0) {
+      sched.leader_parallel_for(chunks, [&](std::size_t c) {
+        const NodeId v0 = chunk_begin(c), v1 = chunk_end(c);
+        const std::size_t cw = c >> 6;
+        const std::uint64_t cb = std::uint64_t{1} << (c & 63);
+        std::uint32_t run[kChunk];
+        for (NodeId v = v0; v < v1; ++v) {
+          run[v - v0] = static_cast<std::uint32_t>(col_base_[v]);
+        }
+        for (std::size_t b = 0; b < chunks; ++b) {
+          if (!(block_touch_[b * mask_words_ + cw] & cb)) continue;
+          const NodeId u0 = chunk_begin(b), u1 = chunk_end(b);
+          for (NodeId u = u0; u < u1; ++u) {
+            const std::size_t base = static_cast<std::size_t>(u) * n_;
+            for (NodeId v = v0; v < v1; ++v) {
+              cursor_[base + v] = run[v - v0];
+              run[v - v0] += cnt[base + v];
+            }
           }
         }
-      }
-    });
+      });
+    }
 
     // Pass 5: scatter, chunked by source; cursors finish one past the end
-    // of each run.
+    // of each run, and each broadcast lands once in its region.
     sched.leader_parallel_for(chunks, [&](std::size_t c) {
       const NodeId u0 = chunk_begin(c), u1 = chunk_end(c);
       for (NodeId u = u0; u < u1; ++u) scatter(u);
@@ -313,7 +345,8 @@ class FlatPlane final : public MessagePlane {
 
   FlatInbox inbox(NodeId self) override {
     return FlatInboxAccess::flat(arena_.data(), cursor_.data(),
-                                 counts_[read_parity_].data(), self, n_);
+                                 counts_[read_parity_].data(),
+                                 bcast_[read_parity_].data(), self, n_);
   }
 
  private:
@@ -340,17 +373,10 @@ class FlatPlane final : public MessagePlane {
   std::uint64_t* mask(NodeId u) {
     return touch_[parity_].data() + static_cast<std::size_t>(u) * mask_words_;
   }
+  BroadcastSlot& slot(NodeId u) { return bcast_[parity_][u]; }
   static void set_touch(std::uint64_t* m, NodeId dst) {
     const std::size_t c = dst / kChunk;
     m[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-  /// Dense-row mask: every valid chunk bit set. The tail bits of the last
-  /// word stay clear — clear_touched walks set bits as chunk indices, so a
-  /// spurious bit would name a chunk past the histogram row.
-  void fill_all_touched(std::uint64_t* m) const {
-    std::fill_n(m, mask_words_, ~std::uint64_t{0});
-    const unsigned tail = static_cast<unsigned>(num_chunks() & 63);
-    if (tail != 0) m[mask_words_ - 1] = (std::uint64_t{1} << tail) - 1;
   }
   /// Zero exactly the count chunks the mask marks, then the mask itself —
   /// restoring the invariant "clear bit ⇒ all-zero chunk" for this row.
@@ -388,11 +414,7 @@ class FlatPlane final : public MessagePlane {
         }
         break;
       case Deposit::kBcast:
-        for (NodeId v = 0; v < n_; ++v) {
-          if (v == u) continue;
-          std::copy(d.bcast, d.bcast + d.count, arena + cur[v]);
-          cur[v] += static_cast<std::uint32_t>(d.count);
-        }
+        std::copy(d.bcast, d.bcast + d.count, arena + bcast_[parity_][u].off);
         break;
     }
   }
@@ -413,6 +435,9 @@ class FlatPlane final : public MessagePlane {
   std::size_t mask_words_ = 0;              // ceil(num_chunks / 64)
   std::vector<std::uint64_t> touch_[2];     // [src * mask_words + w]
   std::vector<std::uint64_t> block_touch_;  // [src_chunk * mask_words + w]
+  // Per-source broadcast slots, double-buffered in lockstep with counts_:
+  // deposits write len, deliver() writes off.
+  std::vector<BroadcastSlot> bcast_[2];  // [src]
 };
 
 #undef CCQ_BANDWIDTH_CHECK

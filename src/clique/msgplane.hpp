@@ -19,7 +19,8 @@
 //
 // A node deposits its outbox in one of three shapes: runs (spans of words,
 // each to one destination — the bulk exchange form), (dst, word) pairs, or
-// one word sequence broadcast to every other node.
+// one word sequence broadcast to every other node. A broadcast is stored
+// once, not once per receiver: every inbox reads the same arena region.
 //
 // Inboxes and meters are pinned against a test-only reference delivery
 // (tests/clique/msgplane_test.cpp) across backends, worker counts and
@@ -47,12 +48,30 @@ struct WordRun {
   std::span<const Word> words;
 };
 
+namespace detail {
+/// One source's broadcast region in the plane's arena: `len` words at
+/// offset `off`, read by every other node. len == 0 for a source that
+/// deposited runs or pairs, or broadcast nothing.
+struct BroadcastSlot {
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+};
+}  // namespace detail
+
 /// Read-only view of one node's delivered inbox: the words received from
 /// each source, FIFO per source, as spans into the plane's storage. Valid
 /// until this node's next collective (the next delivery reuses the arena).
 class FlatInbox {
  public:
   std::span<const Word> from(NodeId src) const {
+    // A broadcasting source's words sit once in the arena's broadcast
+    // region, shared by every receiver but the source itself; its
+    // histogram row is all zero.
+    const detail::BroadcastSlot b = bcast_[src];
+    if (b.len != 0) {
+      if (src == self_) return {};
+      return {words_ + b.off, b.len};
+    }
     // Cursors sit one past the end of each (src → self) run after the
     // scatter; the run length is the histogram entry. An empty run must not
     // touch the cursor at all — the block-sparse delivery passes skip cursor
@@ -73,6 +92,7 @@ class FlatInbox {
   // the engine checks).
   const std::uint32_t* cursor_ = nullptr;
   const std::uint32_t* counts_ = nullptr;
+  const detail::BroadcastSlot* bcast_ = nullptr;  // [src]
   NodeId self_ = 0;
   NodeId n_ = 0;
 };
@@ -116,7 +136,9 @@ class MessagePlane {
   virtual void deposit_pairs(NodeId self,
                              std::span<const std::pair<NodeId, Word>> out,
                              bool unique_dst) = 0;
-  /// Outbox = the same word sequence to every other node (broadcast).
+  /// Outbox = the same word sequence to every other node (broadcast),
+  /// metered as n − 1 copies. Under one tag some nodes may broadcast while
+  /// others deposit runs or pairs.
   virtual void deposit_broadcast(NodeId self,
                                  std::span<const Word> words) = 0;
 

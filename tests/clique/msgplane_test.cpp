@@ -6,10 +6,12 @@
 // backend and worker count. A test-only reference delivery below writes
 // that rule out directly. The property test drives ~100 randomised traffic
 // patterns (skewed all-to-all, single hot pair, empty, random sparse with
-// self-sends) through every backend setup, in every deposit shape (pairs,
+// self-sends) through every backend setup and a fault-free chaos wrapper,
+// at n = 16 and at n = 1 and 2, in every deposit shape (pairs,
 // per-destination runs, maximal runs over one buffer, runs aliasing one
-// buffer, round, broadcast), and requires every node's inbox and the
-// RunResult to match the reference exactly. Targeted tests pin FIFO order,
+// buffer, round, broadcast, and one round mixing broadcast and pair
+// deposits), and requires every node's inbox and the RunResult to match
+// the reference exactly. Targeted tests pin FIFO order,
 // free self-delivery and validation at deposit time, on the bare plane and
 // under a fault-free chaos wrapper; and the run form's validation messages
 // and its chaos fault ledger.
@@ -27,6 +29,7 @@
 #include "clique/chaos.hpp"
 #include "clique/engine.hpp"
 #include "graph/generators.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 
 namespace ccq {
@@ -47,10 +50,21 @@ const BackendSetup kSetups[] = {
     {ExecutionBackend::kSharded, 0, "sharded-hw"},
 };
 
-Engine::Config config_for(const BackendSetup& s) {
+// The setup's config on an n-node clique (worker and shard counts capped
+// at n, which run() requires).
+Engine::Config config_for(const BackendSetup& s, NodeId n) {
   Engine::Config cfg;
   cfg.backend = s.backend;
-  cfg.workers = s.workers;
+  cfg.workers = std::min<std::size_t>(s.workers, n);
+  return cfg;
+}
+
+// The bare plane (chaos = false) or the plane under a fault-free chaos plan
+// (an exact no-op on traffic, but every deposit takes the wrapper's path).
+// `plan` must outlive the run.
+Engine::Config plane_config(bool chaos, ChaosPlan& plan) {
+  Engine::Config cfg;
+  if (chaos) cfg.chaos = &plan;
   return cfg;
 }
 
@@ -226,6 +240,21 @@ BitVector broadcast_bits(std::uint64_t seed) {
   return mine;
 }
 
+// The mixed round's bit and its pair form: node `id` sends Word(bit, 1)
+// to every other node, either through share_bit or as n − 1 round_flat
+// pairs (traffic_program picks by the parity of seed + id).
+bool mixed_bit(NodeId id, std::uint64_t seed) {
+  return ((seed * 3 + id * 5) >> 1) & 1;
+}
+
+Outbox mixed_sends(NodeId id, NodeId n, std::uint64_t seed) {
+  Outbox sends;
+  for (NodeId dst = 0; dst < n; ++dst) {
+    if (dst != id) sends.emplace_back(dst, Word(mixed_bit(id, seed), 1));
+  }
+  return sends;
+}
+
 // traffic_program's collectives, in order.
 enum Collective : int {
   kQueueRuns = 0,    // one run per destination (empty ones included)
@@ -234,7 +263,8 @@ enum Collective : int {
   kAliasedRuns = 3,  // aliased_runs
   kRound = 4,        // round_flat(ring_sends)
   kBroadcast = 5,    // broadcast(broadcast_bits)
-  kCollectives = 6,
+  kMixedRound = 6,   // share_bit or round_flat(mixed_sends), per node
+  kCollectives = 7,
 };
 
 // Every inbox a node read: [collective][node][src].
@@ -295,6 +325,16 @@ void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind,
   for (NodeId src = 0; src < n; ++src) {
     if (src != id) got[kBroadcast][id][src] = encode_bits(all[src], B);
   }
+  // One round tag, two deposit shapes: broadcast and pairs in one delivery.
+  if ((seed + id) % 2 == 0) {
+    const std::vector<bool> bits = ctx.share_bit(mixed_bit(id, seed));
+    got[kMixedRound][id].assign(n, {});
+    for (NodeId src = 0; src < n; ++src) {
+      if (src != id) got[kMixedRound][id][src] = {Word(bits[src], 1)};
+    }
+  } else {
+    keep(kMixedRound, ctx.round_flat(mixed_sends(id, n, seed)));
+  }
   ctx.output(fingerprint(got, id));
 }
 
@@ -322,6 +362,7 @@ Expected expected_traffic(NodeId n, unsigned B, std::uint64_t seed,
       }
     }
     outboxes[kRound][v] = ring_sends(v, n, seed);
+    outboxes[kMixedRound][v] = mixed_sends(v, n, seed);
     for (NodeId dst = 0; dst < n; ++dst) {
       if (dst == v) continue;
       for (const Word& w : encode_bits(broadcast_bits(seed), B)) {
@@ -335,9 +376,15 @@ Expected expected_traffic(NodeId n, unsigned B, std::uint64_t seed,
   for (int c = 0; c < kCollectives; ++c) {
     const Reference r = reference_delivery(outboxes[c]);
     e.inboxes.push_back(r.inbox);
-    // A round costs exactly 1; an exchange or broadcast drains its longest
-    // queue (a broadcast's ⌈L/B⌉ words per pair).
-    cost.rounds += c == kRound ? 1 : r.max_queue;
+    // A round costs exactly 1 and a broadcast of L bits ⌈L/B⌉, even with
+    // no receiver (n = 1); an exchange drains its longest queue.
+    if (c == kRound || c == kMixedRound) {
+      cost.rounds += 1;
+    } else if (c == kBroadcast) {
+      cost.rounds += ceil_div(broadcast_bits(seed).size(), B);
+    } else {
+      cost.rounds += r.max_queue;
+    }
     cost.messages += r.messages;
     cost.bits += r.bits;
     cost.collectives += 1;
@@ -377,38 +424,44 @@ void expect_reference_traffic(const Graph& g, std::uint64_t seed, int kind,
 }
 
 TEST(MsgPlaneProperty, RandomTrafficIdenticalAcrossPlanesAndBackends) {
-  const Graph g = gen::gnp(16, 0.4, 7);
   int patterns = 0;
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    for (int kind = 0; kind < kPatternKinds; ++kind) {
-      ++patterns;
-      for (const BackendSetup& setup : kSetups) {
-        const std::string name = std::string(setup.name) + " seed=" +
-                                 std::to_string(seed) + " kind=" +
-                                 std::to_string(kind);
-        expect_reference_traffic(g, seed, kind, config_for(setup), name);
+  // n = 1 and 2 reach the shape rules' edges (no other node, one other
+  // node) on fewer seeds.
+  for (const Graph& g : {gen::gnp(16, 0.4, 7), gen::empty(1), gen::empty(2)}) {
+    const std::uint64_t seeds = g.n() > 2 ? 25 : 6;
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      for (int kind = 0; kind < kPatternKinds; ++kind) {
+        ++patterns;
+        const std::string pattern = " n=" + std::to_string(g.n()) +
+                                    " seed=" + std::to_string(seed) +
+                                    " kind=" + std::to_string(kind);
+        for (const BackendSetup& setup : kSetups) {
+          expect_reference_traffic(g, seed, kind, config_for(setup, g.n()),
+                                   setup.name + pattern);
+        }
+        ChaosPlan plan;
+        expect_reference_traffic(g, seed, kind, plane_config(true, plan),
+                                 "chaos" + pattern);
       }
     }
   }
-  EXPECT_EQ(patterns, 100);
+  EXPECT_EQ(patterns, 100 + 2 * 24);
 }
 
-// A larger clique on the default (pooled) backend.
+// A larger clique, on every backend setup and under a fault-free chaos
+// plan.
 TEST(MsgPlaneProperty, LargerCliqueFlatMatchesLegacy) {
-  expect_reference_traffic(gen::gnp(96, 0.3, 11), 42, kSkewedAllToAll,
-                           Engine::Config{}, "n=96");
+  const Graph g = gen::gnp(96, 0.3, 11);
+  for (const BackendSetup& setup : kSetups) {
+    expect_reference_traffic(g, 42, kSkewedAllToAll, config_for(setup, 96),
+                             std::string("n=96 ") + setup.name);
+  }
+  ChaosPlan plan;
+  expect_reference_traffic(g, 42, kSkewedAllToAll, plane_config(true, plan),
+                           "n=96 chaos");
 }
 
 // ---- targeted plane behaviours --------------------------------------------
-
-// The bare plane (chaos = false) or the plane under a fault-free chaos plan
-// (an exact no-op on traffic, but every deposit takes the wrapper's path).
-// `plan` must outlive the run.
-Engine::Config plane_config(bool chaos, ChaosPlan& plan) {
-  Engine::Config cfg;
-  if (chaos) cfg.chaos = &plan;
-  return cfg;
-}
 
 TEST(MsgPlaneFlat, SpanViewMatchesQueueViewPerSourceFifo) {
   const Graph g = gen::empty(8);
