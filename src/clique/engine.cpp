@@ -408,8 +408,8 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
                 "every word a bandwidth violation)");
   CCQ_CHECK_MSG(config.workers <= n,
                 "config.workers = " << config.workers << " exceeds n = " << n
-                                    << "; a worker (or shard) beyond the "
-                                       "node count can never own a node");
+                                    << "; a worker beyond the node count "
+                                       "can never own a node");
   for (const Labelling& z : instance.labels) {
     CCQ_CHECK_MSG(z.size() == n, "labelling must assign a label per node");
   }

@@ -19,12 +19,11 @@
 //
 // Node programs execute on a pluggable scheduler backend
 // (Config::backend, see clique/scheduler.hpp): by default they run as
-// cooperatively yielding fibers over a fixed worker pool, one superstep
-// per collective; ExecutionBackend::kSharded statically shards the node id
-// space across workers (owner-computes, for n ≫ cores — DESIGN.md §12);
-// ExecutionBackend::kThreadPerNode keeps the historical thread-per-node
-// execution as a reference. Results are bit-for-bit identical across
-// backends, worker counts, shard counts, and schedules.
+// cooperatively yielding fibers, one superstep per collective, with each
+// worker of a fixed team resuming one contiguous block of node ids
+// (DESIGN.md §12); ExecutionBackend::kThreadPerNode keeps the historical
+// thread-per-node execution as a reference. Results are bit-for-bit
+// identical across backends, team sizes, and schedules.
 
 #include <cstdint>
 #include <functional>
@@ -215,11 +214,8 @@ class Engine {
     std::uint64_t seed = 0x9a7cc1e5u;     ///< common public randomness
     /// Execution backend; results are bit-identical across backends.
     ExecutionBackend backend = ExecutionBackend::kPooled;
-    /// Pooled backend: cap on concurrent workers. Sharded backend: the
-    /// shard count — the node id space is cut into this many contiguous
-    /// owner-computes blocks (the worker team is min(shards, pool size)).
-    /// 0 = one per shared-pool thread. Values above n are rejected at
-    /// run() entry (ModelViolation).
+    /// Cap on the fiber team (0 = pool size). Values above n are rejected
+    /// at run() entry (ModelViolation).
     std::size_t workers = 0;
     /// Per-collective recorder (clique/trace.hpp); nullptr falls back to
     /// the process-wide trace::global() (benches' --trace), and untraced
@@ -273,7 +269,7 @@ class EngineSession {
     NodeId n = 0;
     unsigned bandwidth_multiplier = 1;
     ExecutionBackend backend = ExecutionBackend::kPooled;
-    std::size_t workers = 0;
+    std::size_t workers = 0;  ///< cap on the fiber team (0 = pool size)
 
     bool operator==(const Shape&) const = default;
   };

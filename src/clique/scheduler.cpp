@@ -15,8 +15,10 @@
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
-// TSan has no visibility into ucontext stack switches; annotate them with
-// the fiber API so the -fsanitize=thread CI job can vet the scheduler.
+// Sanitizers cannot see fiber stack switches; annotate them (TSan's fiber
+// API, ASan's start/finish_switch_fiber) so the -fsanitize=thread and
+// -fsanitize=address CI jobs can vet the scheduler and the node programs
+// it runs.
 #if defined(__SANITIZE_THREAD__)
 #define CCQ_TSAN 1
 #elif defined(__has_feature)
@@ -26,6 +28,16 @@
 #endif
 #ifdef CCQ_TSAN
 #include <sanitizer/tsan_interface.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define CCQ_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CCQ_ASAN 1
+#endif
+#endif
+#ifdef CCQ_ASAN
+#include <sanitizer/asan_interface.h>
 #endif
 
 // glibc's swapcontext makes an rt_sigprocmask syscall per switch, which at
@@ -224,29 +236,26 @@ class ThreadPerNodeScheduler final : public Scheduler {
 };
 
 // ---------------------------------------------------------------------------
-// Fiber backends: node programs as stackful fibers over the shared pool.
+// Fiber backend: node programs as stackful fibers over the shared pool.
 //
-// Two backends share the machinery below. kPooled multiplexes all n fibers
-// over the worker team through a shared claim counter (dynamic balance);
-// kSharded assigns each worker a static set of contiguous node shards and
-// runs a plain id-ordered loop over them (owner-computes; no shared counter
-// on the resume path, and each worker allocates — first-touches — the
-// stacks it will keep resuming). Everything that decides results (the
-// serial leader phase, delivery, accounting) is identical, which is the
-// determinism argument: the backends differ only in who resumes a fiber,
-// never in what the leader observes.
+// The calling thread creates all n fibers, then a team of W workers runs the
+// supersteps: worker w resumes the unfinished fibers of the contiguous id
+// block [w·n/W, (w+1)·n/W) in id order, the team meets at a barrier, and the
+// last arrival runs the serial leader step (validate + deliver). A fiber is
+// resumed by the same worker for the whole run, and no shared counter sits
+// on the resume path. Which worker resumes a fiber never reaches results:
+// delivery and accounting happen only in the serial phase, in id order.
 // ---------------------------------------------------------------------------
 
-/// Workers the fiber backends draw from. One process-wide pool sized by
+/// Workers the fiber backend draws from. One process-wide pool sized by
 /// hardware_concurrency: engine runs are frequent and short, so per-run
-/// thread creation would reintroduce exactly the overhead these backends
-/// remove.
+/// thread creation would reintroduce exactly the overhead fibers remove.
 ThreadPool& shared_pool() {
   static ThreadPool pool;
   return pool;
 }
 
-class FiberSchedulerBase;
+class FiberScheduler;
 
 struct Fiber {
 #ifdef CCQ_FAST_FIBER
@@ -257,7 +266,7 @@ struct Fiber {
   ucontext_t* resumer = nullptr;  // the worker context to yield back to
 #endif
   std::unique_ptr<char[]> stack;
-  FiberSchedulerBase* sched = nullptr;
+  FiberScheduler* sched = nullptr;
   NodeId id = 0;
   bool finished = false;
   // Rendezvous payload while parked at a collective.
@@ -266,6 +275,11 @@ struct Fiber {
 #ifdef CCQ_TSAN
   void* tsan_fiber = nullptr;
   void* tsan_resumer = nullptr;
+#endif
+#ifdef CCQ_ASAN
+  void* asan_fake_stack = nullptr;  // the fiber's fake stack while parked
+  const void* asan_resumer_bottom = nullptr;  // the resuming worker's stack
+  std::size_t asan_resumer_size = 0;
 #endif
 };
 
@@ -285,9 +299,11 @@ void spin_pause(unsigned& spins) {
   }
 }
 
-class FiberSchedulerBase : public Scheduler {
+class FiberScheduler final : public Scheduler {
  public:
-  void run(NodeId n, const NodeBody& body) final {
+  explicit FiberScheduler(std::size_t workers) : workers_cap_(workers) {}
+
+  void run(NodeId n, const NodeBody& body) override {
     n_ = n;
     body_ = &body;
     aborted_.store(false, std::memory_order_relaxed);
@@ -295,18 +311,20 @@ class FiberSchedulerBase : public Scheduler {
     error_ = nullptr;
     done_ = false;
 
-    // One slot per node; plan_run (pooled) or the owning worker's first
-    // resume phase (sharded) installs the fiber.
+    // The caller creates every fiber before the team starts, so all stacks
+    // come from this thread's malloc arena (DESIGN.md §12), and a failed
+    // allocation throws here, before any worker waits at the barrier.
     destroy_fibers();
-    fibers_.resize(n);
+    fibers_.reserve(n);
+    for (NodeId v = 0; v < n; ++v) fibers_.push_back(make_fiber(v));
 
     ThreadPool& pool = shared_pool();
-    participants_ = plan_run(pool.size());
+    team_ = std::min<std::size_t>(pool.size(), n);
+    if (workers_cap_ > 0) team_ = std::min(team_, workers_cap_);
     barrier_count_.store(0, std::memory_order_relaxed);
     barrier_sense_.store(false, std::memory_order_relaxed);
 
-    pool.parallel_for(participants_,
-                      [this](std::size_t w) { worker_loop(w); });
+    pool.parallel_for(team_, [this](std::size_t w) { worker_loop(w); });
 
     destroy_fibers();
     if (error_) std::rethrow_exception(error_);
@@ -327,9 +345,9 @@ class FiberSchedulerBase : public Scheduler {
   // a CAS: a claim taken against a superseded epoch fails the CAS instead
   // of consuming an index — a stale helper can neither run a retired
   // ChunkFn nor steal a chunk from (or credit job_done_ of) the new job.
-  void leader_parallel_for(std::size_t chunks, const ChunkFn& fn) final {
+  void leader_parallel_for(std::size_t chunks, const ChunkFn& fn) override {
     count_job(chunks);
-    if (chunks <= 1 || participants_ <= 1 || chunks > kTicketFieldMask) {
+    if (chunks <= 1 || team_ <= 1 || chunks > kTicketFieldMask) {
       for (std::size_t i = 0; i < chunks; ++i) fn(i);
       return;
     }
@@ -352,7 +370,7 @@ class FiberSchedulerBase : public Scheduler {
   }
 
   void collective(NodeId id, OpTag tag, const Thunk& deposit,
-                  const Thunk& leader) final {
+                  const Thunk& leader) override {
     Fiber* f = tls_fiber;
     CCQ_CHECK_MSG(f != nullptr && f->sched == this && f->id == id,
                   "collective() called off its scheduler fiber");
@@ -367,21 +385,36 @@ class FiberSchedulerBase : public Scheduler {
     if (aborted_.load(std::memory_order_acquire)) throw Aborted{};
   }
 
- protected:
-  // ---- backend hooks ------------------------------------------------------
-  // plan_run: serial (the caller's thread, before any worker starts) —
-  // size the worker team and build the backend's resume schedule; returns
-  // the team size (≥ 1). resume_phase: parallel — resume this worker's
-  // share of the unfinished fibers until each parks at a collective or
-  // finishes. end_superstep: serial (the barrier winner, after validation
-  // and the leader thunk) — rebuild the resume schedule for the next
-  // superstep.
-  virtual std::size_t plan_run(std::size_t pool_size) = 0;
-  virtual void resume_phase(std::size_t worker) = 0;
-  virtual void end_superstep() {}
+  // Top of every fiber stack: run the node body, swallow Aborted (another
+  // node already recorded the error), record anything else, then yield for
+  // the last time. A finished fiber is never resumed, so control cannot
+  // fall off the end. Public so the fast-fiber first-activation shim
+  // (ccq_fiber_main) can reach it.
+  static void run_node(Fiber* f) {
+#ifdef CCQ_ASAN
+    // First activation: the other half of resume()'s start_switch_fiber.
+    __sanitizer_finish_switch_fiber(nullptr, &f->asan_resumer_bottom,
+                                    &f->asan_resumer_size);
+#endif
+    FiberScheduler* sched = f->sched;
+    try {
+      (*sched->body_)(f->id);
+      sched->any_returned_.store(true, std::memory_order_relaxed);
+    } catch (Aborted&) {
+    } catch (...) {
+      sched->record_error(std::current_exception());
+    }
+    f->finished = true;
+    sched->yield_to_worker(*f);
+    std::abort();  // unreachable
+  }
 
-  NodeId n() const { return n_; }
-  Fiber* fiber(NodeId v) const { return fibers_[v].get(); }
+#ifndef CCQ_FAST_FIBER
+  static void trampoline(unsigned hi, unsigned lo) {
+    run_node(reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                      static_cast<std::uintptr_t>(lo)));
+  }
+#endif
 
  private:
   // Job-ticket layout: [epoch:24 | chunks:20 | next:20]. 2^20 chunks is far
@@ -396,32 +429,26 @@ class FiberSchedulerBase : public Scheduler {
   static constexpr std::uint64_t kTicketEpochMask =
       (std::uint64_t{1} << (64 - kTicketEpochShift)) - 1;
 
- protected:
-  // Builds node v's fiber and installs it in the run's fiber table. The
-  // pooled backend calls this serially from plan_run; the sharded backend
-  // calls it from the owning worker's first resume phase (distinct v ⇒
-  // distinct slots, and the superstep barrier orders the writes before the
-  // serial phase reads them), so each stack is allocated and first-touched
-  // by the worker that keeps resuming it.
-  Fiber* make_fiber(NodeId v) {
+  // Builds node v's fiber on a recycled stack if the previous run banked
+  // one (EngineSession reuse: at a fixed n the steady state allocates no
+  // stacks); every stack has the one fixed size, so any one fits.
+  // Default-initialised (not value-initialised) allocation so untouched
+  // stack pages stay lazily unmapped — 4096 fibers must not commit a
+  // gigabyte.
+  std::unique_ptr<Fiber> make_fiber(NodeId v) {
     auto f = std::make_unique<Fiber>();
     f->sched = this;
     f->id = v;
-    // Recycle a banked stack from the previous run if one is available
-    // (EngineSession reuse: at a fixed n the steady state allocates no
-    // stacks). The pool is mutex-guarded because the sharded backend calls
-    // make_fiber from its owning workers in parallel; every stack has the
-    // one fixed size, so any one fits. Default-initialised (not
-    // value-initialised) allocation so untouched stack pages stay lazily
-    // unmapped — 4096 fibers must not commit a gigabyte.
-    {
-      std::lock_guard<std::mutex> lk(stack_pool_mu_);
-      if (!stack_pool_.empty()) {
-        f->stack = std::move(stack_pool_.back());
-        stack_pool_.pop_back();
-      }
+    if (stack_pool_.empty()) {
+      f->stack.reset(new char[kFiberStackBytes]);
+    } else {
+      f->stack = std::move(stack_pool_.back());
+      stack_pool_.pop_back();
+#ifdef CCQ_ASAN
+      // The previous fiber's last frames are still poisoned in the shadow.
+      __asan_unpoison_memory_region(f->stack.get(), kFiberStackBytes);
+#endif
     }
-    if (f->stack == nullptr) f->stack.reset(new char[kFiberStackBytes]);
 #ifdef CCQ_FAST_FIBER
     // Seed the stack so the first ccq_fiber_swap "returns" into
     // ccq_fiber_entry with the Fiber* in r12. The slot order matches the
@@ -460,59 +487,32 @@ class FiberSchedulerBase : public Scheduler {
 #ifdef CCQ_TSAN
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif
-    fibers_[v] = std::move(f);
-    return fibers_[v].get();
+    return f;
   }
 
- private:
+  // Bank the stacks for the next run (called from run() entry and exit
+  // only). The fiber bookkeeping itself is rebuilt per run — only the stack
+  // allocations, the expensive part, survive.
   void destroy_fibers() {
-    // Bank the stacks for the next run (serial: called from run() entry and
-    // exit only). The fiber bookkeeping itself is rebuilt per run — only
-    // the stack allocations, the expensive part, survive.
-    std::lock_guard<std::mutex> lk(stack_pool_mu_);
     for (auto& f : fibers_) {
-      if (!f) continue;
 #ifdef CCQ_TSAN
-      if (f->tsan_fiber) __tsan_destroy_fiber(f->tsan_fiber);
+      __tsan_destroy_fiber(f->tsan_fiber);
 #endif
       stack_pool_.push_back(std::move(f->stack));
     }
     fibers_.clear();
   }
 
- public:
-  // Top of every fiber stack: run the node body, swallow Aborted (another
-  // node already recorded the error), record anything else, then yield for
-  // the last time. A finished fiber is never resumed, so control cannot
-  // fall off the end. Public so the fast-fiber first-activation shim
-  // (ccq_fiber_main) can reach it.
-  static void run_node(Fiber* f) {
-    FiberSchedulerBase* sched = f->sched;
-    try {
-      (*sched->body_)(f->id);
-      sched->any_returned_.store(true, std::memory_order_relaxed);
-    } catch (Aborted&) {
-    } catch (...) {
-      sched->record_error(std::current_exception());
-    }
-    f->finished = true;
-    sched->yield_to_worker(*f);
-    std::abort();  // unreachable
-  }
-
-#ifndef CCQ_FAST_FIBER
-  static void trampoline(unsigned hi, unsigned lo) {
-    run_node(reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                      static_cast<std::uintptr_t>(lo)));
-  }
-#endif
-
- protected:
   void resume(Fiber& f) {
     CCQ_DCHECK(!f.finished);
     count_switch();
     Fiber* prev = tls_fiber;
     tls_fiber = &f;
+#ifdef CCQ_ASAN
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, f.stack.get(),
+                                   kFiberStackBytes);
+#endif
 #ifdef CCQ_FAST_FIBER
     ccq_fiber_swap(&f.worker_sp, f.sp);
 #else
@@ -524,10 +524,19 @@ class FiberSchedulerBase : public Scheduler {
 #endif
     swapcontext(&here, &f.ctx);
 #endif
+#ifdef CCQ_ASAN
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
     tls_fiber = prev;
   }
 
   void yield_to_worker(Fiber& f) {
+#ifdef CCQ_ASAN
+    // A finished fiber never runs again: the null save lets ASan free its
+    // fake stack.
+    __sanitizer_start_switch_fiber(f.finished ? nullptr : &f.asan_fake_stack,
+                                   f.asan_resumer_bottom, f.asan_resumer_size);
+#endif
 #ifdef CCQ_FAST_FIBER
     ccq_fiber_swap(&f.sp, f.worker_sp);
 #else
@@ -536,9 +545,12 @@ class FiberSchedulerBase : public Scheduler {
 #endif
     swapcontext(&f.ctx, f.resumer);
 #endif
+#ifdef CCQ_ASAN
+    __sanitizer_finish_switch_fiber(f.asan_fake_stack, &f.asan_resumer_bottom,
+                                    &f.asan_resumer_size);
+#endif
   }
 
- private:
   // Claim and run chunks of the currently published leader job, if any.
   // Each claim is a CAS that advances the ticket's `next` field while
   // re-asserting the epoch (and chunk count) captured in the snapshot, so a
@@ -580,17 +592,22 @@ class FiberSchedulerBase : public Scheduler {
     aborted_.store(true, std::memory_order_release);
   }
 
-  // One superstep: resume this worker's share of the unfinished fibers
+  // One superstep: resume the unfinished fibers of this worker's block
   // until each parks at a collective (or finishes), meet the other workers
   // at the sense-reversing barrier, and let the last arrival run the serial
   // leader step.
   void worker_loop(std::size_t worker) {
+    // Blocks are balanced to ±1 fiber when the team size does not divide n.
+    const NodeId begin = static_cast<NodeId>(worker * n_ / team_);
+    const NodeId end = static_cast<NodeId>((worker + 1) * n_ / team_);
     bool sense = false;
     while (true) {
-      resume_phase(worker);
+      for (NodeId v = begin; v < end; ++v) {
+        if (!fibers_[v]->finished) resume(*fibers_[v]);
+      }
       sense = !sense;
       if (barrier_count_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          participants_) {
+          team_) {
         superstep_end();
         barrier_count_.store(0, std::memory_order_relaxed);
         barrier_sense_.store(sense, std::memory_order_release);
@@ -610,13 +627,10 @@ class FiberSchedulerBase : public Scheduler {
   }
 
   // Serial phase: every fiber has yielded, so plain accesses are safe (the
-  // barrier orders them). Validates the rendezvous, runs the leader, and
-  // lets the backend rebuild its resume schedule.
+  // barrier orders them). Validates the rendezvous and runs the leader.
   void superstep_end() {
     std::size_t parked = 0;
-    for (const auto& f : fibers_) {
-      if (f && !f->finished) ++parked;
-    }
+    for (const auto& f : fibers_) parked += f->finished ? 0 : 1;
     if (!aborted_.load(std::memory_order_relaxed) && parked > 0) {
       if (any_returned_.load(std::memory_order_relaxed)) {
         record_error(std::make_exception_ptr(ModelViolation(
@@ -643,25 +657,21 @@ class FiberSchedulerBase : public Scheduler {
         }
       }
     }
-    // Next superstep resumes every unfinished fiber — after an abort they
-    // observe aborted_ and unwind with Aborted, draining the schedule.
-    end_superstep();
+    // The next superstep resumes every unfinished fiber — after an abort
+    // they observe aborted_ and unwind with Aborted, draining the run.
     done_ = parked == 0;
   }
 
+  const std::size_t workers_cap_;  // 0 = pool size
   // Recycled fiber stacks; see make_fiber.
-  std::mutex stack_pool_mu_;
   std::vector<std::unique_ptr<char[]>> stack_pool_;
 
   NodeId n_ = 0;
   const NodeBody* body_ = nullptr;
-  // One entry per node id; slots are filled by plan_run or (sharded) by the
-  // owning worker before the first barrier, so the serial phase always sees
-  // a complete table.
-  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;  // one per node id
   bool done_ = false;  // written in the serial phase, read after release
 
-  std::size_t participants_ = 0;
+  std::size_t team_ = 0;
   std::atomic<std::size_t> barrier_count_{0};
   std::atomic<bool> barrier_sense_{false};
 
@@ -681,105 +691,11 @@ class FiberSchedulerBase : public Scheduler {
   std::exception_ptr error_;
 };
 
-// Dynamic balance: all n fibers sit in one run list and workers claim them
-// through a shared counter, so a straggling node program cannot idle the
-// rest of the team. The price is one contended fetch_add per resume.
-class PooledScheduler final : public FiberSchedulerBase {
- public:
-  explicit PooledScheduler(std::size_t workers) : workers_cap_(workers) {}
-
- private:
-  std::size_t plan_run(std::size_t pool_size) override {
-    run_list_.clear();
-    run_list_.reserve(n());
-    for (NodeId v = 0; v < n(); ++v) run_list_.push_back(make_fiber(v));
-    next_.store(0, std::memory_order_relaxed);
-    std::size_t workers = std::min<std::size_t>(pool_size, n());
-    if (workers_cap_ > 0) workers = std::min(workers, workers_cap_);
-    return workers == 0 ? 1 : workers;
-  }
-
-  void resume_phase(std::size_t /*worker*/) override {
-    std::size_t i;
-    while ((i = next_.fetch_add(1, std::memory_order_relaxed)) <
-           run_list_.size()) {
-      resume(*run_list_[i]);
-    }
-  }
-
-  void end_superstep() override {
-    run_list_.clear();
-    for (NodeId v = 0; v < n(); ++v) {
-      Fiber* f = fiber(v);
-      if (!f->finished) run_list_.push_back(f);
-    }
-    next_.store(0, std::memory_order_relaxed);
-  }
-
-  const std::size_t workers_cap_;
-  std::vector<Fiber*> run_list_;  // mutated only in the serial phase
-  std::atomic<std::size_t> next_{0};
-};
-
-// Owner-computes (the libgalois/libdist pattern): the id space is cut into
-// `shards` contiguous blocks handed to workers statically, and each worker
-// resumes its owned nodes with a plain id-ordered loop — no shared claim
-// counter, no cross-worker cache traffic on the resume path, and fiber
-// stacks are created by their owner on first resume so the memory a worker
-// keeps switching through is memory it allocated itself. Static ownership
-// trades the pooled backend's load balance for that locality, which is the
-// right trade exactly when n ≫ cores: with hundreds of fibers per worker,
-// per-shard imbalance averages out (the scenario matrix's sharded
-// routing_uniform and mm_bool_3d cells measure this).
-class ShardedScheduler final : public FiberSchedulerBase {
- public:
-  explicit ShardedScheduler(std::size_t shards) : shards_cfg_(shards) {}
-
- private:
-  std::size_t plan_run(std::size_t pool_size) override {
-    // Shard count: configured, else one shard per pool thread; clamped so
-    // every shard is non-empty. The worker team never exceeds the shard
-    // count — a worker with no shard would only spin at the barrier.
-    std::size_t shards = shards_cfg_ == 0 ? pool_size : shards_cfg_;
-    shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(shards, n()));
-    const std::size_t workers =
-        std::max<std::size_t>(1, std::min(pool_size, shards));
-    owned_.assign(workers, {});
-    // Shard s owns the contiguous block [s·n/S, (s+1)·n/S) — balanced to
-    // ±1 node even when S does not divide n — and shards are dealt to
-    // workers round-robin so a team smaller than S still covers every
-    // node. Results cannot depend on any of this: ownership only decides
-    // which worker resumes a fiber, never what the serial phase computes.
-    for (std::size_t s = 0; s < shards; ++s) {
-      const NodeId b = static_cast<NodeId>(s * n() / shards);
-      const NodeId e = static_cast<NodeId>((s + 1) * n() / shards);
-      if (b < e) owned_[s % workers].push_back({b, e});
-    }
-    return workers;
-  }
-
-  void resume_phase(std::size_t worker) override {
-    for (const auto& [b, e] : owned_[worker]) {
-      for (NodeId v = b; v < e; ++v) {
-        Fiber* f = fiber(v);
-        if (f == nullptr) f = make_fiber(v);  // first superstep, owner-local
-        if (!f->finished) resume(*f);
-      }
-    }
-  }
-
-  const std::size_t shards_cfg_;
-  // Per-worker owned shards as [begin, end) node-id ranges; built in
-  // plan_run, read-only while workers run.
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> owned_;
-};
-
 }  // namespace
 
 #ifdef CCQ_FAST_FIBER
 extern "C" void ccq_fiber_main(void* fiber) {
-  FiberSchedulerBase::run_node(static_cast<Fiber*>(fiber));
+  FiberScheduler::run_node(static_cast<Fiber*>(fiber));
 }
 #endif
 
@@ -791,9 +707,7 @@ std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
     case ExecutionBackend::kThreadPerNode:
       return std::make_unique<ThreadPerNodeScheduler>();
     case ExecutionBackend::kPooled:
-      return std::make_unique<PooledScheduler>(workers);
-    case ExecutionBackend::kSharded:
-      return std::make_unique<ShardedScheduler>(workers);
+      return std::make_unique<FiberScheduler>(workers);
   }
   CCQ_CHECK_MSG(false, "unknown execution backend");
   return nullptr;

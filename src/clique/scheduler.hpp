@@ -5,36 +5,27 @@
 // The engine's unit of execution is the *superstep*: all n node programs
 // run until they meet at the next collective, a single serial "leader"
 // step validates the rendezvous and delivers messages, and everyone
-// resumes. Three backends realise this contract:
+// resumes. Two backends realise this contract:
 //
-//   * ExecutionBackend::kThreadPerNode — the reference backend: one OS
+//   * ExecutionBackend::kPooled — the default: node programs run as
+//     cooperatively yielding fibers (stackful contexts) over a worker team
+//     hosted on the shared ccq::ThreadPool. The calling thread creates all
+//     n fibers; worker w of a W-worker team then resumes the fibers of the
+//     contiguous id block [w·n/W, (w+1)·n/W) in id order each superstep,
+//     and the team meets at a sense-reversing spin barrier between the
+//     parallel (resume fibers) and serial (validate + deliver) phases
+//     (DESIGN.md §12).
+//
+//   * ExecutionBackend::kThreadPerNode — the independent reference: one OS
 //     thread per simulated node, rendezvoused through a mutex + condition
 //     variable. Simple, but thread-creation and wakeup-storm overhead
 //     dominates wall-clock once n reaches the hierarchy-bench sizes.
 //
-//   * ExecutionBackend::kPooled — the default: node programs run as
-//     cooperatively yielding fibers (ucontext stackful contexts)
-//     multiplexed over a fixed worker team hosted on the shared
-//     ccq::ThreadPool; workers meet at a sense-reversing spin barrier
-//     between the parallel (resume fibers) and serial (validate +
-//     deliver) phases of each superstep. Workers claim fibers from a
-//     shared run list (one atomic fetch_add per resume), so load balance
-//     is dynamic but every resume touches a contended cache line.
-//
-//   * ExecutionBackend::kSharded — owner-computes for n ≫ cores: the node
-//     id space is split into contiguous shards (Config::workers = shard
-//     count) assigned statically to workers. Each worker drives a plain
-//     id-ordered loop over its owned nodes — no shared claim counter on
-//     the resume path — and creates its fibers itself on first resume, so
-//     stacks are allocated (and first-touched) by the worker that will
-//     run them for the whole run (DESIGN.md §12).
-//
-// All backends produce bit-for-bit identical RunResults (outputs, rounds,
-// messages, bits, per-node maxima) for any program and any worker or shard
-// count — asserted by tests/clique/scheduler_test.cpp and
-// tests/clique/sharded_test.cpp. Message delivery and cost accounting
-// always happen in the serial leader step, iterating nodes in id order, so
-// scheduling order can never leak into results.
+// Both backends produce bit-for-bit identical RunResults (outputs, rounds,
+// messages, bits, per-node maxima) for any program and any team size —
+// asserted by tests/clique/scheduler_test.cpp. Message delivery and cost
+// accounting always happen in the serial leader step, iterating nodes in
+// id order, so scheduling order can never leak into results.
 
 #include <atomic>
 #include <cstddef>
@@ -49,8 +40,7 @@ namespace ccq {
 /// Which execution backend Engine::run uses (Engine::Config::backend).
 enum class ExecutionBackend {
   kThreadPerNode,  ///< reference: one OS thread per simulated node
-  kPooled,         ///< default: fibers over a fixed worker pool
-  kSharded,        ///< owner-computes: static contiguous node shards
+  kPooled,         ///< default: fibers in static id blocks over a worker team
 };
 
 /// Occupancy counters a scheduler accumulates when stats are enabled
@@ -59,7 +49,7 @@ enum class ExecutionBackend {
 /// values are wall-clock/backend-shaped: they are *not* covered by the
 /// determinism contract.
 struct SchedulerStats {
-  std::uint64_t fiber_switches = 0;   ///< node-fiber resumes (fiber backends)
+  std::uint64_t fiber_switches = 0;   ///< node-fiber resumes (fiber backend)
   std::uint64_t parallel_jobs = 0;    ///< leader_parallel_for invocations
   std::uint64_t parallel_chunks = 0;  ///< chunks across those jobs
 };
@@ -108,7 +98,7 @@ class Scheduler {
                           const Thunk& leader) = 0;
 
   // Run fn(chunk) for every chunk in [0, chunks), possibly in parallel.
-  // May only be called from inside a leader() thunk: the pooled backend
+  // May only be called from inside a leader() thunk: the fiber backend
   // hands chunks to the workers spinning at the superstep barrier, so the
   // serial phase scales with cores instead of running leader-only. Each
   // chunk must write only chunk-owned data (the message plane partitions
@@ -157,17 +147,16 @@ class Scheduler {
   std::uint64_t parallel_chunks_ = 0;
 };
 
-/// Backend factory. `workers` caps the pooled worker team, or sets the
-/// sharded backend's shard count (0 = one per shared-pool thread); the
-/// thread-per-node backend ignores it. Fiber stacks are a fixed 256 KiB.
-/// Value validation (workers ≤ n) is Engine::run's job — the factory only
-/// wires the backend.
+/// Backend factory. `workers` caps the fiber team (0 = pool size; the team
+/// is min(pool size, cap, n)); the thread-per-node backend ignores it.
+/// Fiber stacks are a fixed 256 KiB. Value validation (workers ≤ n) is
+/// Engine::run's job — the factory only wires the backend.
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
                                           std::size_t workers);
 
-/// True when the calling thread is currently executing a pooled-scheduler
-/// fiber. Engine::run uses this to route nested runs (a node program that
-/// itself simulates a clique) to the thread-per-node backend instead of
+/// True when the calling thread is currently executing a scheduler fiber.
+/// Engine::run uses this to route nested runs (a node program that itself
+/// simulates a clique) to the thread-per-node backend instead of
 /// deadlocking the shared worker pool.
 bool on_scheduler_fiber();
 

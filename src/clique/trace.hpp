@@ -22,11 +22,10 @@
 //
 // Determinism contract: every field above the "observability-only" line is
 // a pure function of (program, instance, config.bandwidth_multiplier,
-// seed) — identical across {kPooled, kSharded, kThreadPerNode} backends
-// and worker/shard counts. deterministic_eq() compares exactly that
-// subset; the occupancy fields are wall-clock / backend-shaped and
-// excluded. tests/clique/trace_test.cpp pins the contract on randomized
-// traffic.
+// seed) — identical across {kPooled, kThreadPerNode} backends and team
+// sizes. deterministic_eq() compares exactly that subset; the occupancy
+// fields are wall-clock / backend-shaped and excluded.
+// tests/clique/trace_test.cpp pins the contract on randomized traffic.
 //
 // Cost contract: a compiled-in but *disabled* trace (Engine::Config::trace
 // == nullptr and no global trace installed) costs one pointer test per
@@ -103,8 +102,8 @@ struct TraceRecord {
   //    from deterministic_eq) ----------------------------------------------
   double delivery_ms = 0;  ///< wall time inside MessagePlane::deliver
   std::uint64_t fiber_switches = 0;   ///< node resumes since the previous
-                                      ///< record (fiber backends — pooled
-                                      ///< and sharded; 0 on thread-per-node)
+                                      ///< record (fiber backend; 0 on
+                                      ///< thread-per-node)
   std::uint64_t parallel_jobs = 0;    ///< leader_parallel_for fan-outs
   std::uint64_t parallel_chunks = 0;  ///< chunks across those jobs
 

@@ -76,14 +76,19 @@ std::vector<const JsonValue*> axis_values(const JsonValue& group,
   return out;
 }
 
-ExecutionBackend parse_backend(const JsonValue& v,
+// A manifest may name the thread-per-node oracle (bench_matrix's
+// equivalence check); a ccqd job may not, since it starts one OS thread per
+// node.
+ExecutionBackend parse_backend(const JsonValue& v, bool job,
                                const std::string& origin) {
   const std::string s = as_string(v, "backend", origin);
   if (s == "pooled") return ExecutionBackend::kPooled;
-  if (s == "sharded") return ExecutionBackend::kSharded;
-  if (s == "threaded") return ExecutionBackend::kThreadPerNode;
+  if (s == "threaded" && !job) return ExecutionBackend::kThreadPerNode;
+  const std::string what = s == "threaded"
+                               ? "backend 'threaded' cannot run as a job"
+                               : "unknown backend '" + s + "'";
   fail_at(origin, v.line,
-          "unknown backend '" + s + "' (accepted: pooled, sharded, threaded)");
+          what + " (accepted: " + (job ? "pooled" : "pooled, threaded") + ")");
 }
 
 std::string read_file(const std::string& path) {
@@ -101,11 +106,7 @@ std::string read_file(const std::string& path) {
 }  // namespace
 
 const char* backend_name(ExecutionBackend b) {
-  switch (b) {
-    case ExecutionBackend::kPooled: return "pooled";
-    case ExecutionBackend::kSharded: return "sharded";
-    default: return "threaded";
-  }
+  return b == ExecutionBackend::kPooled ? "pooled" : "threaded";
 }
 
 std::string CellSpec::id() const {
@@ -220,7 +221,7 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
           be.push_back(ExecutionBackend::kPooled);
         } else {
           for (const JsonValue* bv : backends)
-            be.push_back(parse_backend(*bv, origin));
+            be.push_back(parse_backend(*bv, job, origin));
         }
         std::vector<std::size_t> ws;
         if (workers.empty()) {

@@ -337,9 +337,9 @@ CellResult run_cell(const CellSpec& spec, int trials) {
 
 std::string check_worker_determinism(const CellSpec& spec) {
   CellSpec alt = spec;
-  // Pick a genuinely different worker/shard count (clamped to n inside
-  // cell_config); determinism across team sizes is the engine contract
-  // every backend pins.
+  // Pick a genuinely different team cap (clamped to n inside cell_config);
+  // determinism across team sizes is the engine contract every backend
+  // pins.
   alt.workers = spec.workers == 3 ? 2 : 3;
   const CellResult a = run_cell(spec, 1);
   const CellResult b = run_cell(alt, 1);

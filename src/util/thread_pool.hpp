@@ -2,14 +2,15 @@
 
 // Fork-join thread pool with a parallel_for primitive.
 //
-// The clique engine's pooled scheduler (src/clique/scheduler.cpp,
+// The clique engine's fiber scheduler (src/clique/scheduler.cpp,
 // ExecutionBackend::kPooled) hosts its superstep workers here: one
 // process-wide pool sized by hardware_concurrency, onto which each
-// Engine::run dispatches a small worker team that multiplexes all n node
-// fibers. On a single-core host the pool degrades gracefully to sequential
-// execution. Results are independent of the worker count because the
-// scheduler confines shared mutation to its serial leader phase — the
-// engine's collectives are the only synchronisation points.
+// Engine::run dispatches a worker team, each worker resuming one
+// contiguous block of the n node fibers. On a single-core host the pool
+// degrades gracefully to sequential execution. Results are independent of
+// the worker count because the scheduler confines shared mutation to its
+// serial leader phase — the engine's collectives are the only
+// synchronisation points.
 
 #include <atomic>
 #include <condition_variable>

@@ -255,8 +255,7 @@ TEST(SparseMM, DeterministicAcrossPlanesBackendsWorkers) {
   };
   std::deque<Obs> obs;
   for (ExecutionBackend backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
-        ExecutionBackend::kThreadPerNode}) {
+       {ExecutionBackend::kPooled, ExecutionBackend::kThreadPerNode}) {
     for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
       Obs& o = obs.emplace_back();
       Engine::Config ecfg;

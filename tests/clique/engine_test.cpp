@@ -440,12 +440,6 @@ TEST(Engine, ConfigValidationAtRunEntry) {
        [](Engine::Config& c) { c.bandwidth_multiplier = 0; }, false},
       {"workers=n", [](Engine::Config& c) { c.workers = 8; }, true},
       {"workers=n+1", [](Engine::Config& c) { c.workers = 9; }, false},
-      {"sharded workers=n+1",
-       [](Engine::Config& c) {
-         c.backend = ExecutionBackend::kSharded;
-         c.workers = 9;
-       },
-       false},
   };
   for (const Case& tc : kCases) {
     Engine::Config cfg;

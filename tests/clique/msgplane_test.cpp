@@ -37,7 +37,7 @@ namespace {
 
 struct BackendSetup {
   ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
+  std::size_t workers;  // cap on the fiber team; 0 = pool size
   const char* name;
 };
 
@@ -45,13 +45,12 @@ const BackendSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
     {ExecutionBackend::kPooled, 2, "pooled-2"},
     {ExecutionBackend::kPooled, 0, "pooled-hw"},
-    {ExecutionBackend::kSharded, 3, "sharded-3"},
-    {ExecutionBackend::kSharded, 5, "sharded-5"},  // non-dividing shard count
-    {ExecutionBackend::kSharded, 0, "sharded-hw"},
+    {ExecutionBackend::kPooled, 3, "pooled-3"},
+    {ExecutionBackend::kPooled, 5, "pooled-5"},  // non-dividing team caps
 };
 
-// The setup's config on an n-node clique (worker and shard counts capped
-// at n, which run() requires).
+// The setup's config on an n-node clique (team cap at most n, which run()
+// requires).
 Engine::Config config_for(const BackendSetup& s, NodeId n) {
   Engine::Config cfg;
   cfg.backend = s.backend;

@@ -1,10 +1,12 @@
 // Determinism regression suite for the execution backends.
 //
 // The scheduler contract (clique/scheduler.hpp) promises bit-for-bit
-// identical RunResults across backends and worker counts. These tests pin
+// identical RunResults across backends and team sizes. These tests pin
 // that down over a fixed mix of collectives (round / exchange / broadcast /
-// share_bit / any / all / route_balanced / route_blocks), and lock in the
-// abort/unwind behaviour when a node throws mid-collective.
+// share_bit / any / all / route_balanced / route_blocks), lock in the
+// abort/unwind behaviour when a node throws mid-collective, and check that
+// the fiber team's static id blocks never show: team caps that do not
+// divide n, n around the team size, and composition with trace and chaos.
 
 #include "clique/scheduler.hpp"
 
@@ -21,6 +23,7 @@
 #include "clique/chaos.hpp"
 #include "clique/engine.hpp"
 #include "clique/routing.hpp"
+#include "clique/trace.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -29,7 +32,7 @@ namespace {
 
 struct BackendSetup {
   ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
+  std::size_t workers;  // cap on the fiber team; 0 = pool size
   const char* name;
 };
 
@@ -37,11 +40,9 @@ const BackendSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
     {ExecutionBackend::kPooled, 1, "pooled/1"},
     {ExecutionBackend::kPooled, 2, "pooled/2"},
+    {ExecutionBackend::kPooled, 3, "pooled/3"},  // teams that do not divide
+    {ExecutionBackend::kPooled, 5, "pooled/5"},  // n = 26 on a 4-thread pool
     {ExecutionBackend::kPooled, 0, "pooled/hw"},
-    {ExecutionBackend::kSharded, 1, "sharded/1"},
-    {ExecutionBackend::kSharded, 2, "sharded/2"},
-    {ExecutionBackend::kSharded, 5, "sharded/5"},  // non-dividing shard count
-    {ExecutionBackend::kSharded, 0, "sharded/hw"},
 };
 
 Engine::Config config_for(const BackendSetup& s) {
@@ -51,8 +52,14 @@ Engine::Config config_for(const BackendSetup& s) {
   return cfg;
 }
 
+Engine::Config team_of(std::size_t workers) {
+  Engine::Config cfg;
+  cfg.workers = workers;
+  return cfg;
+}
+
 void expect_same_result(const RunResult& ref, const RunResult& got,
-                        const char* name) {
+                        const std::string& name) {
   EXPECT_EQ(ref.outputs, got.outputs) << name;
   EXPECT_EQ(ref.cost.rounds, got.cost.rounds) << name;
   EXPECT_EQ(ref.cost.messages, got.cost.messages) << name;
@@ -110,8 +117,9 @@ void mixed_program(NodeCtx& ctx) {
   }
   for (const auto& [src, w] : route_balanced(ctx, msgs)) mix(src + w.value);
 
-  // route_blocks(): one small block to the next node.
-  BitVector payload(5);
+  // route_blocks(): one small block to the next node (5 bits; a 2-node
+  // clique frames at most 3).
+  BitVector payload(std::min<NodeId>(n + 1, 5));
   payload.set(ctx.id() % 5);
   std::vector<RoutedBlock> blocks;
   if (n > 1) blocks.push_back({(ctx.id() + 1) % n, payload});
@@ -124,7 +132,7 @@ void mixed_program(NodeCtx& ctx) {
 }
 
 TEST(SchedulerDeterminism, IdenticalResultsAcrossBackendsAndWorkerCounts) {
-  const Graph g = gen::gnp(24, 0.5, 99);
+  const Graph g = gen::gnp(26, 0.5, 99);
   const auto ref =
       Engine::run(g, mixed_program, config_for(kSetups[0]));
   EXPECT_GT(ref.cost.rounds, 0u);
@@ -148,13 +156,52 @@ TEST(SchedulerDeterminism, WorkerCapBeyondPoolSizeIsClamped) {
   // workers may legally exceed the machine's pool size (just not n — that
   // is rejected at run() entry); the scheduler must clamp, not deadlock.
   const Graph g = gen::gnp(64, 0.5, 3);
-  for (ExecutionBackend backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
-    Engine::Config cfg;
-    cfg.backend = backend;
-    cfg.workers = 64;  // == n, far beyond any pool on CI hardware
-    const auto ref = Engine::run(g, mixed_program);
-    expect_same_result(ref, Engine::run(g, mixed_program, cfg), "clamped");
+  const auto ref = Engine::run(g, mixed_program);
+  // 64 == n, far beyond any pool on CI hardware.
+  expect_same_result(ref, Engine::run(g, mixed_program, team_of(64)),
+                     "clamped");
+}
+
+// Team caps that divide n = 26 (1, 2, 13), that do not (3, 5), one node per
+// worker (26 = n) and the pool size (0), all against thread-per-node.
+TEST(ShardedDeterminism, BitForBitAcrossShardCounts) {
+  const Graph g = gen::gnp(26, 0.5, 17);
+  const auto ref = Engine::run(g, mixed_program, config_for(kSetups[0]));
+  EXPECT_GT(ref.cost.rounds, 0u);
+  for (std::size_t cap : {1u, 2u, 3u, 5u, 13u, 26u, 0u}) {
+    expect_same_result(ref, Engine::run(g, mixed_program, team_of(cap)),
+                       "w=" + std::to_string(cap));
+  }
+}
+
+TEST(ShardedDeterminism, RepeatedRunsIdentical) {
+  const Graph g = gen::gnp(19, 0.4, 7);
+  const auto r1 = Engine::run(g, mixed_program, team_of(3));
+  const auto r2 = Engine::run(g, mixed_program, team_of(3));
+  expect_same_result(r1, r2, "w=3 repeat");
+}
+
+// The bare plane and the plane under a fault-free chaos wrapper (an exact
+// no-op on traffic) must agree on a team that does not divide n.
+TEST(ShardedDeterminism, BothPlanesAgree) {
+  const Graph g = gen::gnp(21, 0.5, 29);
+  ChaosPlan fault_free;
+  Engine::Config wrapped = team_of(4);
+  wrapped.chaos = &fault_free;
+  expect_same_result(Engine::run(g, mixed_program, team_of(4)),
+                     Engine::run(g, mixed_program, wrapped),
+                     "w=4 bare vs fault-free chaos");
+  EXPECT_EQ(fault_free.total_faults(), 0u);
+}
+
+// n around the team size: team caps n - 1 and n, and the pool size.
+TEST(ShardedDeterminism, DegenerateCliqueSizes) {
+  for (NodeId n : {1u, 2u, 3u, 4u, 5u}) {
+    const Graph g = gen::gnp(n, 0.6, 11 + n);
+    const auto ref = Engine::run(g, mixed_program, config_for(kSetups[0]));
+    for (std::size_t cap : {std::size_t{n} - 1, std::size_t{n}, std::size_t{0}})
+      expect_same_result(ref, Engine::run(g, mixed_program, team_of(cap)),
+                         std::to_string(n) + "/" + std::to_string(cap));
   }
 }
 
@@ -340,6 +387,78 @@ TEST(SchedulerAbort, ThreadStartFailureIsModelViolation) {
       ::testing::ExitedWithCode(0), "");
 }
 
+// A node mid-block throws: its worker has resumed the block's earlier
+// fibers and still holds later ones. Every stack must unwind, and the pool
+// must be serviceable immediately afterwards.
+TEST(ShardedAbort, MidRoundExceptionUnwindsAllShards) {
+  const Graph g = gen::empty(10);
+  for (std::size_t cap : {1u, 3u, 10u}) {  // 3 does not divide 10
+    live_guards.store(0);
+    EXPECT_THROW(Engine::run(
+                     g,
+                     [](NodeCtx& ctx) {
+                       UnwindGuard guard;
+                       ctx.round({});
+                       if (ctx.id() == 6) throw std::runtime_error("boom");
+                       ctx.round({});
+                       ctx.output(0);
+                     },
+                     team_of(cap)),
+                 std::runtime_error)
+        << "w=" << cap;
+    EXPECT_EQ(live_guards.load(), 0) << "w=" << cap;
+    const auto r = Engine::run(
+        g, [](NodeCtx& ctx) { ctx.decide(ctx.all(true)); }, team_of(cap));
+    EXPECT_TRUE(r.accepted()) << "w=" << cap;
+  }
+}
+
+TEST(ShardedAbort, DivergentCollectivesDetected) {
+  const Graph g = gen::empty(7);
+  EXPECT_THROW(Engine::run(
+                   g,
+                   [](NodeCtx& ctx) {
+                     if (ctx.id() == 2) {
+                       ctx.round({});
+                     } else {
+                       ctx.share_bit(true);
+                     }
+                     ctx.output(0);
+                   },
+                   team_of(3)),
+               ModelViolation);
+}
+
+// The calling thread creates every fiber before the team starts, so a stack
+// allocation that fails surfaces from Engine::run instead of leaving one
+// worker short of the barrier while the rest of the team spins. The
+// death-test child caps its address space 64 MiB above its current size,
+// which fits the n = 1024 plane but only a few hundred of the 1024 256 KiB
+// fiber stacks, and exits 0 only if Engine::run throws std::bad_alloc.
+TEST(SchedulerAbort, FiberStackAllocationFailureThrows) {
+  if (kSanitizerBuild) GTEST_SKIP() << "RLIMIT_AS probe needs a plain build";
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const Graph g = gen::empty(1024);
+        rlimit lim{};
+        const std::uint64_t vm = vm_size_bytes();
+        if (vm == 0 || getrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(3);
+        lim.rlim_cur = vm + (std::uint64_t{64} << 20);
+        if (setrlimit(RLIMIT_AS, &lim) != 0) std::_Exit(3);
+        int code = 1;  // no exception: the limit did not bite
+        try {
+          Engine::run(g, [](NodeCtx& ctx) { ctx.decide(ctx.any(false)); });
+        } catch (const std::bad_alloc&) {
+          code = 0;
+        } catch (...) {
+          code = 2;
+        }
+        std::_Exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(SchedulerAbort, RoundLimitEnforcedOnPooledBackend) {
   const Graph g = gen::empty(2);
   Engine::Config cfg;
@@ -353,6 +472,136 @@ TEST(SchedulerAbort, RoundLimitEnforcedOnPooledBackend) {
                    },
                    cfg),
                ModelViolation);
+}
+
+// ---- composition with trace and chaos ------------------------------------
+
+TEST(ShardedTrace, LedgerIdenticalToPooledBackend) {
+  const Graph g = gen::gnp(15, 0.5, 23);
+  RoundTrace ref_trace;
+  Engine::Config ref_cfg;
+  ref_cfg.trace = &ref_trace;
+  const auto ref = Engine::run(g, mixed_program, ref_cfg);
+  ASSERT_FALSE(ref_trace.records().empty());
+  ASSERT_TRUE(ref_trace.totals_match());
+
+  for (std::size_t cap : {2u, 3u}) {
+    RoundTrace trace;
+    Engine::Config cfg = team_of(cap);
+    cfg.trace = &trace;
+    expect_same_result(ref, Engine::run(g, mixed_program, cfg), "traced");
+    EXPECT_TRUE(ref_trace.deterministic_eq(trace)) << "w=" << cap;
+    EXPECT_TRUE(trace.totals_match()) << "w=" << cap;
+  }
+}
+
+TEST(ShardedChaos, FaultScheduleIndependentOfSharding) {
+  const Graph g = gen::empty(9);
+  auto run_with = [&](Engine::Config cfg, ChaosPlan& plan) {
+    cfg.chaos = &plan;
+    return Engine::run(
+        g,
+        [](NodeCtx& ctx) {
+          std::vector<std::pair<NodeId, Word>> sends;
+          for (NodeId v = 0; v < ctx.n(); ++v) {
+            if (v != ctx.id()) sends.emplace_back(v, Word(ctx.id() % 2, 1));
+          }
+          const FlatInbox in = ctx.exchange_flat(sends);
+          std::uint64_t fp = 0;
+          for (NodeId v = 0; v < ctx.n(); ++v) {
+            for (const Word& w : in.from(v)) fp = fp * 131 + w.value + v;
+          }
+          ctx.output(fp);
+        },
+        cfg);
+  };
+  ChaosPlan::Config ccfg;
+  ccfg.seed = 77;
+  ccfg.p_flip = 0.3;
+  ccfg.p_dup = 0.2;
+
+  ChaosPlan ref_plan(ccfg);
+  const auto ref = run_with(Engine::Config{}, ref_plan);
+  ASSERT_GT(ref_plan.total_faults(), 0u);
+
+  ChaosPlan plan(ccfg);
+  expect_same_result(ref, run_with(team_of(3), plan), "chaos w=3");
+  ASSERT_EQ(ref_plan.ledger().size(), plan.ledger().size());
+  for (std::size_t i = 0; i < plan.ledger().size(); ++i) {
+    EXPECT_TRUE(ref_plan.ledger()[i] == plan.ledger()[i]) << "event " << i;
+  }
+}
+
+// Full duplication under a trace: the plane's max_node_in report must stay
+// consistent with the trace's independent per-node delta scan (the engine
+// cross-checks them and throws on mismatch), and the ledger and metered
+// cost must not depend on the team size.
+TEST(ShardedChaos, LegacyPlaneDuplicateAgreesWithTraceCrossCheck) {
+  const Graph g = gen::empty(6);
+  ChaosPlan::Config ccfg;
+  ccfg.seed = 5;
+  ccfg.p_dup = 1.0;  // every word doubled
+  // exchange_flat (not broadcast): raw queues carry no framing, so
+  // duplicated words arrive as extra words instead of tripping reassembly
+  // checks — the run must complete with the inflated traffic fully
+  // accounted.
+  const auto program = [](NodeCtx& ctx) {
+    std::vector<std::pair<NodeId, Word>> sends;
+    for (NodeId v = 0; v < ctx.n(); ++v) {
+      if (v != ctx.id()) sends.emplace_back(v, Word(1, 1));
+    }
+    const FlatInbox in = ctx.exchange_flat(sends);
+    std::uint64_t words = 0;
+    for (NodeId v = 0; v < ctx.n(); ++v) words += in.from(v).size();
+    ctx.output(words);
+  };
+  struct Run {
+    RunResult result;
+    std::vector<FaultEvent> ledger;
+  };
+  const auto run_on = [&](Engine::Config cfg, const char* name) {
+    ChaosPlan plan(ccfg);
+    RoundTrace trace;
+    cfg.chaos = &plan;
+    cfg.trace = &trace;
+    Run out{Engine::run(g, program, cfg), plan.ledger()};
+    EXPECT_GT(plan.fault_count(FaultKind::kDuplicate), 0u) << name;
+    EXPECT_TRUE(trace.totals_match()) << name;
+    // Every word was duplicated: each node received 2 words from each of
+    // the other 5 nodes, and the trace's per-collective receiver max must
+    // agree.
+    for (auto w : out.result.outputs) EXPECT_EQ(w, 10u) << name;
+    EXPECT_EQ(trace.records().size(), 1u) << name;
+    if (!trace.records().empty()) {
+      EXPECT_EQ(trace.records()[0].max_received, 10u) << name;
+    }
+    return out;
+  };
+  const Run hw = run_on(Engine::Config{}, "w=0");
+  const Run three = run_on(team_of(3), "w=3");
+  expect_same_result(hw.result, three.result, "w=0 vs w=3 under duplication");
+  EXPECT_TRUE(hw.ledger == three.ledger);
+}
+
+// ---- the n cap ------------------------------------------------------------
+
+TEST(ShardedScale, CliqueAbovePreviousCapRuns) {
+  // Above 4096 (the cap before 8192): 4097 fibers on the default team.
+  const NodeId n = 4097;
+  const auto r = Engine::run(gen::empty(n), [](NodeCtx& ctx) {
+    auto bits = ctx.share_bit(ctx.id() % 7 == 0);
+    std::uint64_t count = 0;
+    for (bool b : bits) count += b ? 1 : 0;
+    ctx.output(count);
+  });
+  EXPECT_EQ(r.outputs[0], (n + 6) / 7);
+  EXPECT_EQ(r.cost.rounds, 1u);
+}
+
+TEST(ShardedScale, CliqueBeyondCapRejected) {
+  EXPECT_THROW(
+      Engine::run(gen::empty(8193), [](NodeCtx& ctx) { ctx.output(0); }),
+      ModelViolation);
 }
 
 }  // namespace

@@ -89,12 +89,14 @@ EngineSession::Shape shape_for(NodeId n, const Engine::Config& cfg) {
 
 TEST(EngineSession, BitIdenticalToEngineRunAcrossPlanesAndBackends) {
   const Graph g = gen::gnp(24, 0.3, 42);
-  for (const auto backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
-        ExecutionBackend::kThreadPerNode})
+  for (const auto& [backend, workers] :
+       {std::pair{ExecutionBackend::kPooled, std::size_t{0}},
+        std::pair{ExecutionBackend::kPooled, std::size_t{3}},
+        std::pair{ExecutionBackend::kThreadPerNode, std::size_t{0}}})
     for (const bool chaos : {false, true}) {
       Engine::Config cfg;
       cfg.backend = backend;
+      cfg.workers = workers;
       const char* what = chaos ? "chaos" : "bare";
       const RunArtifacts fresh = run_fresh(g, cfg, chaos);
       EngineSession session(shape_for(24, cfg));
@@ -142,7 +144,7 @@ TEST(EngineSession, ShapeMismatchedConfigThrows) {
   EXPECT_THROW(session.run(Instance::of(g), traffic_program, wrong),
                ModelViolation);
   wrong = cfg;
-  wrong.backend = ExecutionBackend::kSharded;
+  wrong.workers = 3;
   EXPECT_THROW(session.run(Instance::of(g), traffic_program, wrong),
                ModelViolation);
 }

@@ -3,7 +3,7 @@
 // Pins the three contracts the trace header promises:
 //   * determinism — every cost-side record field (and every span) is a pure
 //     function of the program and instance, identical across
-//     {kPooled, kSharded, kThreadPerNode} backends × worker counts,
+//     {kPooled, kThreadPerNode} backends × team sizes,
 //     asserted on randomised traffic with nested spans;
 //   * ledger exactness — per-record rounds/messages/bits sum to the
 //     CostMeter totals, per-phase totals partition them, and the plane's
@@ -35,7 +35,7 @@ namespace {
 
 struct TraceSetup {
   ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
+  std::size_t workers;  // cap on the fiber team; 0 = pool size
   const char* name;
 };
 
@@ -43,9 +43,8 @@ const TraceSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
     {ExecutionBackend::kPooled, 2, "pooled-2"},
     {ExecutionBackend::kPooled, 0, "pooled-hw"},
-    {ExecutionBackend::kSharded, 0, "sharded-hw"},
-    {ExecutionBackend::kSharded, 3,
-     "sharded-3"},  // non-dividing shard count for n in {5, 26}
+    {ExecutionBackend::kPooled, 3,
+     "pooled-3"},  // a team that does not divide n in {5, 26}
 };
 constexpr std::size_t kPooled2 = 1;  // the setup the ledger tests run on
 

@@ -247,7 +247,7 @@ TEST(Corpus, ManifestAxisExpansion) {
       "algorithm": ["routing_direct", "routing_balanced"],
       "family": "gnp", "p": 0.2,
       "n": [16, 32],
-      "backend": ["pooled", "sharded"],
+      "backend": ["pooled", "threaded"],
       "workers": [0, 3],
       "chaos": [false, true]
     }]
@@ -260,7 +260,7 @@ TEST(Corpus, ManifestAxisExpansion) {
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
   EXPECT_NE(std::find(ids.begin(), ids.end(),
-                      "routing_direct/gnp/n=32/sharded/chaos=on/w=3"),
+                      "routing_direct/gnp/n=32/threaded/chaos=on/w=3"),
             ids.end());
 }
 
@@ -282,6 +282,10 @@ TEST(Corpus, ManifestRejectionTable) {
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 16, "backend": "warped"}]})",
        "unknown backend 'warped'"},
+      // The two fiber backends are one: the old name is unknown.
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "backend": "sharded"}]})",
+       "unknown backend 'sharded' (accepted: pooled, threaded)"},
       // The message plane is no longer an axis: the old key is unknown.
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 16, "plane": "flat"}]})",
@@ -398,22 +402,21 @@ TEST(Sweep, EquivalenceCheckNamesBothCellsOfAPair) {
   spec.algorithm = "routing_uniform";
   spec.family.name = "empty";
   spec.n = 1024;
-  const harness::CellResult pooled = fake_result(spec);
-  spec.backend = ExecutionBackend::kSharded;
-  spec.workers = 2;
-  harness::CellResult sharded = fake_result(spec);
-  EXPECT_TRUE(harness::check_equivalence({pooled, sharded}).empty());
+  const harness::CellResult w0 = fake_result(spec);
+  spec.workers = 3;
+  harness::CellResult w3 = fake_result(spec);
+  EXPECT_TRUE(harness::check_equivalence({w0, w3}).empty());
 
-  sharded.output_fp ^= 1;
-  auto diags = harness::check_equivalence({pooled, sharded});
+  w3.output_fp ^= 1;
+  auto diags = harness::check_equivalence({w0, w3});
   ASSERT_EQ(diags.size(), 1u);
-  EXPECT_NE(diags[0].find(pooled.spec.id()), std::string::npos) << diags[0];
-  EXPECT_NE(diags[0].find(sharded.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find(w0.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find(w3.spec.id()), std::string::npos) << diags[0];
   EXPECT_NE(diags[0].find("output_fp"), std::string::npos) << diags[0];
 
-  sharded.output_fp = pooled.output_fp;
-  sharded.cost.max_node_received += 1;
-  diags = harness::check_equivalence({pooled, sharded});
+  w3.output_fp = w0.output_fp;
+  w3.cost.max_node_received += 1;
+  diags = harness::check_equivalence({w0, w3});
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0].find("meters"), std::string::npos) << diags[0];
 }
@@ -430,9 +433,9 @@ TEST(Sweep, EquivalenceCheckGroupsOnlyBackendAndWorkers) {
   harness::CellResult b = fake_result(spec);
   b.output_fp ^= 1;
   EXPECT_TRUE(harness::check_equivalence({a, b}).empty());
-  // Different backend *and* seed: still two scenarios.
+  // Different workers *and* seed: still two scenarios.
   spec.family.p = 0.25;
-  spec.backend = ExecutionBackend::kSharded;
+  spec.workers = 3;
   spec.seed = 7;
   harness::CellResult c = fake_result(spec);
   c.output_fp ^= 1;
@@ -487,13 +490,8 @@ TEST(Corpus, CellDeterministicAcrossWorkerCounts) {
   spec.family.name = "gnp";
   spec.family.p = 0.2;
   spec.n = 27;  // perfect cube: exercises the 3D grid path
-  for (ExecutionBackend backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
-    spec.backend = backend;
-    spec.family.seed = spec.seed = 3;
-    EXPECT_EQ(harness::check_worker_determinism(spec), "")
-        << harness::backend_name(backend);
-  }
+  spec.family.seed = spec.seed = 3;
+  EXPECT_EQ(harness::check_worker_determinism(spec), "");
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ const ChaosSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
     {ExecutionBackend::kPooled, 2, "pooled-2"},
     {ExecutionBackend::kPooled, 0, "pooled-hw"},
-    {ExecutionBackend::kSharded, 3, "sharded-3"},
+    {ExecutionBackend::kPooled, 3, "pooled-3"},
 };
 
 Engine::Config config_for(const ChaosSetup& s, ChaosPlan* plan) {

@@ -157,7 +157,7 @@ TEST(Protocol, BadJobsAreNamed) {
       response_type(client.request(submit_body(
                         "{\"algorithm\": \"routing_balanced\", \"family\": "
                         "\"gnp\", \"p\": 0.25, \"n\": 16, "
-                        "\"backend\": \"sharded\", \"workers\": [1, 2], "
+                        "\"backend\": \"pooled\", \"workers\": [1, 2], "
                         "\"chaos\": false}")),
                     &code),
       "error");
@@ -175,6 +175,32 @@ TEST(Protocol, BadJobsAreNamed) {
   EXPECT_EQ(code, kErrJobFailed);
   // The server still works after all of the above.
   EXPECT_EQ(response_type(client.request(submit_body(kGoodJob))), "result");
+  server.drain();
+}
+
+// The thread-per-node oracle starts one OS thread per node, so one frame
+// naming it could make the daemon start 8192 threads. A job may ask only
+// for the pooled backend, and the refusal comes at parse time: neither job
+// below reaches an executor, so no engine runs and no node thread starts.
+TEST(Protocol, ThreadedAndShardedJobsAreRefusedAtParse) {
+  Server server(base_options("threaded"));
+  server.start();
+  Client client(server.options().unix_path);
+  for (const std::string backend : {"threaded", "sharded"}) {
+    const std::string reply = client.request(submit_body(
+        "{\"algorithm\": \"routing_balanced\", \"family\": \"gnp\", "
+        "\"p\": 0.25, \"n\": 8, \"backend\": \"" +
+        backend + "\", \"chaos\": false}"));
+    std::string code;
+    EXPECT_EQ(response_type(reply, &code), "error") << backend;
+    EXPECT_EQ(code, kErrBadJob) << backend;
+    EXPECT_NE(reply.find("'" + backend + "'"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("(accepted: pooled)"), std::string::npos) << reply;
+  }
+  const Server::Stats s = server.stats();
+  EXPECT_EQ(s.jobs_ok + s.jobs_failed, 0u);
+  EXPECT_EQ(s.cache.misses, 0u);
+  EXPECT_EQ(response_type(client.request("{\"type\": \"ping\"}")), "pong");
   server.drain();
 }
 

@@ -9,7 +9,7 @@
 #   BENCH_mm_sparse.json  bench_mm_sparse   (sparse vs dense MM)
 #   BENCH_matrix.json     bench_matrix      (scenario matrix, default manifest)
 #   BENCH_scale.json      bench_matrix      (scale manifest: routing_uniform
-#                                            at n = 4096, pooled and sharded;
+#                                            at n = 4096 over four team caps;
 #                                            about a minute, ~9 GB resident)
 #   BENCH_service.json    bench_service     (ccqd daemon, warm vs cold load)
 #
