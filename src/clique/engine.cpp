@@ -478,35 +478,6 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
     st.private_bits = &instance.private_bits;
   }
 
-  // Attach the round trace, if any: Config::trace wins, else the
-  // process-wide default (benches' --trace). try_acquire keeps a trace
-  // single-run — a nested Engine::run seeing the same trace (or two
-  // concurrent runs sharing the global) executes untraced instead of
-  // interleaving records.
-  RoundTrace* trace = config.trace != nullptr ? config.trace : trace::global();
-  if (trace != nullptr && !trace->try_acquire()) trace = nullptr;
-  st.trace = trace;
-  if (trace != nullptr) {
-    trace->on_run_begin(n, st.bandwidth);
-    st.trace_prev_sent.assign(n, 0);
-    st.trace_prev_recv.assign(n, 0);
-  }
-  // Close the trace on every exit path: an aborting run (ModelViolation,
-  // program exception) still flushes its spans and releases the acquire.
-  struct TraceCloser {
-    SharedState& st;
-    ~TraceCloser() {
-      if (st.trace == nullptr) return;
-      CostMeter c = st.cost;
-      for (NodeId v = 0; v < st.n; ++v) {
-        c.max_node_sent = std::max(c.max_node_sent, st.sent_words[v]);
-        c.max_node_received = std::max(c.max_node_received,
-                                       st.received_words[v]);
-      }
-      st.trace->on_run_end(c);
-    }
-  } trace_closer{st};
-
   // A node program that itself calls Engine::run (nested simulation) must
   // not re-enter the shared worker pool from one of its fibers.
   Scheduler* sched = session_sched;
@@ -525,8 +496,45 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
                   "EngineSession::run called from inside a node program; "
                   "nested simulation must use Engine::run");
   }
-  sched->enable_stats(trace != nullptr);
   st.sched = sched;
+
+  // Attach the round trace, if any: Config::trace wins, else the
+  // process-wide default (benches' --trace). try_acquire keeps a trace
+  // single-run — a nested Engine::run seeing the same trace (or two
+  // concurrent runs sharing the global) executes untraced instead of
+  // interleaving records.
+  RoundTrace* trace = config.trace != nullptr ? config.trace : trace::global();
+  if (trace != nullptr && !trace->try_acquire()) trace = nullptr;
+  st.trace = trace;
+  sched->enable_stats(trace != nullptr);
+  // A session's scheduler counts across runs, so this run's records diff
+  // from a snapshot taken here.
+  const SchedulerStats sched_start = sched->stats();
+  if (trace != nullptr) {
+    trace->on_run_begin(n, st.bandwidth);
+    st.trace_prev_sent.assign(n, 0);
+    st.trace_prev_recv.assign(n, 0);
+    st.trace_prev_sched = sched_start;
+  }
+  // Close the trace on every exit path: an aborting run (ModelViolation,
+  // program exception) still flushes its spans and releases the acquire.
+  // Declared after the scheduler, so st.sched outlives it.
+  struct TraceCloser {
+    SharedState& st;
+    const SchedulerStats& start;
+    ~TraceCloser() {
+      if (st.trace == nullptr) return;
+      CostMeter c = st.cost;
+      for (NodeId v = 0; v < st.n; ++v) {
+        c.max_node_sent = std::max(c.max_node_sent, st.sent_words[v]);
+        c.max_node_received = std::max(c.max_node_received,
+                                       st.received_words[v]);
+      }
+      st.trace->on_run_end(
+          c, st.sched->stats().fresh_stacks - start.fresh_stacks);
+    }
+  } trace_closer{st, sched_start};
+
   sched->run(n, [&st, &program](NodeId v) {
     NodeCtx ctx = EngineAccess::make(v, &st);
     program(ctx);

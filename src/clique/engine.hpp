@@ -249,10 +249,12 @@ class Engine {
 };
 
 /// A warm engine for repeated runs of one fixed *shape*. Engine::run
-/// constructs a fresh scheduler (n fiber stacks) and message plane per
-/// call; a session constructs them once and re-initialises them per run,
-/// so the fiber stacks, plane arenas and counting-sort arrays carry over —
-/// at a fixed n the steady state allocates nothing per run. Results are
+/// constructs a fresh scheduler and message plane per call; a session
+/// constructs them once and re-initialises them per run, so the plane
+/// arenas and counting-sort arrays carry over. Fiber stacks come from the
+/// process-wide stack store for every run, session or not, and go back at
+/// run end (DESIGN.md §12) — at a fixed n the steady state allocates and
+/// maps nothing per run, and an idle session holds no stacks. Results are
 /// bit-for-bit identical to Engine::run with the same config (pinned by
 /// tests/clique/session_test.cpp); only wall-clock changes.
 ///

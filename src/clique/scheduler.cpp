@@ -1,13 +1,16 @@
 #include "clique/scheduler.hpp"
 
+#include <sys/mman.h>
 #include <ucontext.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,13 +60,13 @@ extern "C" {
 // target_sp. Returns when someone swaps back to *save_sp.
 void ccq_fiber_swap(void** save_sp, void* target_sp);
 // First-activation shim: the seeded stack "returns" here with the Fiber*
-// in r12 (see make_fiber); forwards it to ccq_fiber_main.
+// in r12 (see init_fiber); forwards it to ccq_fiber_main.
 void ccq_fiber_entry();
 // C++ side of the first activation; never returns.
 void ccq_fiber_main(void* fiber);
 }
 
-// Restore path must mirror the seeded layout in make_fiber:
+// Restore path must mirror the seeded layout in init_fiber:
 // sp → [fcw][mxcsr] [r15 r14 r13 r12 rbx rbp] [return address].
 asm(R"(
 .text
@@ -109,6 +112,82 @@ ccq_fiber_entry:
 
 namespace ccq {
 namespace detail {
+
+// ---------------------------------------------------------------------------
+// Fiber stacks: mapped outside malloc, recycled LIFO.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A recycled stack still carries the poison of its last fiber's frames, and
+// an unmapped one must leave clean shadow behind for whatever maps there
+// next.
+void unpoison_stack([[maybe_unused]] char* stack) {
+#ifdef CCQ_ASAN
+  __asan_unpoison_memory_region(stack, FiberStackStore::kStackBytes);
+#endif
+}
+
+void unmap_stack(char* stack) {
+  unpoison_stack(stack);
+  munmap(stack, FiberStackStore::kStackBytes);
+}
+
+}  // namespace
+
+FiberStackStore::~FiberStackStore() {
+  for (char* stack : idle_) unmap_stack(stack);
+}
+
+FiberStackStore& FiberStackStore::process() {
+  static FiberStackStore* const store = new FiberStackStore(kProcessMaxIdle);
+  return *store;
+}
+
+std::size_t FiberStackStore::take(std::size_t count, std::vector<char*>* out) {
+  const std::size_t first = out->size();
+  out->reserve(first + count);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    while (out->size() - first < count && !idle_.empty()) {
+      out->push_back(idle_.back());
+      idle_.pop_back();
+    }
+  }
+  for (std::size_t i = first; i < out->size(); ++i) unpoison_stack((*out)[i]);
+  const std::size_t fresh = count - (out->size() - first);
+  for (std::size_t i = 0; i < fresh; ++i) {
+    // MAP_NORESERVE: 8192 stacks reserve 2 GiB of address space, but only
+    // the pages a fiber touches are ever committed.
+    void* p = mmap(nullptr, kStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) {
+      const std::vector<char*> taken(out->begin() + first, out->end());
+      out->resize(first);
+      give_back(taken);
+      throw std::bad_alloc();
+    }
+    out->push_back(static_cast<char*>(p));
+  }
+  return fresh;
+}
+
+void FiberStackStore::give_back(const std::vector<char*>& stacks) {
+  std::size_t keep = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    keep = std::min(stacks.size(), max_idle_ - idle_.size());
+    // The first `keep` stacks go back, pushed in reverse so the next take
+    // pops them in their original order.
+    for (std::size_t i = keep; i-- > 0;) idle_.push_back(stacks[i]);
+  }
+  for (std::size_t i = keep; i < stacks.size(); ++i) unmap_stack(stacks[i]);
+}
+
+std::size_t FiberStackStore::idle() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return idle_.size();
+}
 
 namespace {
 
@@ -265,7 +344,7 @@ struct Fiber {
   ucontext_t ctx{};
   ucontext_t* resumer = nullptr;  // the worker context to yield back to
 #endif
-  std::unique_ptr<char[]> stack;
+  char* stack = nullptr;  // from FiberStackStore, given back at run end
   FiberScheduler* sched = nullptr;
   NodeId id = 0;
   bool finished = false;
@@ -286,8 +365,7 @@ struct Fiber {
 // The fiber the calling worker thread is currently executing, if any.
 thread_local Fiber* tls_fiber = nullptr;
 
-// Per-node fiber stack size (see make_fiber for how stacks are allocated).
-constexpr std::size_t kFiberStackBytes = 256 * 1024;
+constexpr std::size_t kFiberStackBytes = FiberStackStore::kStackBytes;
 
 void spin_pause(unsigned& spins) {
   if (++spins < 64) {
@@ -311,12 +389,17 @@ class FiberScheduler final : public Scheduler {
     error_ = nullptr;
     done_ = false;
 
-    // The caller creates every fiber before the team starts, so all stacks
-    // come from this thread's malloc arena (DESIGN.md §12), and a failed
-    // allocation throws here, before any worker waits at the barrier.
-    destroy_fibers();
-    fibers_.reserve(n);
-    for (NodeId v = 0; v < n; ++v) fibers_.push_back(make_fiber(v));
+    // The caller takes every stack and creates every fiber before the team
+    // starts, so a failed mmap throws std::bad_alloc here, before any worker
+    // waits at the barrier (DESIGN.md §12). The stacks go back to the store
+    // on every exit path: a scheduler between runs holds none.
+    struct Release {
+      FiberScheduler& s;
+      ~Release() { s.release_fibers(); }
+    } release{*this};
+    count_fresh_stacks(FiberStackStore::process().take(n, &stacks_));
+    fibers_.resize(n);
+    for (NodeId v = 0; v < n; ++v) init_fiber(fibers_[v], v, stacks_[v]);
 
     ThreadPool& pool = shared_pool();
     team_ = std::min<std::size_t>(pool.size(), n);
@@ -326,7 +409,6 @@ class FiberScheduler final : public Scheduler {
 
     pool.parallel_for(team_, [this](std::size_t w) { worker_loop(w); });
 
-    destroy_fibers();
     if (error_) std::rethrow_exception(error_);
   }
 
@@ -429,39 +511,25 @@ class FiberScheduler final : public Scheduler {
   static constexpr std::uint64_t kTicketEpochMask =
       (std::uint64_t{1} << (64 - kTicketEpochShift)) - 1;
 
-  // Builds node v's fiber on a recycled stack if the previous run banked
-  // one (EngineSession reuse: at a fixed n the steady state allocates no
-  // stacks); every stack has the one fixed size, so any one fits.
-  // Default-initialised (not value-initialised) allocation so untouched
-  // stack pages stay lazily unmapped — 4096 fibers must not commit a
-  // gigabyte.
-  std::unique_ptr<Fiber> make_fiber(NodeId v) {
-    auto f = std::make_unique<Fiber>();
-    f->sched = this;
-    f->id = v;
-    if (stack_pool_.empty()) {
-      f->stack.reset(new char[kFiberStackBytes]);
-    } else {
-      f->stack = std::move(stack_pool_.back());
-      stack_pool_.pop_back();
-#ifdef CCQ_ASAN
-      // The previous fiber's last frames are still poisoned in the shadow.
-      __asan_unpoison_memory_region(f->stack.get(), kFiberStackBytes);
-#endif
-    }
+  // Builds node v's fiber on `stack`, which the store handed out with its
+  // shadow unpoisoned; only the pages the fiber touches are ever committed.
+  void init_fiber(Fiber& f, NodeId v, char* stack) {
+    f.sched = this;
+    f.id = v;
+    f.stack = stack;
 #ifdef CCQ_FAST_FIBER
     // Seed the stack so the first ccq_fiber_swap "returns" into
     // ccq_fiber_entry with the Fiber* in r12. The slot order matches the
     // swap's restore path; the -56-byte offset leaves rsp ≡ 8 (mod 16) so
     // the entry shim's call site sees a correctly aligned stack.
     const auto top =
-        reinterpret_cast<std::uintptr_t>(f->stack.get() + kFiberStackBytes) &
+        reinterpret_cast<std::uintptr_t>(f.stack + kFiberStackBytes) &
         ~std::uintptr_t(15);
     auto* slots = reinterpret_cast<void**>(top);
     slots[-1] = reinterpret_cast<void*>(&ccq_fiber_entry);  // ret target
     slots[-2] = nullptr;                                    // rbp
     slots[-3] = nullptr;                                    // rbx
-    slots[-4] = f.get();                                    // r12
+    slots[-4] = &f;                                         // r12
     slots[-5] = nullptr;                                    // r13
     slots[-6] = nullptr;                                    // r14
     slots[-7] = nullptr;                                    // r15
@@ -472,35 +540,35 @@ class FiberScheduler final : public Scheduler {
     asm("fnstcw %0" : "=m"(fcw));
     std::memcpy(sp + 8, &mxcsr, sizeof mxcsr);
     std::memcpy(sp, &fcw, sizeof fcw);
-    f->sp = sp;
+    f.sp = sp;
 #else
-    CCQ_CHECK(getcontext(&f->ctx) == 0);
-    f->ctx.uc_stack.ss_sp = f->stack.get();
-    f->ctx.uc_stack.ss_size = kFiberStackBytes;
-    f->ctx.uc_link = nullptr;
+    CCQ_CHECK(getcontext(&f.ctx) == 0);
+    f.ctx.uc_stack.ss_sp = f.stack;
+    f.ctx.uc_stack.ss_size = kFiberStackBytes;
+    f.ctx.uc_link = nullptr;
     // makecontext only passes ints; smuggle the Fiber* through two halves.
-    const auto p = reinterpret_cast<std::uintptr_t>(f.get());
-    makecontext(&f->ctx, reinterpret_cast<void (*)()>(&trampoline), 2,
+    const auto p = reinterpret_cast<std::uintptr_t>(&f);
+    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&trampoline), 2,
                 static_cast<unsigned>(p >> 32),
                 static_cast<unsigned>(p & 0xffffffffu));
 #endif
 #ifdef CCQ_TSAN
-    f->tsan_fiber = __tsan_create_fiber(0);
+    f.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    return f;
   }
 
-  // Bank the stacks for the next run (called from run() entry and exit
-  // only). The fiber bookkeeping itself is rebuilt per run — only the stack
-  // allocations, the expensive part, survive.
-  void destroy_fibers() {
-    for (auto& f : fibers_) {
+  // End of run (every exit path): give the stacks back to the store. The
+  // vectors keep their capacity, so a session at a fixed n allocates no
+  // fiber bookkeeping either.
+  void release_fibers() {
 #ifdef CCQ_TSAN
-      __tsan_destroy_fiber(f->tsan_fiber);
-#endif
-      stack_pool_.push_back(std::move(f->stack));
+    for (Fiber& f : fibers_) {
+      if (f.tsan_fiber != nullptr) __tsan_destroy_fiber(f.tsan_fiber);
     }
+#endif
     fibers_.clear();
+    FiberStackStore::process().give_back(stacks_);
+    stacks_.clear();
   }
 
   void resume(Fiber& f) {
@@ -510,8 +578,7 @@ class FiberScheduler final : public Scheduler {
     tls_fiber = &f;
 #ifdef CCQ_ASAN
     void* fake_stack = nullptr;
-    __sanitizer_start_switch_fiber(&fake_stack, f.stack.get(),
-                                   kFiberStackBytes);
+    __sanitizer_start_switch_fiber(&fake_stack, f.stack, kFiberStackBytes);
 #endif
 #ifdef CCQ_FAST_FIBER
     ccq_fiber_swap(&f.worker_sp, f.sp);
@@ -603,7 +670,7 @@ class FiberScheduler final : public Scheduler {
     bool sense = false;
     while (true) {
       for (NodeId v = begin; v < end; ++v) {
-        if (!fibers_[v]->finished) resume(*fibers_[v]);
+        if (!fibers_[v].finished) resume(fibers_[v]);
       }
       sense = !sense;
       if (barrier_count_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -630,7 +697,7 @@ class FiberScheduler final : public Scheduler {
   // barrier orders them). Validates the rendezvous and runs the leader.
   void superstep_end() {
     std::size_t parked = 0;
-    for (const auto& f : fibers_) parked += f->finished ? 0 : 1;
+    for (const Fiber& f : fibers_) parked += f.finished ? 0 : 1;
     if (!aborted_.load(std::memory_order_relaxed) && parked > 0) {
       if (any_returned_.load(std::memory_order_relaxed)) {
         record_error(std::make_exception_ptr(ModelViolation(
@@ -640,9 +707,9 @@ class FiberScheduler final : public Scheduler {
         // All n fibers are parked at a collective; validate and deliver.
         // (parked > 0 and no normal return means no fiber finished at all:
         // an exceptional finish would have set aborted_.)
-        Fiber* first = fibers_.front().get();
-        for (const auto& f : fibers_) {
-          if (!(f->tag == first->tag)) {
+        const Fiber& first = fibers_.front();
+        for (const Fiber& f : fibers_) {
+          if (!(f.tag == first.tag)) {
             record_error(std::make_exception_ptr(ModelViolation(
                 "divergent collectives: nodes issued different operations")));
             break;
@@ -650,7 +717,7 @@ class FiberScheduler final : public Scheduler {
         }
         if (!aborted_.load(std::memory_order_relaxed)) {
           try {
-            (*first->leader)();
+            (*first.leader)();
           } catch (...) {
             record_error(std::current_exception());
           }
@@ -663,12 +730,11 @@ class FiberScheduler final : public Scheduler {
   }
 
   const std::size_t workers_cap_;  // 0 = pool size
-  // Recycled fiber stacks; see make_fiber.
-  std::vector<std::unique_ptr<char[]>> stack_pool_;
 
   NodeId n_ = 0;
   const NodeBody* body_ = nullptr;
-  std::vector<std::unique_ptr<Fiber>> fibers_;  // one per node id
+  std::vector<char*> stacks_;  // this run's stacks, node id order
+  std::vector<Fiber> fibers_;  // one per node id; never resized mid-run
   bool done_ = false;  // written in the serial phase, read after release
 
   std::size_t team_ = 0;

@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -44,17 +46,58 @@ enum class ExecutionBackend {
 };
 
 /// Occupancy counters a scheduler accumulates when stats are enabled
-/// (RoundTrace observability; see clique/trace.hpp). Run-wide and
-/// monotonic — the trace diffs consecutive snapshots per collective. All
-/// values are wall-clock/backend-shaped: they are *not* covered by the
-/// determinism contract.
+/// (RoundTrace observability; see clique/trace.hpp). Monotonic over the
+/// scheduler's lifetime, which spans every run of an EngineSession — the
+/// engine snapshots them at run start and the trace diffs consecutive
+/// snapshots per collective. All values are wall-clock/backend-shaped: they
+/// are *not* covered by the determinism contract.
 struct SchedulerStats {
   std::uint64_t fiber_switches = 0;   ///< node-fiber resumes (fiber backend)
   std::uint64_t parallel_jobs = 0;    ///< leader_parallel_for invocations
   std::uint64_t parallel_chunks = 0;  ///< chunks across those jobs
+  std::uint64_t fresh_stacks = 0;     ///< fiber stacks mapped because the
+                                      ///< stack store had none idle
 };
 
 namespace detail {
+
+/// Where every fiber stack comes from (DESIGN.md §12): fixed-size stacks
+/// mapped with mmap(MAP_NORESERVE), outside any malloc arena, and recycled
+/// last-in first-out, so a run gets the stacks — and the faulted-in pages —
+/// that the previous run gave back. A returned stack is unmapped only when
+/// the idle list already holds `max_idle` stacks. Thread-safe: one lock
+/// around the idle list; mmap and munmap run outside it.
+class FiberStackStore {
+ public:
+  static constexpr std::size_t kStackBytes = 256 * 1024;
+  /// The process-wide store's idle cap: the largest legal n, so a run of
+  /// any size gives all its stacks back and the next one maps none.
+  static constexpr std::size_t kProcessMaxIdle = 8192;
+
+  explicit FiberStackStore(std::size_t max_idle) : max_idle_(max_idle) {}
+  ~FiberStackStore();  // unmaps the idle stacks
+  FiberStackStore(const FiberStackStore&) = delete;
+  FiberStackStore& operator=(const FiberStackStore&) = delete;
+
+  /// The store the fiber backend draws from (never destroyed, so a run
+  /// still finishing on another thread at exit can give its stacks back).
+  static FiberStackStore& process();
+
+  /// Appends `count` stacks to *out, most recently returned first, and
+  /// maps the ones the idle list cannot supply. Returns how many it
+  /// mapped. If a mapping fails, the stacks taken so far go back and
+  /// std::bad_alloc is thrown.
+  std::size_t take(std::size_t count, std::vector<char*>* out);
+  /// Returns stacks from take(); the reverse push makes a take of the same
+  /// count hand them out in the same order.
+  void give_back(const std::vector<char*>& stacks);
+  std::size_t idle() const;
+
+ private:
+  const std::size_t max_idle_;
+  mutable std::mutex mu_;
+  std::vector<char*> idle_;  // top of the LIFO at the back
+};
 
 // Thrown into node programs to unwind them after another node failed (or a
 // model rule was violated); never escapes Scheduler::run.
@@ -121,6 +164,7 @@ class Scheduler {
     s.fiber_switches = fiber_switches_.load(std::memory_order_relaxed);
     s.parallel_jobs = parallel_jobs_;
     s.parallel_chunks = parallel_chunks_;
+    s.fresh_stacks = fresh_stacks_;
     return s;
   }
 
@@ -139,18 +183,26 @@ class Scheduler {
       fiber_switches_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  // Caller-owned, like the job counters: stacks are taken before the team
+  // starts.
+  void count_fresh_stacks(std::size_t stacks) {
+    if (stats_on_) fresh_stacks_ += stacks;
+  }
 
  private:
   bool stats_on_ = false;
   std::atomic<std::uint64_t> fiber_switches_{0};
   std::uint64_t parallel_jobs_ = 0;
   std::uint64_t parallel_chunks_ = 0;
+  std::uint64_t fresh_stacks_ = 0;
 };
 
 /// Backend factory. `workers` caps the fiber team (0 = pool size; the team
 /// is min(pool size, cap, n)); the thread-per-node backend ignores it.
-/// Fiber stacks are a fixed 256 KiB. Value validation (workers ≤ n) is
-/// Engine::run's job — the factory only wires the backend.
+/// Fiber stacks are a fixed 256 KiB from FiberStackStore::process(), taken
+/// at run start and given back at run end, so a scheduler between runs
+/// holds none. Value validation (workers ≤ n) is Engine::run's job — the
+/// factory only wires the backend.
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
                                           std::size_t workers);
 

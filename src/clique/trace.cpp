@@ -202,8 +202,10 @@ const std::string& RoundTrace::current_phase(NodeId id) const {
   return s.stack.empty() ? kEmpty : s.stack.back();
 }
 
-void RoundTrace::on_run_end(const CostMeter& cost) {
+void RoundTrace::on_run_end(const CostMeter& cost,
+                            std::uint64_t fresh_stacks) {
   runs_info_.back().rounds = cost.rounds;
+  runs_info_.back().fresh_stacks = fresh_stacks;
   metered_.add(cost);
   // Flush per-node span buffers in node-id order (deterministic output
   // order regardless of which fibers closed their spans first). Spans that
@@ -315,7 +317,8 @@ bool RoundTrace::write_jsonl(const std::string& path) const {
     append_u64(line, "n", r.n);
     append_u64(line, "bandwidth", r.bandwidth);
     append_u64(line, "round_offset", r.round_offset);
-    append_u64(line, "rounds", r.rounds, /*comma=*/false);
+    append_u64(line, "rounds", r.rounds);
+    append_u64(line, "fresh_stacks", r.fresh_stacks, /*comma=*/false);
     f << line << "}\n";
   }
   for (const TraceRecord& r : records_) {
@@ -380,7 +383,8 @@ bool RoundTrace::load_jsonl(const std::string& path, RoundTrace* out) {
       std::uint64_t n = 0, bw = 0;
       if (!get_u64(line, "n", &n) || !get_u64(line, "bandwidth", &bw) ||
           !get_u64(line, "round_offset", &r.round_offset) ||
-          !get_u64(line, "rounds", &r.rounds)) {
+          !get_u64(line, "rounds", &r.rounds) ||
+          !get_u64(line, "fresh_stacks", &r.fresh_stacks)) {
         return false;
       }
       r.n = static_cast<NodeId>(n);

@@ -151,6 +151,10 @@ struct TraceRunInfo {
   unsigned bandwidth = 1;
   std::uint64_t round_offset = 0;  ///< chrome-timeline start of this run
   std::uint64_t rounds = 0;        ///< final metered rounds of this run
+  /// Fiber stacks this run had to map because the stack store had none
+  /// idle (0 on thread-per-node). Observability-only, like fiber_switches:
+  /// deterministic_eq and the harness's ledger fingerprint ignore it.
+  std::uint64_t fresh_stacks = 0;
 };
 
 /// Per-collective recorder attached to Engine::run via
@@ -213,9 +217,10 @@ class RoundTrace {
   const std::string& current_phase(NodeId id) const;
   /// End of run (normal or aborting): closes surviving open spans at the
   /// final (collective, round) coordinates, folds `cost` into
-  /// metered_totals, flushes per-node span buffers in node-id order, and
-  /// releases the acquire.
-  void on_run_end(const CostMeter& cost);
+  /// metered_totals, records the run's freshly mapped fiber stacks,
+  /// flushes per-node span buffers in node-id order, and releases the
+  /// acquire.
+  void on_run_end(const CostMeter& cost, std::uint64_t fresh_stacks);
 
  private:
   struct NodeSpanState {

@@ -25,7 +25,7 @@ EngineCache::Lease EngineCache::acquire(const EngineSession::Shape& shape) {
     }
     ++stats_.misses;
   }
-  // Construction outside the lock: it allocates n fiber stacks.
+  // Construction outside the lock: it allocates the scheduler and plane.
   return Lease(this, std::make_unique<EngineSession>(shape), /*warm=*/false);
 }
 

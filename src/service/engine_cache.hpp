@@ -4,8 +4,10 @@
 //
 // A ccqd job names a scenario cell; executing it cold costs, beyond the
 // protocol itself, (a) regenerating the graph family and its §3 private-bit
-// encoding (O(n²)) and (b) constructing a scheduler (n fiber stacks) and a
-// message plane per run. The two caches below amortise both:
+// encoding (O(n²)) and (b) constructing a scheduler and a message plane
+// and sizing the plane's arrays per run. The two caches below amortise
+// both (fiber stacks are recycled for warm and cold runs alike by the
+// process-wide stack store, DESIGN.md §12):
 //
 //   * InstanceCache — keyed by the family identity (name, n, seed, tuning
 //     parameters): the generated Graph wrapped in an Instance whose

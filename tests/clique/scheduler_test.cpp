@@ -11,20 +11,25 @@
 #include "clique/scheduler.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "clique/chaos.hpp"
 #include "clique/engine.hpp"
 #include "clique/routing.hpp"
 #include "clique/trace.hpp"
 #include "graph/generators.hpp"
+#include "harness/sweep.hpp"
 #include "util/rng.hpp"
 
 namespace ccq {
@@ -602,6 +607,165 @@ TEST(ShardedScale, CliqueBeyondCapRejected) {
   EXPECT_THROW(
       Engine::run(gen::empty(8193), [](NodeCtx& ctx) { ctx.output(0); }),
       ModelViolation);
+}
+
+// ---- the fiber stack store ------------------------------------------------
+
+using detail::FiberStackStore;
+
+struct StoreRun {
+  RunResult result;
+  std::uint64_t ledger_fp = 0;
+  std::uint64_t fresh_stacks = 0;  // what the trace reports for the run
+};
+
+StoreRun traced_run(const Graph& g, Engine::Config cfg,
+                    EngineSession* session = nullptr) {
+  RoundTrace trace;
+  cfg.trace = &trace;
+  StoreRun r;
+  r.result = session != nullptr
+                 ? session->run(Instance::of(g), mixed_program, cfg)
+                 : Engine::run(g, mixed_program, cfg);
+  r.ledger_fp = harness::ledger_fingerprint(trace);
+  r.fresh_stacks = trace.run_info().at(0).fresh_stacks;
+  return r;
+}
+
+EngineSession::Shape shape_of(NodeId n, const Engine::Config& cfg) {
+  EngineSession::Shape shape;
+  shape.n = n;
+  shape.backend = cfg.backend;
+  shape.workers = cfg.workers;
+  return shape;
+}
+
+// Holds every idle stack of the process-wide store, so the next run must
+// map all of its stacks fresh.
+class DrainedStore {
+ public:
+  DrainedStore() {
+    FiberStackStore& store = FiberStackStore::process();
+    store.take(store.idle(), &held_);
+  }
+  ~DrainedStore() { FiberStackStore::process().give_back(held_); }
+
+ private:
+  std::vector<char*> held_;
+};
+
+TEST(FiberStackStore, SecondRunAtTheSameSizeMapsNoStacks) {
+  const Graph g = gen::gnp(40, 0.3, 5);
+  const Engine::Config cfg;
+  {
+    DrainedStore drained;
+    EXPECT_EQ(traced_run(g, cfg).fresh_stacks, 40u);
+    EXPECT_EQ(traced_run(g, cfg).fresh_stacks, 0u);
+  }
+  {
+    DrainedStore drained;
+    EngineSession session(shape_of(40, cfg));
+    EXPECT_EQ(traced_run(g, cfg, &session).fresh_stacks, 40u);
+    EXPECT_EQ(traced_run(g, cfg, &session).fresh_stacks, 0u);
+  }
+  Engine::Config threaded;
+  threaded.backend = ExecutionBackend::kThreadPerNode;
+  EXPECT_EQ(traced_run(g, threaded).fresh_stacks, 0u);
+}
+
+// Stacks carry nothing from one run into the next: a run on freshly mapped
+// stacks, a plain run and a session run on recycled ones all match the
+// thread-per-node oracle bit for bit.
+TEST(FiberStackStore, RecycledStacksChangeNoResult) {
+  for (const NodeId n : {NodeId{1}, NodeId{5}, NodeId{64}}) {
+    const Graph g = gen::gnp(n, 0.5, 31 + n);
+    Engine::Config oracle_cfg;
+    oracle_cfg.backend = ExecutionBackend::kThreadPerNode;
+    const StoreRun oracle = traced_run(g, oracle_cfg);
+    for (const std::size_t cap : {1, 3, 0}) {
+      const Engine::Config cfg = team_of(std::min<std::size_t>(cap, n));
+      const std::string what =
+          "n=" + std::to_string(n) + " cap=" + std::to_string(cap);
+      DrainedStore drained;
+      const StoreRun fresh = traced_run(g, cfg);
+      EXPECT_EQ(fresh.fresh_stacks, n) << what;
+      const StoreRun plain = traced_run(g, cfg);
+      EngineSession session(shape_of(n, cfg));
+      const StoreRun warm = traced_run(g, cfg, &session);
+      for (const StoreRun* r : {&fresh, &plain, &warm}) {
+        expect_same_result(oracle.result, r->result, what);
+        EXPECT_EQ(oracle.ledger_fp, r->ledger_fp) << what;
+      }
+      EXPECT_EQ(plain.fresh_stacks, 0u) << what;
+      EXPECT_EQ(warm.fresh_stacks, 0u) << what;
+    }
+  }
+}
+
+TEST(FiberStackStore, UnmapsReturnedStacksPastItsIdleCap) {
+  static_assert(FiberStackStore::kProcessMaxIdle >= 8192,
+                "the process-wide store must keep a full n = 8192 run");
+  FiberStackStore store(2);
+  std::vector<char*> stacks;
+  EXPECT_EQ(store.take(5, &stacks), 5u);
+  ASSERT_EQ(stacks.size(), 5u);
+  for (char* s : stacks) {
+    s[0] = 1;
+    s[FiberStackStore::kStackBytes - 1] = 1;
+  }
+  std::vector<unsigned char> pages(FiberStackStore::kStackBytes /
+                                   static_cast<std::size_t>(getpagesize()));
+  store.give_back(stacks);
+  EXPECT_EQ(store.idle(), 2u);
+  // The first two stay mapped; the three past the cap are unmapped, which
+  // mincore reports as ENOMEM.
+  for (std::size_t i = 0; i < stacks.size(); ++i) {
+    errno = 0;
+    const int rc = mincore(stacks[i], FiberStackStore::kStackBytes,
+                           pages.data());
+    if (i < 2) {
+      EXPECT_EQ(rc, 0) << i;
+    } else {
+      EXPECT_EQ(rc, -1) << i;
+      EXPECT_EQ(errno, ENOMEM) << i;
+    }
+  }
+  // The kept stacks come back first, in their original order; the third
+  // is mapped fresh.
+  std::vector<char*> again;
+  EXPECT_EQ(store.take(3, &again), 1u);
+  ASSERT_EQ(again.size(), 3u);
+  EXPECT_EQ(again[0], stacks[0]);
+  EXPECT_EQ(again[1], stacks[1]);
+  EXPECT_EQ(store.idle(), 0u);
+  store.give_back(again);
+  EXPECT_EQ(store.idle(), 2u);
+}
+
+// ccqd's executors run engines concurrently, so the store is shared across
+// threads: a stack must never be handed to two takers at once. Each thread
+// stamps its stacks and checks the stamps before giving them back; under
+// TSan a shared stack would also be a reported race.
+TEST(FiberStackStore, ConcurrentTakersNeverShareAStack) {
+  FiberStackStore store(6);
+  std::atomic<int> clashes{0};
+  std::vector<std::thread> threads;
+  for (char tag = 1; tag <= 4; ++tag) {
+    threads.emplace_back([&store, &clashes, tag] {
+      std::vector<char*> stacks;
+      for (int i = 0; i < 200; ++i) {
+        store.take(1 + (i + tag) % 5, &stacks);
+        for (char* s : stacks) s[0] = tag;
+        std::this_thread::yield();
+        for (char* s : stacks) clashes += s[0] != tag;
+        store.give_back(stacks);
+        stacks.clear();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(clashes.load(), 0);
+  EXPECT_LE(store.idle(), 6u);
 }
 
 }  // namespace

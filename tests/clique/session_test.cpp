@@ -157,6 +157,36 @@ TEST(EngineSession, WrongInstanceSizeThrows) {
                ModelViolation);
 }
 
+TEST(EngineSession, WarmTracesCountOnlyTheirOwnRun) {
+  // The session's scheduler keeps its counters across runs; every traced
+  // run must still read, record by record, what a fresh Engine::run reads.
+  const Graph g = gen::gnp(16, 0.5, 3);
+  Engine::Config cfg;
+  RoundTrace fresh;
+  cfg.trace = &fresh;
+  Engine::run(g, traffic_program, cfg);
+  ASSERT_FALSE(fresh.records().empty());
+  EngineSession session(shape_for(16, cfg));
+  for (int run = 0; run < 3; ++run) {
+    RoundTrace warm;
+    cfg.trace = &warm;
+    session.run(Instance::of(g), traffic_program, cfg);
+    ASSERT_EQ(warm.records().size(), fresh.records().size());
+    for (std::size_t i = 0; i < fresh.records().size(); ++i) {
+      const TraceRecord& f = fresh.records()[i];
+      const TraceRecord& w = warm.records()[i];
+      EXPECT_EQ(f.fiber_switches, w.fiber_switches) << run << "/" << i;
+      EXPECT_EQ(f.parallel_jobs, w.parallel_jobs) << run << "/" << i;
+      EXPECT_EQ(f.parallel_chunks, w.parallel_chunks) << run << "/" << i;
+    }
+    // From the second run on, the session's stacks are the ones its
+    // previous run gave back.
+    if (run > 0) {
+      EXPECT_EQ(warm.run_info().at(0).fresh_stacks, 0u) << run;
+    }
+  }
+}
+
 TEST(EngineSession, SessionFailuresDoNotPoisonTheSession) {
   // A run that throws (round-limit overrun) must leave the warm scheduler
   // and plane reusable for the next run — the service returns leases to

@@ -467,6 +467,10 @@ TEST(TraceExport, JsonlRoundTrip) {
     EXPECT_EQ(trace.records()[i].fiber_switches,
               loaded.records()[i].fiber_switches);
   }
+  for (std::size_t i = 0; i < trace.runs(); ++i) {
+    EXPECT_EQ(trace.run_info()[i].fresh_stacks,
+              loaded.run_info()[i].fresh_stacks);
+  }
   std::remove(path.c_str());
 }
 
