@@ -20,7 +20,8 @@
 // against the serial kernel (and the serial kernel against mm_naive at
 // n ≤ 512) before any time is reported.
 //
-// Usage: bench_mm_sparse [--n=N] [--density=D] [--check] [--trace=PATH]
+// Usage: bench_mm_sparse [--n=N] [--density=D] [--out=PATH] [--check]
+//                        [--trace=PATH]
 //   --n=N       run a single clique size instead of the default sweep
 //   --density=D density for the local SpGEMM kernel table (default 0.1;
 //               the distributed sweep always runs its fixed density grid)
@@ -30,12 +31,14 @@
 //               density ≥ 0.1 when the kernel pool has > 1 workers (the
 //               issue's 2x target with a 15% noise margin; printed as
 //               skipped on single-core hosts)
+//   --out=PATH  output JSON (default BENCH_mm_sparse.json). CI writes to
+//               BENCH_mm_sparse.current.json and gates it against the
+//               committed file with tools/check_trajectory.py --mm-sparse.
 //   --trace=PATH  record a round trace of every run (chrome://tracing)
 //
-// Writes BENCH_mm_sparse.json ({n, density, semiring, nnz, algo, rounds,
-// messages, bits, wall_ms} per distributed row; {n, density, semiring,
-// kernel, wall_ms, speedup} per local-kernel row) into the current
-// directory.
+// Writes {n, density, semiring, nnz, algo, rounds, messages, bits, wall_ms}
+// per distributed row and {n, density, semiring, kernel, wall_ms, speedup}
+// per local-kernel row.
 
 #include <chrono>
 #include <cstdio>
@@ -338,6 +341,7 @@ void spgemm_kernel_table(const std::vector<NodeId>& sizes, double density,
 int main(int argc, char** argv) {
   benchjson::TraceSession trace_session(&argc, argv);
   std::vector<NodeId> sizes = {256, 512, 1024};
+  std::string out_path = "BENCH_mm_sparse.json";
   bool check = false;
   double kernel_density = 0.1;
   for (int i = 1; i < argc; ++i) {
@@ -347,11 +351,13 @@ int main(int argc, char** argv) {
     } else if (const char* d = benchargs::flag_value(argv[i], "--density")) {
       kernel_density =
           benchargs::parse_double(argv[0], "--density", d, 0.0, 1.0);
+    } else if (const char* o = benchargs::flag_value(argv[i], "--out")) {
+      out_path = o;
     } else if (benchargs::flag_is(argv[i], "--check")) {
       check = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--n=N] [--density=D] [--check] "
+                   "usage: %s [--n=N] [--density=D] [--out=PATH] [--check] "
                    "[--trace=PATH]\n",
                    argv[0]);
       return 2;
@@ -366,8 +372,8 @@ int main(int argc, char** argv) {
   spgemm_kernel_table(sizes, kernel_density, check);
 
   if (!trace_session.finish(&g_json)) return 1;
-  if (g_json.write("BENCH_mm_sparse.json"))
-    std::printf("\nwrote BENCH_mm_sparse.json\n");
+  if (g_json.write(out_path))
+    std::printf("\nwrote %s\n", out_path.c_str());
 
   if (!g_gates_ok) return 1;
   std::printf("%s: results exact, sparse bits ∝ nnz, 1%%-density ratio "

@@ -265,8 +265,11 @@ std::vector<typename S::Value> mm_distributed_naive(
 // structural corruption of a descriptor (drop, flip) makes the declared and
 // received payload widths disagree, which the receivers CCQ_CHECK.
 //
-// All three encode each distinct payload once and deposit word runs that
-// point at that encoding, one run per destination.
+// All three pack each distinct payload once and deposit bit runs that point
+// at that packing, one run per destination. The plane meters a run as its
+// B-bit framing and stores it packed (DESIGN.md §8); receivers read it back
+// with FlatInbox::bits_from after checking its framing with words_from or
+// carries.
 
 namespace mm3d_detail {
 
@@ -424,33 +427,29 @@ std::vector<typename S::Value> dense_block_mm(
   CCQ_CHECK(!holds_b || row_b.size() == L.n[2]);
 
   // ---- Step A: source v sends A_v[R¹_k] to every worker (of⁰(v), j, k) and
-  // B_v[R²_j] to every worker (i, j, of¹(v)). Each slice is encoded once;
-  // every destination's run points at that encoding. A worker owed both
+  // B_v[R²_j] to every worker (i, j, of¹(v)). Each slice is packed once;
+  // every destination's run points at that packing. A worker owed both
   // gets its A run first (the A loop deposits first), which is the order
-  // Step B decodes in.
-  std::vector<std::vector<Word>> a_words(holds_a ? L.d[1] : 0);
-  std::vector<std::vector<Word>> b_words(holds_b ? L.d[2] : 0);
-  std::vector<WordRun> phase_a;
+  // Step B reads in.
+  std::vector<BitVector> a_bits(holds_a ? L.d[1] : 0);
+  std::vector<BitVector> b_bits(holds_b ? L.d[2] : 0);
+  std::vector<BitRun> phase_a;
   if (holds_a) {
     const NodeId iv = L.of(0, me);
     for (NodeId k = 0; k < L.d[1]; ++k) {
-      a_words[k] = encode_bits(
-          pack_entries<S>(row_a.subspan(L.begin(1, k), L.size(1, k)),
-                          entry_bits),
-          B);
+      a_bits[k] = pack_entries<S>(row_a.subspan(L.begin(1, k), L.size(1, k)),
+                                  entry_bits);
       for (NodeId j = 0; j < L.d[2]; ++j)
-        phase_a.push_back({L.worker(iv, j, k), a_words[k]});
+        phase_a.push_back({L.worker(iv, j, k), &a_bits[k]});
     }
   }
   if (holds_b) {
     const NodeId kv = L.of(1, me);
     for (NodeId j = 0; j < L.d[2]; ++j) {
-      b_words[j] = encode_bits(
-          pack_entries<S>(row_b.subspan(L.begin(2, j), L.size(2, j)),
-                          entry_bits),
-          B);
+      b_bits[j] = pack_entries<S>(row_b.subspan(L.begin(2, j), L.size(2, j)),
+                                  entry_bits);
       for (NodeId i = 0; i < L.d[0]; ++i)
-        phase_a.push_back({L.worker(i, j, kv), b_words[j]});
+        phase_a.push_back({L.worker(i, j, kv), &b_bits[j]});
     }
   }
   const FlatInbox inbox_a = ctx.exchange_flat(phase_a);
@@ -465,26 +464,27 @@ std::vector<typename S::Value> dense_block_mm(
         ceil_div(static_cast<std::size_t>(rk) * entry_bits, B);
     const std::size_t b_nw =
         ceil_div(static_cast<std::size_t>(rj) * entry_bits, B);
-    auto unpack_row = [&](std::span<const Word> q, NodeId width, V* out) {
+    auto unpack_row = [&](NodeId src, std::size_t first_word, NodeId width,
+                          V* out) {
       const auto vals = unpack_entries<S>(
-          decode_words(q, static_cast<std::size_t>(width) * entry_bits),
+          inbox_a.bits_from(src, first_word,
+                            static_cast<std::size_t>(width) * entry_bits),
           width, entry_bits);
       std::copy(vals.begin(), vals.end(), out);
     };
     for (NodeId src = 0; src < nn; ++src) {
-      const auto q = inbox_a.from(src);
+      const std::size_t got = inbox_a.words_from(src);
       const bool sends_a = src < L.n[0] && L.of(0, src) == i;
       const bool sends_b = src < L.n[1] && L.of(1, src) == k;
       const std::size_t na = sends_a ? a_nw : 0;
       const std::size_t nb = sends_b ? b_nw : 0;
-      CCQ_CHECK_MSG(q.size() == na + nb,
-                    "mm_block: node " << src << " sent " << q.size()
-                                      << " slice words, expected "
-                                      << na + nb);
-      if (sends_a)
-        unpack_row(q.first(na), rk, a_blk.row_data(src - L.begin(0, i)));
+      CCQ_CHECK_MSG(got == na + nb, "mm_block: node "
+                                        << src << " sent " << got
+                                        << " slice words, expected "
+                                        << na + nb);
+      if (sends_a) unpack_row(src, 0, rk, a_blk.row_data(src - L.begin(0, i)));
       if (sends_b)
-        unpack_row(q.subspan(na), rj, b_blk.row_data(src - L.begin(1, k)));
+        unpack_row(src, na, rj, b_blk.row_data(src - L.begin(1, k)));
     }
     // Serial kernel dispatch: this runs inside a node program (scheduler
     // fiber), so the local step must never block on the kernel pool.
@@ -492,20 +492,18 @@ std::vector<typename S::Value> dense_block_mm(
   }
 
   // ---- Step C: return partial rows to their owners and reduce.
-  std::vector<std::vector<Word>> c_words;
-  std::vector<WordRun> phase_c;
+  std::vector<BitVector> c_bits;
+  std::vector<BitRun> phase_c;
   if (L.is_worker(me)) {
     const NodeId i = L.wi(me);
-    c_words.resize(partial.rows());
+    c_bits.resize(partial.rows());
     for (NodeId r = L.begin(0, i); r < L.end(0, i); ++r) {
       const NodeId lr = r - L.begin(0, i);
       // Pack straight from the row (contiguous row-major storage).
-      c_words[lr] = encode_bits(
-          pack_entries<S>(
-              std::span<const V>(partial.row_data(lr), partial.cols()),
-              entry_bits),
-          B);
-      phase_c.push_back({r, c_words[lr]});
+      c_bits[lr] = pack_entries<S>(
+          std::span<const V>(partial.row_data(lr), partial.cols()),
+          entry_bits);
+      phase_c.push_back({r, &c_bits[lr]});
     }
   }
   const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
@@ -515,14 +513,17 @@ std::vector<typename S::Value> dense_block_mm(
     row_c.assign(L.n[2], S::zero());
     const NodeId i = L.of(0, me);
     for (NodeId src = 0; src < nn; ++src) {
-      const auto q = inbox_c.from(src);
-      if (q.empty()) continue;
+      if (inbox_c.words_from(src) == 0) continue;
       CCQ_CHECK_MSG(L.is_worker(src) && L.wi(src) == i,
                     "mm_block: partial row from unexpected worker");
       const NodeId j = L.wj(src);
       const NodeId rj = L.size(2, j);
       const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-      auto vals = unpack_entries<S>(decode_words(q, bits), rj, entry_bits);
+      CCQ_CHECK_MSG(inbox_c.carries(src, bits),
+                    "mm_block: partial row from node "
+                        << src << " does not carry " << bits << " bits");
+      auto vals =
+          unpack_entries<S>(inbox_c.bits_from(src, 0, bits), rj, entry_bits);
       for (NodeId c = 0; c < rj; ++c) {
         const NodeId col = L.begin(2, j) + c;
         row_c[col] = S::add(row_c[col], vals[c]);
@@ -530,7 +531,7 @@ std::vector<typename S::Value> dense_block_mm(
     }
   } else {
     for (NodeId src = 0; src < nn; ++src)
-      CCQ_CHECK_MSG(inbox_c.from(src).empty(),
+      CCQ_CHECK_MSG(inbox_c.words_from(src) == 0,
                     "mm_block: partial row sent to a non-owner");
   }
   return row_c;
@@ -553,45 +554,40 @@ struct SlicePart {
   bool send = false;
 };
 
-/// Step A's replication pattern for the sparse schedule, with one encoding
-/// per distinct payload: this node's part a[k] goes to every worker
-/// (of⁰(me), j, k) and b[j] to every worker (i, j, of¹(me)); `a` is empty
-/// unless this node holds an A row, `b` unless it holds a B row. A worker
-/// owed both gets one run of the bit-concatenated a[k]+b[j] — encoding the
-/// two separately could cost an extra word. Runs point into `enc`.
-inline void replicate_parts(const RectLayout& L, NodeId me, unsigned B,
+/// Step A's replication pattern for the sparse schedule: this node's part
+/// a[k] goes to every worker (of⁰(me), j, k) and b[j] to every worker
+/// (i, j, of¹(me)); `a` is empty unless this node holds an A row, `b`
+/// unless it holds a B row. A worker owed both gets one run of the
+/// bit-concatenated a[k]+b[j] — framing the two separately could cost an
+/// extra word. Runs point into the parts and into `both`.
+inline void replicate_parts(const RectLayout& L, NodeId me,
                             const std::vector<SlicePart>& a,
                             const std::vector<SlicePart>& b,
-                            std::vector<std::vector<Word>>& enc,
-                            std::vector<WordRun>& runs) {
+                            std::vector<BitVector>& both,
+                            std::vector<BitRun>& runs) {
   const NodeId iv = a.empty() ? 0 : L.of(0, me);
   const NodeId kv = b.empty() ? 0 : L.of(1, me);
-  enc.clear();
+  both.clear();
   runs.clear();
-  // At most one encoding per A part, per combined run and per B part.
-  enc.reserve(a.size() + 2 * b.size());
-  auto encode = [&](const BitVector& bv) -> std::span<const Word> {
-    return enc.emplace_back(encode_bits(bv, B));
-  };
+  // At most one combined run per B part: the runs' pointers stay valid.
+  both.reserve(b.size());
   for (NodeId k = 0; k < a.size(); ++k) {
     if (!b.empty() && k == kv) {
       for (NodeId j = 0; j < L.d[2]; ++j) {
         if (!a[k].send && !b[j].send) continue;
-        BitVector both = a[k].bits;
-        append_bit_vector(both, b[j].bits);
-        runs.push_back({L.worker(iv, j, k), encode(both)});
+        BitVector& ab = both.emplace_back(a[k].bits);
+        append_bit_vector(ab, b[j].bits);
+        runs.push_back({L.worker(iv, j, k), &ab});
       }
     } else if (a[k].send) {
-      const auto words = encode(a[k].bits);
       for (NodeId j = 0; j < L.d[2]; ++j)
-        runs.push_back({L.worker(iv, j, k), words});
+        runs.push_back({L.worker(iv, j, k), &a[k].bits});
     }
   }
   for (NodeId j = 0; j < b.size(); ++j) {
     if (!b[j].send) continue;
-    const auto words = encode(b[j].bits);
     for (NodeId i = 0; i < L.d[0]; ++i)
-      if (a.empty() || i != iv) runs.push_back({L.worker(i, j, kv), words});
+      if (a.empty() || i != iv) runs.push_back({L.worker(i, j, kv), &b[j].bits});
   }
 }
 
@@ -640,7 +636,6 @@ std::vector<typename S::Value> mm_distributed_sparse(
   const NodeId nn = ctx.n();
   const RectLayout L(nn, shape);
   const NodeId me = ctx.id();
-  const unsigned B = ctx.bandwidth();
   CCQ_CHECK(entry_bits >= 1 && entry_bits <= 64);
   const bool holds_a = me < L.n[0];
   const bool holds_b = me < L.n[1];
@@ -648,7 +643,7 @@ std::vector<typename S::Value> mm_distributed_sparse(
   CCQ_CHECK(!holds_b || row_b.size() == L.n[2]);
   CCQ_TRACE_SPAN(ctx, "mm-sparse");
 
-  // Encode one of my input slices once: its nonzero count for Phase 0 and
+  // Pack one of my input slices once: its nonzero count for Phase 0 and
   // its payload (runs or dense per the mode rule) for Phase A. An all-zero
   // slice sends neither on its own.
   auto encode_slice = [&](std::span<const V> row, int dim, NodeId t,
@@ -712,14 +707,14 @@ std::vector<typename S::Value> mm_distributed_sparse(
     encode_slice(row_a, 1, k, a_desc[k], a_pay[k]);
   for (NodeId j = 0; j < b_desc.size(); ++j)
     encode_slice(row_b, 2, j, b_desc[j], b_pay[j]);
-  std::vector<std::vector<Word>> enc;
-  std::vector<WordRun> runs;
+  std::vector<BitVector> both;
+  std::vector<BitRun> runs;
 
   // ---- Phase 0: block-occupancy descriptors. Destination (i,j,k) learns
   // the nonzero count of my A slice k (if of⁰(me)=i) and of my B slice j
   // (if of¹(me)=k); a destination owed both gets one combined descriptor.
   // All-zero descriptors are simply not sent.
-  replicate_parts(L, me, B, a_desc, b_desc, enc, runs);
+  replicate_parts(L, me, a_desc, b_desc, both, runs);
   const FlatInbox inbox0 = ctx.exchange_flat(runs);
 
   // Workers record per-source agreed counts.
@@ -732,14 +727,16 @@ std::vector<typename S::Value> mm_distributed_sparse(
     cnt_a_from.assign(nn, 0);
     cnt_b_from.assign(nn, 0);
     for (NodeId src = 0; src < nn; ++src) {
-      const auto q = inbox0.from(src);
       const bool qa = src < L.n[0] && L.of(0, src) == bi && rk > 0;
       const bool qb = src < L.n[1] && L.of(1, src) == bk && rj > 0;
-      if (q.empty()) continue;  // all counts zero (or non-sender)
+      // All counts zero (or non-sender).
+      if (inbox0.words_from(src) == 0) continue;
       CCQ_CHECK_MSG(qa || qb, "mm_sparse: descriptor from unexpected source");
       const std::size_t total = (qa ? slice_count_bits(rk) : 0) +
                                 (qb ? slice_count_bits(rj) : 0);
-      const BitVector bv = decode_words(q, total);
+      CCQ_CHECK_MSG(inbox0.carries(src, total),
+                    "mm_sparse: descriptor width mismatch");
+      const BitVector bv = inbox0.bits_from(src, 0, total);
       std::size_t pos = 0;
       if (qa) {
         cnt_a_from[src] =
@@ -757,12 +754,12 @@ std::vector<typename S::Value> mm_distributed_sparse(
     }
   } else {
     for (NodeId src = 0; src < nn; ++src)
-      CCQ_CHECK_MSG(inbox0.from(src).empty(),
+      CCQ_CHECK_MSG(inbox0.words_from(src) == 0,
                     "mm_sparse: descriptor sent to a non-worker");
   }
 
   // ---- Phase A: slice payloads, gated and framed by the agreed counts.
-  replicate_parts(L, me, B, a_pay, b_pay, enc, runs);
+  replicate_parts(L, me, a_pay, b_pay, both, runs);
   const FlatInbox inbox_a = ctx.exchange_flat(runs);
 
   // ---- Local step: assemble CSR blocks, multiply (sparse or dense kernel
@@ -772,7 +769,6 @@ std::vector<typename S::Value> mm_distributed_sparse(
     std::vector<std::vector<std::uint32_t>> a_cols(ri), b_cols(rk);
     std::vector<std::vector<V>> a_vals(ri), b_vals(rk);
     for (NodeId src = 0; src < nn; ++src) {
-      const auto q = inbox_a.from(src);
       const bool qa = src < L.n[0] && L.of(0, src) == bi;
       const bool qb = src < L.n[1] && L.of(1, src) == bk;
       const NodeId ca = qa ? cnt_a_from[src] : 0;
@@ -780,10 +776,13 @@ std::vector<typename S::Value> mm_distributed_sparse(
       const std::size_t expect = slice_payload_bits(rk, ca, entry_bits) +
                                  slice_payload_bits(rj, cb, entry_bits);
       if (expect == 0) {
-        CCQ_CHECK_MSG(q.empty(), "mm_sparse: payload without a descriptor");
+        CCQ_CHECK_MSG(inbox_a.words_from(src) == 0,
+                      "mm_sparse: payload without a descriptor");
         continue;
       }
-      const BitVector bv = decode_words(q, expect);
+      CCQ_CHECK_MSG(inbox_a.carries(src, expect),
+                    "mm_sparse: payload width mismatch");
+      const BitVector bv = inbox_a.bits_from(src, 0, expect);
       std::size_t pos = 0;
       if (ca > 0)
         parse_slice(bv, pos, rk, ca, a_cols[src - L.begin(0, bi)],
@@ -821,17 +820,17 @@ std::vector<typename S::Value> mm_distributed_sparse(
 
   // ---- Phase C: count-prefixed partial rows to their owners; empty
   // partial rows cost nothing.
-  std::vector<std::vector<Word>> c_words;
+  std::vector<BitVector> c_bits;
   runs.clear();
   if (L.is_worker(me) && rj > 0) {
     const unsigned cb = slice_count_bits(rj);
     const unsigned ib = slice_index_bits(rj);
-    c_words.resize(ri);
+    c_bits.resize(ri);
     for (NodeId r = 0; r < ri; ++r) {
       const auto& row_runs = c_runs[r];
       if (row_runs.empty()) continue;
       const NodeId count = static_cast<NodeId>(row_runs.size());
-      BitVector bv;
+      BitVector& bv = c_bits[r];
       bv.append_bits(count, cb);
       if (slice_runs_sparse(rj, count, entry_bits)) {
         for (const auto& [c, v] : row_runs) {
@@ -844,8 +843,7 @@ std::vector<typename S::Value> mm_distributed_sparse(
         append_bit_vector(
             bv, pack_entries<S>(std::span<const V>(dense), entry_bits));
       }
-      c_words[r] = encode_bits(bv, B);
-      runs.push_back({L.begin(0, bi) + r, c_words[r]});
+      runs.push_back({L.begin(0, bi) + r, &bv});
     }
   }
   const FlatInbox inbox_c = ctx.exchange_flat(runs);
@@ -857,24 +855,23 @@ std::vector<typename S::Value> mm_distributed_sparse(
     std::vector<std::uint32_t> cols;
     std::vector<V> vals;
     for (NodeId src = 0; src < nn; ++src) {
-      const auto q = inbox_c.from(src);
-      if (q.empty()) continue;
+      if (inbox_c.words_from(src) == 0) continue;
       CCQ_CHECK_MSG(L.is_worker(src) && L.wi(src) == oi,
                     "mm_sparse: partial row from unexpected worker");
       const NodeId j = L.wj(src);
       const NodeId width = L.size(2, j);
       CCQ_CHECK_MSG(width > 0, "mm_sparse: partial row for an empty range");
       const unsigned cb = slice_count_bits(width);
-      std::size_t total = 0;
-      for (const Word& w : q) total += w.bits;
-      CCQ_CHECK_MSG(total >= cb, "mm_sparse: truncated partial-row payload");
-      const BitVector bv = decode_words(q, total);
-      const NodeId count = static_cast<NodeId>(bv.read_bits(0, cb));
+      // bits_from throws on a row too short to hold its count.
+      const NodeId count =
+          static_cast<NodeId>(inbox_c.bits_from(src, 0, cb).read_bits(0, cb));
       CCQ_CHECK_MSG(count >= 1 && count <= width,
                     "mm_sparse: corrupt partial-row count");
-      CCQ_CHECK_MSG(
-          total == cb + slice_payload_bits(width, count, entry_bits),
-          "mm_sparse: partial-row payload width mismatch");
+      const std::size_t total =
+          cb + slice_payload_bits(width, count, entry_bits);
+      CCQ_CHECK_MSG(inbox_c.carries(src, total),
+                    "mm_sparse: partial-row payload width mismatch");
+      const BitVector bv = inbox_c.bits_from(src, 0, total);
       std::size_t pos = cb;
       cols.clear();
       vals.clear();
@@ -886,7 +883,7 @@ std::vector<typename S::Value> mm_distributed_sparse(
     }
   } else {
     for (NodeId src = 0; src < nn; ++src)
-      CCQ_CHECK_MSG(inbox_c.from(src).empty(),
+      CCQ_CHECK_MSG(inbox_c.words_from(src) == 0,
                     "mm_sparse: partial row sent to a non-owner");
   }
   return row_c;

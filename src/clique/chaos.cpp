@@ -25,24 +25,17 @@ namespace {
 /// Per-destination word queues; index = destination node id.
 using WordQueues = std::vector<std::vector<Word>>;
 
-/// A queue outbox as its n runs: run v sends queue v to node v. The runs
-/// borrow `out`, which must outlive them.
-void queues_as_runs(const WordQueues& out, std::vector<WordRun>& runs) {
-  runs.resize(out.size());
-  for (std::size_t v = 0; v < out.size(); ++v)
-    runs[v] = WordRun{static_cast<NodeId>(v), out[v]};
-}
-
 }  // namespace
 
 // The wrapper plane. Deposits run on node fibers and touch only the slots
-// owned by `self` (own_[self], runs_[self], pending_[self]) — the same
+// owned by `self` (own_[self], pairs_[self], pending_[self]) — the same
 // ownership discipline the wrapped plane follows, so every backend and TSan
 // are happy. Every deposit shape is first gathered into per-destination
 // queues (so each pair's fault stream sees its words in FIFO order,
-// whatever shape carried them), corrupted, and handed to the wrapped plane
-// as n runs; the inner plane then validates, meters and delivers the
-// corrupted traffic exactly as it would honest traffic.
+// whatever shape carried them; a bit run becomes exactly the words of its
+// encode_bits framing), corrupted, and handed to the wrapped plane as
+// (dst, word) pairs; the inner plane then validates, meters and delivers
+// the corrupted traffic exactly as it would honest traffic.
 class ChaosPlane final : public detail::MessagePlane {
  public:
   ChaosPlane(detail::MessagePlane* inner, ChaosPlan* plan)
@@ -50,9 +43,10 @@ class ChaosPlane final : public detail::MessagePlane {
 
   void init(NodeId n, unsigned bandwidth) override {
     n_ = n;
+    bandwidth_ = bandwidth;
     collective_ = 0;
     own_.assign(n, WordQueues(n));
-    runs_.assign(n, {});
+    pairs_.assign(n, {});
     scratch_.assign(n, {});
     pending_.assign(n, {});
     byz_.assign(n, 0);
@@ -65,14 +59,15 @@ class ChaosPlane final : public detail::MessagePlane {
     inner_->init(n, bandwidth);
   }
 
-  void deposit_runs(NodeId self, std::span<const WordRun> runs) override {
+  void deposit_runs(NodeId self, std::span<const BitRun> runs) override {
     WordQueues& mine = own_[self];
     for (auto& q : mine) q.clear();
-    for (const WordRun& r : runs) {
+    for (const BitRun& r : runs) {
       CCQ_CHECK_MSG(r.dst < n_, "chaos: node " << self
                                                << " sent a run to node "
                                                << r.dst << ", out of range");
-      mine[r.dst].insert(mine[r.dst].end(), r.words.begin(), r.words.end());
+      const std::vector<Word> words = encode_bits(*r.bits, bandwidth_);
+      mine[r.dst].insert(mine[r.dst].end(), words.begin(), words.end());
     }
     corrupt_and_deposit(self);
   }
@@ -187,27 +182,33 @@ class ChaosPlane final : public detail::MessagePlane {
   void note(NodeId src, const FaultEvent& e) { pending_[src].push_back(e); }
 
   // Run every non-self queue of own_[self] through its fault stream (self
-  // words never touch the network), then deposit the result as n runs.
+  // words never touch the network), then deposit the result as pairs in
+  // queue order.
   void corrupt_and_deposit(NodeId self) {
     WordQueues& mine = own_[self];
     std::vector<Word>& tmp = scratch_[self];
+    std::vector<std::pair<NodeId, Word>>& out = pairs_[self];
+    out.clear();
     for (NodeId dst = 0; dst < n_; ++dst) {
-      if (dst == self) continue;
-      tmp.swap(mine[dst]);
-      mine[dst].clear();
-      corrupt_queue(self, dst, tmp, mine[dst]);
+      if (dst != self) {
+        tmp.swap(mine[dst]);
+        mine[dst].clear();
+        corrupt_queue(self, dst, tmp, mine[dst]);
+      }
+      for (const Word& w : mine[dst]) out.emplace_back(dst, w);
     }
-    queues_as_runs(mine, runs_[self]);
-    inner_->deposit_runs(self, runs_[self]);
+    inner_->deposit_pairs(self, out, /*unique_dst=*/false);
   }
 
   detail::MessagePlane* inner_;  // borrowed; outlives this wrapper
   ChaosPlan* plan_;
   NodeId n_ = 0;
+  unsigned bandwidth_ = 0;
   std::uint64_t collective_ = 0;  // written by the leader, read by deposits
                                   // of the next collective (barrier-ordered)
-  std::vector<WordQueues> own_;           // [self] corrupted outboxes
-  std::vector<std::vector<WordRun>> runs_;  // [self] own_[self] as runs
+  std::vector<WordQueues> own_;  // [self] corrupted outboxes
+  // [self] own_[self] as the (dst, word) pairs handed to the inner plane
+  std::vector<std::vector<std::pair<NodeId, Word>>> pairs_;
   std::vector<std::vector<Word>> scratch_;  // [self] pre-fault staging
   std::vector<std::vector<FaultEvent>> pending_;  // [self] fault buffers
   std::vector<std::uint8_t> byz_;

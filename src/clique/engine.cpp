@@ -243,9 +243,9 @@ void NodeCtx::trace_pop() {
       st_->rounds_committed.load(std::memory_order_acquire));
 }
 
-FlatInbox NodeCtx::exchange_flat(std::span<const WordRun> runs) {
-  // Validation (bandwidth, destination range) happens inside the deposit
-  // scan.
+FlatInbox NodeCtx::exchange_flat(std::span<const BitRun> runs) {
+  // Validation (destination range, queue length) happens inside the
+  // deposit scan; a run's framing never exceeds B.
   st_->sched->collective(
       id_, OpTag{detail::kOpExchange, 0},
       [&] { st_->plane->deposit_runs(id_, runs); },

@@ -92,13 +92,15 @@ class NodeCtx {
   /// communicating again.
   FlatInbox exchange_flat(std::span<const std::pair<NodeId, Word>> sends);
 
-  /// Run form of the fast path: each run sends its words, in order, to its
-  /// destination — the pair form with every run expanded to (dst, word)
-  /// pairs, with the same cost, FIFO and self-delivery semantics, but the
-  /// plane copies each run in bulk. Runs may repeat a destination, be
-  /// empty, or alias one buffer (one encoding sent to many nodes). The
-  /// spans need only stay valid until this call returns.
-  FlatInbox exchange_flat(std::span<const WordRun> runs);
+  /// Run form of the fast path: each run sends a bit string, in order, to
+  /// its destination — the pair form with every run expanded to the
+  /// (dst, word) pairs of its encode_bits(bits, B) framing, with the same
+  /// cost, FIFO and self-delivery semantics, but the plane stores each run
+  /// packed and the receiver reads it back with FlatInbox::bits_from (its
+  /// from() refuses a run cell). Runs may repeat a destination, be empty,
+  /// or point at one vector (one encoding sent to many nodes). The bit
+  /// vectors need only stay valid until this call returns.
+  FlatInbox exchange_flat(std::span<const BitRun> runs);
 
   /// Allocation-free round fast path: round() semantics (at most one word
   /// per destination, no self-sends, costs exactly 1 round) with the same

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "clique/chaos.hpp"
 #include "clique/trace.hpp"
 #include "graph/generators.hpp"
 #include "graphalg/common.hpp"
@@ -267,6 +268,151 @@ TEST(DistributedMM, BlockScheduleMetersPinned) {
                       << ", " << c.collectives << ", " << c.max_node_sent
                       << ", " << c.max_node_received << ", 0x" << std::hex
                       << fp << std::dec << "}";
+  }
+}
+
+// ---------- chaos on the block schedules ----------
+
+// Every MM payload travels as the B-bit framing of its packed slices, and
+// the chaos layer faults that framing word by word. Each row runs one
+// schedule on seeded inputs under one seeded fault plan and pins the fault
+// count, the fault ledger's fingerprint and the outcome: the fingerprint of
+// every node's output row, or 0 when a receiver's check threw
+// ModelViolation.
+enum class Fault { kFlip, kDrop, kDup, kByzantine };
+
+struct ChaosPin {
+  Block schedule;
+  bool boolean;  ///< BoolSemiring at 1 bit, else (min,+) at 8 bits
+  Fault fault;
+  std::uint64_t faults, ledger_fp, outcome_fp;
+};
+
+std::uint64_t fnv_mix(std::uint64_t fp, std::uint64_t v) {
+  return (fp ^ v) * 0x100000001b3ull;
+}
+
+std::uint64_t fault_ledger_fingerprint(const ChaosPlan& plan) {
+  std::uint64_t fp = 0xcbf29ce484222325ull;
+  for (const FaultEvent& e : plan.ledger()) {
+    for (std::uint64_t v :
+         {std::uint64_t{static_cast<unsigned>(e.kind)}, e.collective,
+          std::uint64_t{e.src}, std::uint64_t{e.dst}, e.index,
+          std::uint64_t{e.bit}, e.before.value, std::uint64_t{e.before.bits},
+          e.after.value, std::uint64_t{e.after.bits}})
+      fp = fnv_mix(fp, v);
+  }
+  return fp;
+}
+
+template <Semiring S>
+std::uint64_t run_under_chaos(Block schedule, NodeId n, double density,
+                              unsigned entry_bits, std::uint64_t max_val,
+                              std::uint64_t seed, ChaosPlan& plan) {
+  using V = typename S::Value;
+  SplitMix64 rng(seed);
+  auto random = [&] {
+    Matrix<V> m(n, n, S::zero());
+    for (NodeId i = 0; i < n; ++i)
+      for (NodeId j = 0; j < n; ++j)
+        if (rng.next_bool(density))
+          m.at(i, j) = static_cast<V>(rng.next_below(max_val));
+    return m;
+  };
+  const auto a = random();
+  const auto b = random();
+  Engine::Config cfg;
+  cfg.chaos = &plan;
+  PerNode<std::vector<V>> sink(n);
+  try {
+    Engine::run(
+        gen::empty(n),
+        [&](NodeCtx& ctx) {
+          const std::vector<V> ra(a.row_data(ctx.id()),
+                                  a.row_data(ctx.id()) + n);
+          const std::vector<V> rb(b.row_data(ctx.id()),
+                                  b.row_data(ctx.id()) + n);
+          std::vector<V> rc =
+              schedule == Block::k3d
+                  ? mm_distributed_3d<S>(ctx, ra, rb, entry_bits)
+                  : mm_distributed_sparse<S>(ctx, MmShape{n, n, n}, ra, rb,
+                                             entry_bits);
+          sink.set(ctx.id(), std::move(rc));
+          ctx.output(0);
+        },
+        cfg);
+  } catch (const ModelViolation&) {
+    return 0;
+  }
+  std::uint64_t fp = 0xcbf29ce484222325ull;
+  for (const std::vector<V>& row : sink.take()) {
+    fp = fnv_mix(fp, row.size());
+    for (const V& v : row) fp = fnv_mix(fp, static_cast<std::uint64_t>(v));
+  }
+  return fp;
+}
+
+TEST(DistributedMMChaos, FaultsAndOutcomesPinned) {
+  constexpr Block k3d = Block::k3d, kSparse = Block::kSparse;
+  constexpr Fault kFlip = Fault::kFlip, kDrop = Fault::kDrop,
+                  kDup = Fault::kDup, kByz = Fault::kByzantine;
+  const ChaosPin pins[] = {
+      {k3d, true, kFlip, 14, 0x8ea53f17c154eea4, 0x47b33300c79aa66f},
+      {k3d, true, kDrop, 11, 0x77ac095030f3e555, 0x4a9913bf5e1ea94f},
+      {k3d, true, kDup, 4, 0xcad743cdb87e8f5a, 0x0},
+      {k3d, true, kByz, 47, 0xb2dc159f57e81358, 0xd763ddd275394753},
+      {k3d, false, kFlip, 61, 0xfb29ae99c6fc0b63, 0x0},
+      {k3d, false, kDrop, 72, 0x60506a721f2588c9, 0x0},
+      {k3d, false, kDup, 14, 0x3cb51da1b27ec879, 0x0},
+      {k3d, false, kByz, 353, 0x9b10496b2be371d8, 0x1ca9909c8d60f9e1},
+      {kSparse, true, kFlip, 22, 0x8f5a9881d03802f2, 0x0},
+      {kSparse, true, kDrop, 21, 0x913022c990e6a576, 0x0},
+      {kSparse, true, kDup, 5, 0x8aa9cac7b4b2d58a, 0x0},
+      {kSparse, true, kByz, 8, 0x3ca6607717278fd, 0x0},
+      {kSparse, false, kFlip, 22, 0x7361d358f19757eb, 0x0},
+      {kSparse, false, kDrop, 69, 0xa2432d3a3bc43f29, 0x0},
+      {kSparse, false, kDup, 7, 0xefcb344e0ebc1cc1, 0x0},
+      {kSparse, false, kByz, 21, 0xf5cc77f872e443f3, 0x0},
+  };
+  const char* faults[] = {"flip", "drop", "dup", "byzantine"};
+  std::uint64_t seed = 9100;
+  for (const ChaosPin& p : pins) {
+    // The 3-D rows run on the 3³ cube; the sparse rows at 5% density, with
+    // fewer words in flight and so a higher per-word rate.
+    const bool cube = p.schedule == Block::k3d;
+    const double rate = cube ? 0.01 : 0.03;
+    ChaosPlan::Config ccfg;
+    ccfg.seed = seed;
+    switch (p.fault) {
+      case Fault::kFlip:
+        ccfg.p_flip = rate;
+        break;
+      case Fault::kDrop:
+        ccfg.p_drop = rate;
+        break;
+      case Fault::kDup:
+        ccfg.p_dup = rate / 5;
+        break;
+      case Fault::kByzantine:
+        ccfg.byzantine = {1};
+        break;
+    }
+    ChaosPlan plan(ccfg);
+    const NodeId n = cube ? 27 : 48;
+    const double density = cube ? 0.5 : 0.05;
+    const std::uint64_t outcome =
+        p.boolean ? run_under_chaos<BoolSemiring>(p.schedule, n, density, 1,
+                                                  2, seed++, plan)
+                  : run_under_chaos<MinPlusSemiring>(p.schedule, n, density,
+                                                     8, 30, seed++, plan);
+    const std::uint64_t ledger_fp = fault_ledger_fingerprint(plan);
+    EXPECT_EQ(plan.ledger_overflow(), 0u);
+    EXPECT_TRUE(plan.total_faults() == p.faults && ledger_fp == p.ledger_fp &&
+                outcome == p.outcome_fp)
+        << (cube ? "3d " : "sparse ") << (p.boolean ? "bool " : "minplus ")
+        << faults[static_cast<int>(p.fault)] << " measured {"
+        << plan.total_faults() << ", 0x" << std::hex << ledger_fp << ", 0x"
+        << outcome << std::dec << "}";
   }
 }
 

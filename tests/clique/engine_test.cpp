@@ -156,13 +156,15 @@ TEST(Engine, ParallelQueuesShareRounds) {
 TEST(Engine, ExchangePreservesFifoOrder) {
   Graph g = gen::empty(4);  // B = 2
   Engine::run(g, [](NodeCtx& ctx) {
-    std::vector<Word> words;
-    for (std::uint64_t i = 0; i < 8; ++i) words.emplace_back(i % 4, 2);
-    const std::vector<WordRun> runs = {{(ctx.id() + 1) % 4, words}};
+    BitVector bits;
+    for (std::uint64_t i = 0; i < 8; ++i) bits.append_bits(i % 4, 2);
+    const std::vector<BitRun> runs = {{(ctx.id() + 1) % 4, &bits}};
     const FlatInbox in = ctx.exchange_flat(runs);
-    const auto got = in.from((ctx.id() + 3) % 4);
-    ASSERT_EQ(got.size(), 8u);
-    for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(got[i].value, i % 4);
+    const NodeId src = (ctx.id() + 3) % 4;
+    ASSERT_EQ(in.words_from(src), 8u);
+    const BitVector got = in.bits_from(src, 0, 16);
+    for (std::uint64_t i = 0; i < 8; ++i)
+      EXPECT_EQ(got.read_bits(2 * i, 2), i % 4);
     ctx.output(0);
   });
 }

@@ -4,17 +4,19 @@
 // what the model's delivery rule says (per-pair FIFO queues drained one
 // word per ordered pair per round, self-delivery free), on every execution
 // backend and worker count. A test-only reference delivery below writes
-// that rule out directly. The property test drives ~100 randomised traffic
-// patterns (skewed all-to-all, single hot pair, empty, random sparse with
-// self-sends) through every backend setup and a fault-free chaos wrapper,
-// at n = 16 and at n = 1 and 2, in every deposit shape (pairs,
-// per-destination runs, maximal runs over one buffer, runs aliasing one
-// buffer, round, broadcast, and one round mixing broadcast and pair
-// deposits), and requires every node's inbox and the RunResult to match
-// the reference exactly. Targeted tests pin FIFO order,
-// free self-delivery and validation at deposit time, on the bare plane and
-// under a fault-free chaos wrapper; and the run form's validation messages
-// and its chaos fault ledger.
+// that rule out directly; a bit run enters it as the (dst, word) pairs of
+// its encode_bits framing. The property test drives ~100 randomised
+// traffic patterns (skewed all-to-all, single hot pair, empty, random
+// sparse with self-sends) through every backend setup and a fault-free
+// chaos wrapper, at n = 16 and at n = 1 and 2, in every deposit shape
+// (pairs, one bit run per destination, bit runs per maximal
+// same-destination group with empty runs between, bit runs aliasing one
+// pool, round, broadcast, and one round mixing broadcast and pair
+// deposits), and requires every node's inbox — each run read back with
+// bits_from — and the RunResult to match the reference exactly. Targeted
+// tests pin FIFO order, free self-delivery and validation at deposit time,
+// on the bare plane and under a fault-free chaos wrapper; and the run
+// form's validation messages, readers and chaos fault ledger.
 
 #include "clique/msgplane.hpp"
 
@@ -178,46 +180,29 @@ Outbox make_sends(NodeId id, NodeId n, unsigned B, std::uint64_t seed,
   return sends;
 }
 
-// The run form of `sends`: its words copied in order into `flat`, grouped
-// into maximal same-destination runs over that one buffer, each preceded
-// by an empty run (to a destination the pattern may never use) and the
-// whole list closed by an empty self run.
-std::vector<WordRun> runs_of(NodeId id, NodeId n, const Outbox& sends,
-                             std::vector<Word>& flat) {
-  flat.clear();
-  for (const auto& [dst, w] : sends) flat.push_back(w);
-  const std::span<const Word> all(flat);
-  std::vector<WordRun> runs;
-  for (std::size_t i = 0; i < sends.size();) {
-    std::size_t j = i;
-    while (j < sends.size() && sends[j].first == sends[i].first) ++j;
-    runs.push_back({static_cast<NodeId>((i * 7 + 3) % n), {}});
-    runs.push_back({sends[i].first, all.subspan(i, j - i)});
-    i = j;
-  }
-  runs.push_back({id, {}});
-  return runs;
+// A bit-run outbox: `runs` point into `bits`, which owns their strings.
+// Moving keeps the pointers valid; copying does not.
+struct RunOutbox {
+  std::vector<BitVector> bits;
+  std::vector<BitRun> runs;
+};
+
+// A random bit string of 0..3B+1 bits: empty, shorter than one word, and
+// framed into up to four words with a short last one.
+BitVector random_bits(SplitMix64& rng, unsigned B) {
+  BitVector bv(rng.next_below(3 * B + 2));
+  for (std::size_t i = 0; i < bv.size(); ++i) bv.set(i, rng.next() & 1);
+  return bv;
 }
 
-// Runs aliasing one shared buffer: overlapping windows of it to random
-// destinations (self and repeats included), the way one encoded slice goes
-// to many workers.
-std::vector<WordRun> aliased_runs(NodeId id, NodeId n, unsigned B,
-                                  std::uint64_t seed, int kind,
-                                  std::vector<Word>& shared) {
-  SplitMix64 rng(seed * 31 + id * 17 + kind);
-  shared.resize(rng.next_below(9));
-  for (Word& w : shared) w = random_word(rng, B);
-  std::vector<WordRun> runs;
-  const std::size_t count = kind == kEmpty ? 0 : rng.next_below(7);
-  for (std::size_t t = 0; t < count; ++t) {
-    const std::size_t off = rng.next_below(shared.size() + 1);
-    const std::size_t len = rng.next_below(shared.size() - off + 1);
-    runs.push_back({static_cast<NodeId>(rng.next_below(n)),
-                    std::span<const Word>(shared).subspan(off, len)});
+// The reference form of a run outbox: every run as the (dst, word) pairs
+// of its encode_bits framing.
+Outbox framed(const RunOutbox& out, unsigned B) {
+  Outbox o;
+  for (const BitRun& r : out.runs) {
+    for (const Word& w : encode_bits(*r.bits, B)) o.emplace_back(r.dst, w);
   }
-  runs.push_back({static_cast<NodeId>(seed % n), {}});
-  return runs;
+  return o;
 }
 
 // A seed-dependent ring send for round_flat().
@@ -256,15 +241,89 @@ Outbox mixed_sends(NodeId id, NodeId n, std::uint64_t seed) {
 
 // traffic_program's collectives, in order.
 enum Collective : int {
-  kQueueRuns = 0,    // one run per destination (empty ones included)
+  kQueueRuns = 0,    // make_runs: one run per destination
   kPairs = 1,        // the raw (dst, word) list
-  kMaxRuns = 2,      // runs_of
-  kAliasedRuns = 3,  // aliased_runs
+  kMaxRuns = 2,      // make_runs: runs per same-destination group
+  kAliasedRuns = 3,  // make_runs: runs into one pool
   kRound = 4,        // round_flat(ring_sends)
   kBroadcast = 5,    // broadcast(broadcast_bits)
   kMixedRound = 6,   // share_bit or round_flat(mixed_sends), per node
   kCollectives = 7,
 };
+
+// traffic_program's run collectives, shaped by the pattern's pair sends:
+//  * kQueueRuns — one run per destination in id order (self included), of
+//    random length where the pattern sends, empty elsewhere;
+//  * kMaxRuns — one random run per maximal same-destination group of
+//    sends (so repeated destinations queue several runs), each preceded by
+//    an empty run and the list closed by an empty self run;
+//  * kAliasedRuns — runs to random destinations (self and repeats
+//    included) pointing into one small pool, the way one packed slice goes
+//    to many workers, closed by an empty run.
+RunOutbox make_runs(int c, NodeId id, NodeId n, unsigned B,
+                    std::uint64_t seed, int kind) {
+  SplitMix64 rng(seed * 31 + id * 17 + kind * 5 + c);
+  const Outbox sends = make_sends(id, n, B, seed, kind);
+  RunOutbox out;
+  // Every string is in place before a run points at it.
+  auto run_to = [&](NodeId dst, std::size_t string) {
+    out.runs.push_back({dst, &out.bits[string]});
+  };
+  switch (c) {
+    case kQueueRuns: {
+      std::vector<bool> sent(n, false);
+      for (const auto& [dst, w] : sends) sent[dst] = true;
+      for (NodeId v = 0; v < n; ++v)
+        out.bits.push_back(sent[v] ? random_bits(rng, B) : BitVector());
+      for (NodeId v = 0; v < n; ++v) run_to(v, v);
+      break;
+    }
+    case kMaxRuns: {
+      out.bits.emplace_back();  // the empty string
+      std::vector<NodeId> group_dst;
+      for (std::size_t i = 0; i < sends.size();) {
+        std::size_t j = i;
+        while (j < sends.size() && sends[j].first == sends[i].first) ++j;
+        group_dst.push_back(sends[i].first);
+        out.bits.push_back(random_bits(rng, B));
+        i = j;
+      }
+      for (std::size_t g = 0; g < group_dst.size(); ++g) {
+        run_to(static_cast<NodeId>((g * 7 + 3) % n), 0);
+        run_to(group_dst[g], g + 1);
+      }
+      run_to(id, 0);
+      break;
+    }
+    case kAliasedRuns: {
+      const std::size_t pool = 1 + rng.next_below(3);
+      for (std::size_t t = 0; t < pool; ++t)
+        out.bits.push_back(random_bits(rng, B));
+      out.bits.emplace_back();  // the empty string, at index `pool`
+      const std::size_t count = kind == kEmpty ? 0 : rng.next_below(7);
+      for (std::size_t t = 0; t < count; ++t) {
+        const auto dst = static_cast<NodeId>(rng.next_below(n));
+        run_to(dst, rng.next_below(pool));
+      }
+      run_to(static_cast<NodeId>(seed % n), pool);
+      break;
+    }
+  }
+  return out;
+}
+
+// Every node's run outbox for each run collective: [c][node]. The
+// receivers read the run boundaries from it.
+using RunPlan = std::vector<std::vector<RunOutbox>>;
+
+RunPlan plan_runs(NodeId n, unsigned B, std::uint64_t seed, int kind) {
+  RunPlan plan(kCollectives);
+  for (int c : {kQueueRuns, kMaxRuns, kAliasedRuns}) {
+    for (NodeId v = 0; v < n; ++v)
+      plan[c].push_back(make_runs(c, v, n, B, seed, kind));
+  }
+  return plan;
+}
 
 // Every inbox a node read: [collective][node][src].
 using Received = std::vector<std::vector<Inbox>>;
@@ -283,9 +342,12 @@ std::uint64_t fingerprint(const Received& got, NodeId id) {
 }
 
 // Sends every collective through its deposit shape, records each inbox in
-// the node's own slot of `got`, and outputs their fingerprint.
+// the node's own slot of `got`, and outputs their fingerprint. A run
+// collective's inbox is read run by run: bits_from at each of the source's
+// runs to this node (their boundaries come from `plan`), re-framed with
+// encode_bits so it compares with the reference queue word for word.
 void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind,
-                     Received& got) {
+                     const RunPlan& plan, Received& got) {
   const NodeId n = ctx.n(), id = ctx.id();
   const unsigned B = ctx.bandwidth();
   auto keep = [&](int c, const FlatInbox& in) {
@@ -295,27 +357,33 @@ void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind,
       got[c][id][src].assign(words.begin(), words.end());
     }
   };
+  auto keep_runs = [&](int c, const FlatInbox& in) {
+    got[c][id].assign(n, {});
+    for (NodeId src = 0; src < n; ++src) {
+      std::vector<Word>& q = got[c][id][src];
+      std::size_t first = 0;
+      for (const BitRun& r : plan[c][src].runs) {
+        if (r.dst != id) continue;
+        const std::size_t len = r.bits->size();
+        for (const Word& w : encode_bits(in.bits_from(src, first, len), B))
+          q.push_back(w);
+        first += ceil_div(len, B);
+      }
+      EXPECT_EQ(in.words_from(src), first) << "collective " << c;
+    }
+  };
   const Outbox sends = make_sends(id, n, B, seed, kind);
-  {
-    std::vector<std::vector<Word>> queues(n);
-    for (const auto& [dst, w] : sends) queues[dst].push_back(w);
-    std::vector<WordRun> runs;
-    for (NodeId v = 0; v < n; ++v) runs.push_back({v, queues[v]});
-    keep(kQueueRuns, ctx.exchange_flat(runs));
-  }
+  keep_runs(kQueueRuns, ctx.exchange_flat(plan[kQueueRuns][id].runs));
   keep(kPairs, ctx.exchange_flat(sends));
-  {
-    std::vector<Word> flat;
-    keep(kMaxRuns, ctx.exchange_flat(runs_of(id, n, sends, flat)));
-  }
-  // The buffer and the run list die before the inbox is read — the spans
-  // need only outlive the call.
+  keep_runs(kMaxRuns, ctx.exchange_flat(plan[kMaxRuns][id].runs));
+  // The strings and the run list die before the inbox is read — they need
+  // only outlive the call.
   FlatInbox aliased;
   {
-    std::vector<Word> shared;
-    aliased = ctx.exchange_flat(aliased_runs(id, n, B, seed, kind, shared));
+    const RunOutbox mine = make_runs(kAliasedRuns, id, n, B, seed, kind);
+    aliased = ctx.exchange_flat(mine.runs);
   }
-  keep(kAliasedRuns, aliased);
+  keep_runs(kAliasedRuns, aliased);
   keep(kRound, ctx.round_flat(ring_sends(id, n, seed)));
   // broadcast() returns decoded bit vectors; re-encoding one recovers the
   // words its source sent.
@@ -345,21 +413,13 @@ struct Expected {
 };
 
 Expected expected_traffic(NodeId n, unsigned B, std::uint64_t seed,
-                          int kind) {
+                          int kind, const RunPlan& plan) {
   std::vector<std::vector<Outbox>> outboxes(kCollectives,
                                             std::vector<Outbox>(n));
   for (NodeId v = 0; v < n; ++v) {
-    const Outbox sends = make_sends(v, n, B, seed, kind);
-    // Grouping by destination keeps each pair's order, so the per-
-    // destination and maximal runs carry the pair list's queues.
-    outboxes[kQueueRuns][v] = outboxes[kPairs][v] = outboxes[kMaxRuns][v] =
-        sends;
-    std::vector<Word> shared;
-    for (const WordRun& r : aliased_runs(v, n, B, seed, kind, shared)) {
-      for (const Word& w : r.words) {
-        outboxes[kAliasedRuns][v].emplace_back(r.dst, w);
-      }
-    }
+    outboxes[kPairs][v] = make_sends(v, n, B, seed, kind);
+    for (int c : {kQueueRuns, kMaxRuns, kAliasedRuns})
+      outboxes[c][v] = framed(plan[c][v], B);
     outboxes[kRound][v] = ring_sends(v, n, seed);
     outboxes[kMixedRound][v] = mixed_sends(v, n, seed);
     for (NodeId dst = 0; dst < n; ++dst) {
@@ -406,12 +466,13 @@ void expect_reference_traffic(const Graph& g, std::uint64_t seed, int kind,
                               const Engine::Config& cfg,
                               const std::string& name) {
   const NodeId n = g.n();
-  const Expected want = expected_traffic(
-      n, node_id_bits(n) * cfg.bandwidth_multiplier, seed, kind);
+  const unsigned B = node_id_bits(n) * cfg.bandwidth_multiplier;
+  const RunPlan plan = plan_runs(n, B, seed, kind);
+  const Expected want = expected_traffic(n, B, seed, kind, plan);
   Received got(kCollectives, std::vector<Inbox>(n));
   const RunResult res = Engine::run(
       g,
-      [&](NodeCtx& ctx) { traffic_program(ctx, seed, kind, got); },
+      [&](NodeCtx& ctx) { traffic_program(ctx, seed, kind, plan, got); },
       cfg);
   for (int c = 0; c < kCollectives; ++c) {
     for (NodeId v = 0; v < n; ++v) {
@@ -478,24 +539,24 @@ TEST(MsgPlaneFlat, SpanViewMatchesQueueViewPerSourceFifo) {
           sends.emplace_back(dst, Word(ctx.id() * 2 + 1, 6));
         }
         const FlatInbox flat = ctx.exchange_flat(sends);
-        // The same sends as one run per destination queue; the pair view
+        // The same sends as one bit run per destination queue (its words'
+        // bits, concatenated, frame back into those words); the pair view
         // is read before the second collective reuses the arena.
         std::vector<std::vector<Word>> pair_view(n);
         for (NodeId src = 0; src < n; ++src) {
           const auto s = flat.from(src);
           pair_view[src].assign(s.begin(), s.end());
         }
-        std::vector<std::vector<Word>> out(n);
-        for (const auto& [dst, w] : sends) out[dst].push_back(w);
-        std::vector<WordRun> runs;
-        for (NodeId v = 0; v < n; ++v) runs.push_back({v, out[v]});
+        std::vector<BitVector> out(n);
+        for (const auto& [dst, w] : sends) out[dst].append_bits(w.value, 6);
+        std::vector<BitRun> runs;
+        for (NodeId v = 0; v < n; ++v) runs.push_back({v, &out[v]});
         const FlatInbox queued = ctx.exchange_flat(runs);
         bool equal = true;
         for (NodeId src = 0; src < n; ++src) {
-          const auto s = queued.from(src);
-          equal = equal && std::equal(s.begin(), s.end(),
-                                      pair_view[src].begin(),
-                                      pair_view[src].end());
+          const std::vector<Word> s =
+              encode_bits(queued.bits_from(src, 0, 12), 6);
+          equal = equal && queued.words_from(src) == 2 && s == pair_view[src];
           // FIFO: sender's first word first.
           equal = equal && s.size() == 2 &&
                   s[0].value == std::uint64_t{src} * 2 &&
@@ -544,18 +605,20 @@ TEST(MsgPlaneFlat, BandwidthValidatedAtDepositOnBothPlanes) {
                      },
                      cfg),
                  ModelViolation);
-    // Run deposits.
-    EXPECT_THROW(Engine::run(
-                     g,
-                     [](NodeCtx& ctx) {
-                       const std::vector<Word> words = {Word(0, 64)};
-                       const std::vector<WordRun> runs = {
-                           {(ctx.id() + 1) % ctx.n(), words}};
-                       ctx.exchange_flat(runs);
-                       ctx.output(0);
-                     },
-                     cfg),
-                 ModelViolation);
+    // A bit run cannot break the bound: its 64 bits are framed into
+    // ⌈64/B⌉ words of at most B = 2 bits, each a message.
+    const RunResult run = Engine::run(
+        g,
+        [](NodeCtx& ctx) {
+          const BitVector bits(64, true);
+          const std::vector<BitRun> runs = {{(ctx.id() + 1) % ctx.n(), &bits}};
+          ctx.exchange_flat(runs);
+          ctx.output(0);
+        },
+        cfg);
+    EXPECT_EQ(run.cost.rounds, 32u);
+    EXPECT_EQ(run.cost.messages, 3u * 32);
+    EXPECT_EQ(run.cost.bits, 3u * 64);
   }
 }
 
@@ -650,13 +713,14 @@ std::string violation(const Graph& g, const NodeProgram& program,
   return "";
 }
 
+// A bit run is framed into words of at most B bits, so only the pair form
+// can carry an over-wide word.
 TEST(MsgPlaneRuns, OverWideWordNamesNodeAndDestination) {
   const Graph g = gen::empty(5);  // B = 3
   const auto program = [](NodeCtx& ctx) {
-    const std::vector<Word> words = {Word(1, 1), Word(0, 64)};
-    std::vector<WordRun> runs;
-    if (ctx.id() == 3) runs.push_back({1, words});
-    ctx.exchange_flat(runs);
+    Outbox sends;
+    if (ctx.id() == 3) sends = {{1, Word(1, 1)}, {1, Word(0, 64)}};
+    ctx.exchange_flat(sends);
     ctx.output(0);
   };
   for (bool chaos : {false, true}) {
@@ -672,10 +736,9 @@ TEST(MsgPlaneRuns, OutOfRangeDestinationNamesNodeAndDestination) {
   for (bool empty_run : {false, true}) {
     // An empty run still names its destination, so it is checked too.
     const auto program = [empty_run](NodeCtx& ctx) {
-      const std::vector<Word> words = {Word(1, 1)};
-      std::vector<WordRun> runs = {{0, words}};
-      if (ctx.id() == 3)
-        runs.push_back({9, empty_run ? std::span<const Word>() : words});
+      const BitVector bit(1, true), none;
+      std::vector<BitRun> runs = {{0, &bit}};
+      if (ctx.id() == 3) runs.push_back({9, empty_run ? &none : &bit});
       ctx.exchange_flat(runs);
       ctx.output(0);
     };
@@ -689,9 +752,10 @@ TEST(MsgPlaneRuns, OutOfRangeDestinationNamesNodeAndDestination) {
 
 TEST(MsgPlaneRuns, ChaosLedgerMatchesPairShape) {
   // Every (collective, src, dst) fault stream draws over the pair's queue
-  // in FIFO order, whatever shape carried it: the run form of a random
-  // sparse pattern (repeated destinations split over several runs, empty
-  // runs, self words) must leave the pair form's exact ledger.
+  // in FIFO order, whatever shape carried it: bit runs over a random sparse
+  // pattern (repeated destinations split over several runs, empty runs,
+  // self runs) must leave the exact ledger of their encode_bits framing
+  // sent as pairs. Under chaos both arrive as words, so from() reads both.
   const Graph g = gen::empty(12);
   ChaosPlan::Config ccfg;
   ccfg.seed = 91;
@@ -703,12 +767,11 @@ TEST(MsgPlaneRuns, ChaosLedgerMatchesPairShape) {
     return [as_runs](NodeCtx& ctx) {
       std::uint64_t fp = 0;
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        const Outbox sends = make_sends(ctx.id(), ctx.n(), ctx.bandwidth(),
-                                        seed, kRandomSparse);
-        std::vector<Word> flat;
-        const FlatInbox in =
-            as_runs ? ctx.exchange_flat(runs_of(ctx.id(), ctx.n(), sends, flat))
-                    : ctx.exchange_flat(sends);
+        const RunOutbox out = make_runs(kMaxRuns, ctx.id(), ctx.n(),
+                                        ctx.bandwidth(), seed, kRandomSparse);
+        const FlatInbox in = as_runs
+                                 ? ctx.exchange_flat(out.runs)
+                                 : ctx.exchange_flat(framed(out, ctx.bandwidth()));
         for (NodeId src = 0; src < ctx.n(); ++src) {
           for (const Word& w : in.from(src))
             fp = fp * 131 + src * 7 + w.value * 3 + w.bits;
@@ -730,6 +793,68 @@ TEST(MsgPlaneRuns, ChaosLedgerMatchesPairShape) {
   for (std::size_t i = 0; i < pair_plan.ledger().size(); ++i) {
     EXPECT_TRUE(pair_plan.ledger()[i] == run_plan.ledger()[i])
         << "event " << i;
+  }
+}
+
+// A run cell holds packed bits, not words: from() names the cell and
+// points at bits_from, on the bare plane. (Under chaos a run arrives as
+// the words of its framing, which from() reads.)
+TEST(MsgPlaneRuns, FromRefusesRunCell) {
+  const Graph g = gen::empty(4);
+  const auto program = [](NodeCtx& ctx) {
+    const BitVector bits(5, true);
+    const std::vector<BitRun> runs = {{(ctx.id() + 1) % ctx.n(), &bits}};
+    const FlatInbox in = ctx.exchange_flat(runs);
+    // Node 2's run to node 3: the cell exists and reads back whole.
+    if (ctx.id() == 3) {
+      EXPECT_EQ(in.words_from(2), 3u);  // B = 2
+      EXPECT_TRUE(in.carries(2, 5));
+      EXPECT_FALSE(in.carries(2, 3));
+      EXPECT_TRUE(in.bits_from(2, 0, 5) == bits);
+      (void)in.from(2);
+    }
+    ctx.output(0);
+  };
+  const std::string msg = violation(g, program, false);
+  EXPECT_NE(msg.find("FlatInbox::from: node 2 sent node 3 bit runs"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(violation(g, program, true), "");
+}
+
+// bits_from reads only the words a cell metered: B bits per word of a run
+// cell (zero past each run's end), each word's width in a word cell (a run
+// under chaos arrives as the words of its framing).
+TEST(MsgPlaneRuns, BitsFromPastMeteredWordsThrows) {
+  const Graph g = gen::empty(8);  // B = 3
+  struct Past {
+    std::size_t first, bare_bits, chaos_bits;
+  };
+  // Node 5 sends node 0 runs of 4 and 5 bits: words of 3+1 and 3+2 bits,
+  // so 6 and 6 bits of a run cell, 4 and 5 of a word cell.
+  for (const Past& p : {Past{0, 13, 10}, Past{2, 7, 6}, Past{5, 0, 0}}) {
+    for (bool chaos : {false, true}) {
+      const auto program = [p, chaos](NodeCtx& ctx) {
+        BitVector four(4), five(5);
+        four.set(0);
+        four.set(3);
+        five.set(1);
+        five.set(4);
+        std::vector<BitRun> runs;
+        if (ctx.id() == 5) runs = {{0, &four}, {0, &five}};
+        const FlatInbox in = ctx.exchange_flat(runs);
+        if (ctx.id() == 0) {
+          EXPECT_EQ(in.words_from(5), 4u);
+          EXPECT_TRUE(in.bits_from(5, 0, 4) == four);
+          EXPECT_TRUE(in.bits_from(5, 2, 5) == five);
+          (void)in.bits_from(5, p.first, chaos ? p.chaos_bits : p.bare_bits);
+        }
+        ctx.output(0);
+      };
+      const std::string msg = violation(g, program, chaos);
+      EXPECT_NE(msg.find("FlatInbox::bits_from"), std::string::npos)
+          << "chaos=" << chaos << " first=" << p.first << ": " << msg;
+    }
   }
 }
 

@@ -40,6 +40,13 @@ jobs/sec strictly above cold at every shared client count) is checked
 within the *current* run, unnormalized: it is the service's reason to
 exist, not a machine artifact.
 
+With `--mm-sparse` it reads BENCH_mm_sparse.json (bench_mm_sparse)
+instead, keyed by (n, density, semiring, algo) over the distributed rows:
+rounds, messages and bits are costs with the matrix gate's semantics, nnz
+is an identity, and wall clock is never gated. Local SpGEMM kernel rows
+carry only wall clock and are skipped; baseline rows absent from the run
+(CI sweeps n = 256 only) are a note.
+
 `--selftest` exercises the gate against synthetic fixtures — including the
 "baseline round count hand-lowered" case — and exits non-zero if the gate
 fails to fire. No dependencies beyond the standard library.
@@ -49,6 +56,9 @@ fails to fire. No dependencies beyond the standard library.
 COST_FIELDS = ("rounds", "messages", "bits", "collectives", "max_sent",
                "max_received")
 IDENTITY_FIELDS = ("faults", "output_fp")
+# The same two classes for a BENCH_mm_sparse.json distributed row.
+MM_SPARSE_COST_FIELDS = ("rounds", "messages", "bits")
+MM_SPARSE_IDENTITY_FIELDS = ("nnz",)
 
 import argparse
 import json
@@ -58,14 +68,20 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def load_cells(path):
-    """Parse a BENCH_matrix.json array into {cell_id: row}."""
+def read_rows(path):
+    """A BENCH_*.json file's top-level array."""
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"check_trajectory: cannot read {path}: {e}")
     if not isinstance(rows, list):
         sys.exit(f"check_trajectory: {path}: expected a JSON array")
+    return rows
+
+
+def load_cells(path):
+    """Parse a BENCH_matrix.json array into {cell_id: row}."""
+    rows = read_rows(path)
     cells = {}
     for row in rows:
         cid = row.get("cell")
@@ -79,13 +95,35 @@ def load_cells(path):
     return cells
 
 
+def mm_sparse_cells(rows, path):
+    """BENCH_mm_sparse.json's distributed rows as
+    {"n=../density=../semiring/algo": row}; kernel rows have no "algo"."""
+    cells = {}
+    for row in rows:
+        if "algo" not in row:
+            continue
+        cid = (f"n={row.get('n')}/density={row.get('density')}/"
+               f"{row.get('semiring')}/{row['algo']}")
+        if cid in cells:
+            sys.exit(f"check_trajectory: {path}: duplicate row '{cid}'")
+        cells[cid] = row
+    if not cells:
+        sys.exit(f"check_trajectory: {path}: no distributed rows found")
+    return cells
+
+
+def load_mm_sparse(path):
+    return mm_sparse_cells(read_rows(path), path)
+
+
 def median(values):
     s = sorted(values)
     mid = len(s) // 2
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
-def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
+def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0,
+            cost_fields=COST_FIELDS, identity_fields=IDENTITY_FIELDS):
     """Returns (failures, notes): lists of diagnostic strings."""
     failures, notes = [], []
     shared = [cid for cid in current if cid in baseline]
@@ -94,7 +132,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
     if only_base:
         notes.append(
             f"{len(only_base)} baseline cell(s) not in this run "
-            f"(subset manifest?): {', '.join(sorted(only_base)[:3])}"
+            f"(a subset run?): {', '.join(sorted(only_base)[:3])}"
             f"{', ...' if len(only_base) > 3 else ''}")
     if only_cur:
         notes.append(
@@ -110,7 +148,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
     # Deterministic quantities: exact, machine-independent.
     for cid in shared:
         base, cur = baseline[cid], current[cid]
-        for field in COST_FIELDS:
+        for field in cost_fields:
             b, c = base.get(field), cur.get(field)
             if b is None or c is None:
                 continue
@@ -121,7 +159,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
                 notes.append(
                     f"{cid}: {field} improved {b} -> {c} "
                     f"(refresh the baseline to lock it in)")
-        for field in IDENTITY_FIELDS:
+        for field in identity_fields:
             b, c = base.get(field), cur.get(field)
             if b is not None and c is not None and b != c:
                 failures.append(f"{cid}: {field} changed {b} -> {c}")
@@ -158,12 +196,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
 
 def load_service(path):
     """Parse a BENCH_service.json array into {"mode/clients=N": row}."""
-    try:
-        rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"check_trajectory: cannot read {path}: {e}")
-    if not isinstance(rows, list):
-        sys.exit(f"check_trajectory: {path}: expected a JSON array")
+    rows = read_rows(path)
     configs = {}
     for row in rows:
         mode, clients = row.get("mode"), row.get("clients")
@@ -282,11 +315,23 @@ def run_service_gate(args):
     return 0
 
 
+def compare_mm_sparse(baseline, current):
+    """The --mm-sparse gate: exact meters and nnz, no wall clock."""
+    return compare(baseline, current, "off", 0.0,
+                   cost_fields=MM_SPARSE_COST_FIELDS,
+                   identity_fields=MM_SPARSE_IDENTITY_FIELDS)
+
+
 def run_gate(args):
-    baseline = load_cells(args.baseline)
-    current = load_cells(args.current)
-    failures, notes = compare(baseline, current, args.wall_mode,
-                              args.wall_tolerance, args.wall_min_ms)
+    if args.mm_sparse:
+        baseline = load_mm_sparse(args.baseline)
+        current = load_mm_sparse(args.current)
+        failures, notes = compare_mm_sparse(baseline, current)
+    else:
+        baseline = load_cells(args.baseline)
+        current = load_cells(args.current)
+        failures, notes = compare(baseline, current, args.wall_mode,
+                                  args.wall_tolerance, args.wall_min_ms)
     for n in notes:
         print(f"note: {n}")
     for f in failures:
@@ -385,6 +430,35 @@ def selftest():
     checks.append(("subset run passes with a note",
                    not f and any("not in this run" in n for n in notes)))
 
+    # --- mm-sparse gate fixtures (BENCH_mm_sparse.json shape) ---
+    def mm_row(n, algo, bits):
+        return {"n": n, "density": 0.01, "semiring": "Boolean", "nnz": 655,
+                "algo": algo, "rounds": 9, "messages": bits // 8,
+                "bits": bits, "wall_ms": 50.0}
+
+    mm_rows = [mm_row(256, "sparse", 27000), mm_row(256, "dense-3d", 98000),
+               mm_row(512, "sparse", 90000),
+               {"n": 256, "density": 0.1, "semiring": "minplus",
+                "kernel": "spgemm_serial", "wall_ms": 3.0, "speedup": 1.0}]
+    mbase = mm_sparse_cells(mm_rows, "fixture")
+    checks.append(("mm-sparse kernel rows skipped", len(mbase) == 3))
+    msame = {k: dict(row, wall_ms=row["wall_ms"] * 5)
+             for k, row in mbase.items() if row["n"] == 256}
+    f, notes = compare_mm_sparse(mbase, msame)
+    checks.append(("mm-sparse n=256 subset passes, wall never gated",
+                   not f and any("not in this run" in x for x in notes)))
+    mraised = {k: dict(row) for k, row in msame.items()}
+    mraised["n=256/density=0.01/Boolean/sparse"]["bits"] = 27001
+    f, _ = compare_mm_sparse(mbase, mraised)
+    checks.append(("mm-sparse raised bits fails", any(
+        "n=256/density=0.01/Boolean/sparse: bits regressed 27000 -> 27001"
+        in x for x in f)))
+    mnnz = {k: dict(row) for k, row in msame.items()}
+    mnnz["n=256/density=0.01/Boolean/dense-3d"]["nnz"] = 654
+    f, _ = compare_mm_sparse(mbase, mnnz)
+    checks.append(("mm-sparse changed nnz fails", any(
+        "nnz changed 655 -> 654" in x for x in f)))
+
     # --- service gate fixtures (BENCH_service.json shape) ---
     def svc(mode, clients, jps, p99):
         return {"mode": mode, "clients": clients, "jobs_per_sec": jps,
@@ -463,6 +537,9 @@ def main():
     ap.add_argument("--service-tolerance", type=float, default=0.40,
                     help="allowed normalized jobs/sec + p99 slack for "
                          "--service (default 0.40 = 40%%)")
+    ap.add_argument("--mm-sparse", action="store_true",
+                    help="gate BENCH_mm_sparse.json (bench_mm_sparse) "
+                         "instead of the scenario matrix")
     ap.add_argument("--selftest", action="store_true",
                     help="verify the gate fires on synthetic regressions")
     args = ap.parse_args()
