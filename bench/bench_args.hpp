@@ -42,34 +42,6 @@ inline std::uint64_t parse_uint(const char* prog, const char* flag,
   return value;
 }
 
-/// Plain decimal number in [lo, hi] for --density-style flags: digits with
-/// an optional fraction ("0.1", "10", ".5"). No sign, no exponent, no
-/// trailing garbage — std::strtod would happily accept "0.1abc", "1e9",
-/// "nan" and "0x3", so the shape is validated before the conversion.
-inline double parse_double(const char* prog, const char* flag,
-                           const char* text, double lo, double hi) {
-  const char* p = text;
-  bool digits = false;
-  for (; *p >= '0' && *p <= '9'; ++p) digits = true;
-  if (*p == '.') {
-    for (++p; *p >= '0' && *p <= '9'; ++p) digits = true;
-  }
-  bool ok = digits && *p == '\0';
-  double value = 0.0;
-  if (ok) {
-    char* end = nullptr;
-    value = std::strtod(text, &end);
-    ok = end != nullptr && *end == '\0';
-  }
-  if (!ok || value < lo || value > hi) {
-    std::fprintf(stderr,
-                 "%s: %s expects a decimal number in [%g, %g], got '%s'\n",
-                 prog, flag, lo, hi, text);
-    std::exit(2);
-  }
-  return value;
-}
-
 /// "--n=123" against name "--n" → "123"; nullptr when arg is not name=… .
 inline const char* flag_value(const char* arg, const char* name) {
   const std::size_t len = std::strlen(name);

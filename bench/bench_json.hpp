@@ -22,15 +22,9 @@
 #include <variant>
 #include <vector>
 
-#include "bench_args.hpp"
 #include "clique/trace.hpp"
 
 namespace ccq::benchjson {
-
-/// Strict numeric-flag parsing now lives in bench_args.hpp (next to
-/// parse_double and the flag matchers); re-exported here for the bench
-/// mains that predate the split.
-using benchargs::parse_uint;
 
 struct Field {
   Field(const char* k, const char* v) : key(k), value(v) {}

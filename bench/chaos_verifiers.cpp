@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "bench_json.hpp"
 #include "nondet/soundness.hpp"
 #include "util/table.hpp"
@@ -49,9 +50,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--n=", 4) == 0) {
       sizes = {static_cast<NodeId>(
-          benchjson::parse_uint(argv[0], "--n", argv[i] + 4, 1, 8192))};
+          benchargs::parse_uint(argv[0], "--n", argv[i] + 4, 1, 8192))};
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      trials = static_cast<unsigned>(benchjson::parse_uint(
+      trials = static_cast<unsigned>(benchargs::parse_uint(
           argv[0], "--trials", argv[i] + 9, 1, 1000000));
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;

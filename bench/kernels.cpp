@@ -1,15 +1,17 @@
 // Local-compute kernel comparison bench (DESIGN.md §11, §16).
 //
 // Sweeps the serial/bit-packed/parallel MM kernels against mm_naive per
-// semiring, and the entry codec that the block MM schedules send — Boolean
-// entries at 1 bit and (min,+) entries at 20 bits — at both SIMD dispatch
-// levels against the per-entry reference, printing speedup tables. Every
-// timed result is compared bit-for-bit against mm_naive (or the per-entry
+// semiring, the (min,+) SpGEMM kernels at 10% density, and the entry codec
+// that the block MM schedules send — Boolean entries at 1 bit and (min,+)
+// entries at 20 bits — at both SIMD dispatch levels against the per-entry
+// reference, printing speedup tables. Every timed result is compared
+// bit-for-bit against mm_naive (or the serial SpGEMM, or the per-entry
 // codec) before it is reported — a kernel that is fast but wrong fails the
 // run, not just --check.
 //
 // Usage: bench_kernels [--n=N] [--check]
-//   --n=N     run a single size instead of the 128/256/512 sweep
+//   --n=N     run a single size instead of the 128/256/512 sweep (and
+//             the SpGEMM table's 256/512/1024 sweep)
 //   --check   CI smoke mode: exit non-zero if any kernel disagrees with
 //             mm_naive, if mm_parallel is not identical across worker
 //             counts, or if the headline speedups regress (bit-packed
@@ -17,15 +19,16 @@
 //             AVX2 is active — SIMD min-plus tiled ≥ 1.3x over the forced
 //             scalar tiled kernel at n ≥ 512; the target is 1.5x and the
 //             gate keeps a 15% noise margin so a shared runner cannot
-//             flake it)
+//             flake it), or if pool-parallel SpGEMM is under 1.7x serial
+//             at n ≥ 512 on a pool of more than one worker)
 //
 // Respects CCQ_SIMD=off (forces the scalar paths); the SIMD columns are
 // measured by forcing each dispatch level around the same kernel, so the
 // scalar/SIMD comparison works regardless of the ambient policy.
 //
 // Writes BENCH_kernels.json ({n, semiring, kernel, wall_ms, speedup} per
-// MM row; {semiring, entry_bits, op, path, wall_ms, mentries_per_s} per
-// packing row).
+// MM and SpGEMM row; {semiring, entry_bits, op, path, wall_ms,
+// mentries_per_s} per packing row).
 
 #include <algorithm>
 #include <chrono>
@@ -40,6 +43,7 @@
 #include "algebra/kernels.hpp"
 #include "algebra/mm.hpp"
 #include "algebra/simd.hpp"
+#include "algebra/sparse.hpp"
 #include "bench_args.hpp"
 #include "bench_json.hpp"
 #include "util/rng.hpp"
@@ -62,13 +66,15 @@ Matrix<typename S::Value> random_square(std::size_t n, std::uint64_t seed,
   return m;
 }
 
-Matrix<std::uint64_t> random_minplus(std::size_t n, std::uint64_t seed) {
+// Each entry is ∞ (the semiring zero) with probability p_inf.
+Matrix<std::uint64_t> random_minplus(std::size_t n, std::uint64_t seed,
+                                     double p_inf = 0.2) {
   SplitMix64 rng(seed);
   Matrix<std::uint64_t> m(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
-      m.at(i, j) = rng.next_bool(0.2) ? MinPlusSemiring::infinity()
-                                      : rng.next_below(100000);
+      m.at(i, j) = rng.next_bool(p_inf) ? MinPlusSemiring::infinity()
+                                        : rng.next_below(100000);
   return m;
 }
 
@@ -106,7 +112,8 @@ double mm_row(benchjson::Writer& json, std::size_t n, const char* semiring,
   M got;
   const double ms = time_best_ms(trials, [&] { got = fn(); });
   if (!(got == expect)) {
-    std::printf("FATAL: kernel %s/%s disagrees with mm_naive at n=%zu\n",
+    std::printf("FATAL: kernel %s/%s disagrees with its reference at "
+                "n=%zu\n",
                 semiring, kernel, n);
     std::exit(1);
   }
@@ -269,6 +276,59 @@ void ring_mm_table(benchjson::Writer& json,
   t.print();
 }
 
+// The local kernels behind the sparse schedule's Step B (and spgemm_auto on
+// any centralised caller) at 10% density. Node programs run on scheduler
+// fibers where the pool is unavailable, so the parallel column is about the
+// centralised callers; its determinism contract (output CSR-identical to
+// serial for every worker count) is what makes routing them to the pool
+// safe. The serial kernel is checked against mm_naive at n <= 512, the
+// parallel one against serial at every n.
+void spgemm_table(benchjson::Writer& json, CheckState& cs,
+                  const std::vector<std::size_t>& sizes, int trials) {
+  const std::size_t workers = kernels::pool().size();
+  std::printf("\n(min,+) SpGEMM at density 0.1 (serial Gustavson vs its "
+              "row sharding over\nthe kernel pool, %zu worker(s)):\n\n",
+              workers);
+  Table t({"n", "serial ms", "parallel ms", "serial/parallel"});
+  for (std::size_t n : sizes) {
+    const auto da = random_minplus(n, 0x5b9 + n, 0.9);
+    const auto db = random_minplus(n, 0x5ca + n, 0.9);
+    const auto a = SparseMatrix<std::uint64_t>::from_dense<MinPlusSemiring>(da);
+    const auto b = SparseMatrix<std::uint64_t>::from_dense<MinPlusSemiring>(db);
+    SparseMatrix<std::uint64_t> expect;
+    const double serial_ms = time_best_ms(
+        trials, [&] { expect = kernels::spgemm<MinPlusSemiring>(a, b); });
+    if (n <= 512 && !(expect.to_dense<MinPlusSemiring>() ==
+                      mm_naive<MinPlusSemiring>(da, db))) {
+      std::printf("FATAL: serial spgemm disagrees with mm_naive at n=%zu\n",
+                  n);
+      std::exit(1);
+    }
+    json.add({{"n", n},
+              {"semiring", "minplus"},
+              {"kernel", "spgemm_serial"},
+              {"wall_ms", serial_ms},
+              {"speedup", 1.0}});
+    const double parallel_ms = mm_row(
+        json, n, "minplus", "spgemm_parallel", trials, expect, serial_ms,
+        [&] { return kernels::spgemm_parallel<MinPlusSemiring>(a, b); });
+    t.add_row({std::to_string(n), Table::fmt(serial_ms, 2),
+               Table::fmt(parallel_ms, 2),
+               fmt_speedup(serial_ms, parallel_ms)});
+    // The 2x target at n >= 512 with a 15% noise margin. A 1-worker pool
+    // cannot speed anything up, so the gate needs a multi-core host.
+    if (cs.check && n >= 512) {
+      if (workers <= 1)
+        std::printf("  gate: parallel SpGEMM speedup skipped (pool = %zu)\n",
+                    workers);
+      else if (serial_ms < 1.7 * parallel_ms)
+        cs.fail("parallel SpGEMM speedup < 1.7x over serial at n=" +
+                std::to_string(n));
+    }
+  }
+  t.print();
+}
+
 // Per-entry reference codec (the seed's implementation): every bulk pack
 // and unpack below must reproduce it bit for bit.
 template <Semiring S>
@@ -424,7 +484,8 @@ void determinism_check(CheckState& cs) {
   if (!ok) cs.fail("mm_parallel result depends on the worker count");
 }
 
-int run_comparison(std::vector<std::size_t> sizes, bool check) {
+int run_comparison(const std::vector<std::size_t>& sizes,
+                   const std::vector<std::size_t>& spgemm_sizes, bool check) {
   const int trials = check ? 5 : 3;
   CheckState cs;
   cs.check = check;
@@ -439,6 +500,7 @@ int run_comparison(std::vector<std::size_t> sizes, bool check) {
   bool_mm_table(json, cs, sizes, trials);
   minplus_mm_table(json, cs, sizes, trials);
   ring_mm_table(json, sizes, trials);
+  spgemm_table(json, cs, spgemm_sizes, trials);
   packing_table(json, trials);
   determinism_check(cs);
 
@@ -476,7 +538,8 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<std::size_t> sizes = {128, 256, 512};
-  if (only_n != 0) sizes = {only_n};
+  std::vector<std::size_t> spgemm_sizes = {256, 512, 1024};
+  if (only_n != 0) sizes = spgemm_sizes = {only_n};
 
-  return ccq::run_comparison(sizes, check);
+  return ccq::run_comparison(sizes, spgemm_sizes, check);
 }

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "bench_json.hpp"
 #include "harness/manifest.hpp"
 #include "harness/sweep.hpp"
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      trials = static_cast<int>(benchjson::parse_uint(
+      trials = static_cast<int>(benchargs::parse_uint(
           argv[0], "--trials", argv[i] + 9, 1, 100));
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;

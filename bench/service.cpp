@@ -44,6 +44,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "bench_json.hpp"
 #include "clique/chaos.hpp"
 #include "clique/engine.hpp"
@@ -409,16 +410,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       jobs = static_cast<int>(
-          benchjson::parse_uint(argv[0], "--jobs", argv[i] + 7, 1, 1000));
+          benchargs::parse_uint(argv[0], "--jobs", argv[i] + 7, 1, 1000));
     } else if (std::strncmp(argv[i], "--executors=", 12) == 0) {
-      executors = static_cast<std::size_t>(benchjson::parse_uint(
+      executors = static_cast<std::size_t>(benchargs::parse_uint(
           argv[0], "--executors", argv[i] + 12, 1, 64));
     } else if (std::strncmp(argv[i], "--queue=", 8) == 0) {
       queue = static_cast<std::size_t>(
-          benchjson::parse_uint(argv[0], "--queue", argv[i] + 8, 1, 4096));
+          benchargs::parse_uint(argv[0], "--queue", argv[i] + 8, 1, 4096));
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
       reps = static_cast<int>(
-          benchjson::parse_uint(argv[0], "--reps", argv[i] + 7, 1, 32));
+          benchargs::parse_uint(argv[0], "--reps", argv[i] + 7, 1, 32));
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--check") == 0) {

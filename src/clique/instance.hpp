@@ -32,12 +32,6 @@ struct Instance {
     inst.graph = std::move(g);
     return inst;
   }
-
-  Instance with_label(Labelling z) const {
-    Instance copy = *this;
-    copy.labels.push_back(std::move(z));
-    return copy;
-  }
 };
 
 /// The §3 private-bit encoding: the bit of edge {u,v}, u<v, is assigned to

@@ -158,7 +158,6 @@ class Scheduler {
   /// and nothing per deposited word. Engine::run enables them only when a
   /// RoundTrace is attached.
   void enable_stats(bool on) { stats_on_ = on; }
-  bool stats_enabled() const { return stats_on_; }
   SchedulerStats stats() const {
     SchedulerStats s;
     s.fiber_switches = fiber_switches_.load(std::memory_order_relaxed);

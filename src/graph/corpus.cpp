@@ -350,6 +350,10 @@ const std::vector<std::string>& family_names() {
   return names;
 }
 
+bool reads_file(const std::string& name) {
+  return name == "edgelist" || name == "csr";
+}
+
 Graph make_family(const FamilySpec& spec, NodeId n) {
   CCQ_CHECK_MSG(n >= 1, "family size n must be >= 1");
   if (spec.name == "empty") return gen::empty(n);
@@ -373,7 +377,7 @@ Graph make_family(const FamilySpec& spec, NodeId n) {
     return gen::planted_communities(n, spec.k, spec.p_in, spec.p_out,
                                     spec.seed)
         .graph;
-  if (spec.name == "edgelist" || spec.name == "csr") {
+  if (reads_file(spec.name)) {
     CCQ_CHECK_MSG(!spec.path.empty(),
                   "family '" << spec.name << "' requires a path");
     Graph g = spec.name == "csr" ? load_csr(spec.path)

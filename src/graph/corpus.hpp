@@ -96,6 +96,9 @@ struct FamilySpec {
 /// gnp_weighted, powerlaw, community, edgelist, csr.
 const std::vector<std::string>& family_names();
 
+/// True for the families make_family loads from spec.path: edgelist, csr.
+bool reads_file(const std::string& name);
+
 /// Instantiate `spec` at size n. File-backed families (edgelist, csr) load
 /// spec.path and require the file's n to equal the requested n — the
 /// manifest's n axis is part of every cell's identity, so a silent mismatch

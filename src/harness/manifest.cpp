@@ -125,7 +125,7 @@ namespace {
 // `out`, checking expanded ids against `seen_ids`. Shared by parse_manifest
 // (each entry of "cells") and parse_job_cell (a ccqd job body, which must
 // expand to exactly one cell and may name only algorithm_names(), not a
-// load).
+// manifest-only program, and no file-backed family).
 void expand_cell_group(const JsonValue& group, const std::string& origin,
                        bool job, std::set<std::string>& seen_ids,
                        std::vector<CellSpec>& out) {
@@ -190,14 +190,16 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
   for (const JsonValue* av : algs) {
     CellSpec a = base;
     a.algorithm = as_string(*av, "algorithm", origin);
-    const bool load = listed(load_names(), a.algorithm);
-    if (!listed(algorithm_names(), a.algorithm) && (job || !load)) {
+    const bool manifest_only = listed(manifest_only_names(), a.algorithm);
+    if (!listed(algorithm_names(), a.algorithm) && (job || !manifest_only)) {
       std::ostringstream os;
-      os << (load ? "bench load '" : "unknown algorithm '") << a.algorithm
-         << (load ? "' cannot run as a job (known:" : "' (known:");
+      os << (manifest_only ? "manifest-only program '"
+                           : "unknown algorithm '")
+         << a.algorithm
+         << (manifest_only ? "' cannot run as a job (known:" : "' (known:");
       for (const auto& s : algorithm_names()) os << " " << s;
       if (!job)
-        for (const auto& s : load_names()) os << " " << s;
+        for (const auto& s : manifest_only_names()) os << " " << s;
       os << ")";
       fail_at(origin, av->line, os.str());
     }
@@ -205,11 +207,16 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
       CellSpec f = a;
       f.family.name = as_string(*fv, "family", origin);
       const auto& fnames = corpus::family_names();
-      if (std::find(fnames.begin(), fnames.end(), f.family.name) ==
-          fnames.end()) {
+      const bool known = listed(fnames, f.family.name);
+      // A job may not make the daemon open a path: the refusal names the
+      // family only, so it reveals nothing about the path or the file.
+      if (!known || (job && corpus::reads_file(f.family.name))) {
         std::ostringstream os;
-        os << "unknown family '" << f.family.name << "' (known:";
-        for (const auto& s : fnames) os << " " << s;
+        os << (known ? "family '" : "unknown family '") << f.family.name
+           << (known ? "' reads a file and cannot run as a job (accepted:"
+                     : "' (known:");
+        for (const auto& s : fnames)
+          if (!job || !corpus::reads_file(s)) os << " " << s;
         os << ")";
         fail_at(origin, fv->line, os.str());
       }

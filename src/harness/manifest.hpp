@@ -71,9 +71,10 @@ Manifest load_manifest(const std::string& path);
 /// Parse one ccqd job body (an already-parsed JSON object using the cell
 /// schema above). Same validation as a manifest cell group, but the object
 /// must expand to exactly one cell — axis arrays are rejected — and name
-/// one of algorithm_names(), not a bench load, on the pooled backend (the
-/// thread-per-node oracle starts one OS thread per node). `origin` names
-/// the connection in errors.
+/// one of algorithm_names(), not a manifest-only program, on the pooled
+/// backend (the thread-per-node oracle starts one OS thread per node) and
+/// a family that reads no file (edgelist and csr would open a path the
+/// client chose). `origin` names the connection in errors.
 CellSpec parse_job_cell(const json::Value& job, const std::string& origin);
 
 const char* backend_name(ExecutionBackend b);

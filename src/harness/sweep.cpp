@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "algebra/distributed_mm.hpp"
 #include "clique/chaos.hpp"
@@ -39,8 +41,8 @@ std::uint64_t routed_fp(const std::vector<std::pair<NodeId, Word>>& got) {
 
 // ---- registered node programs -------------------------------------------
 //
-// Each program reads only the cell's instance (adjacency row + id) so a
-// cell is a pure function of its CellSpec. Outputs are per-node
+// Each program reads only the cell's instance (adjacency row, edge weights,
+// id) so a cell is a pure function of its CellSpec. Outputs are per-node
 // fingerprints: any delivery or compute divergence is visible in output_fp.
 
 // One payload word per incident edge, through `Router`: route_direct
@@ -66,25 +68,69 @@ void broadcast_adj_program(NodeCtx& ctx) {
   ctx.output(fp);
 }
 
-// Row v of the Boolean A² of the adjacency matrix, via the 3-D semiring
-// schedule (§7 / Censor-Hillel et al.).
-std::vector<std::uint8_t> adjacency_squared_row(NodeCtx& ctx) {
+// ---- semiring squarings ---------------------------------------------------
+//
+// Each squares the cell's own matrix with one distributed schedule (§7 /
+// Censor-Hillel et al.; the sparse schedule after Le Gall) and folds every
+// entry of its product row into the node's output, so two schedules of one
+// product must produce equal outputs (check_equivalence's schedule rule).
+
+enum class Schedule { kNaive, k3d, kSparse };
+
+// Boolean: the adjacency matrix, entries 0/1 at 1 bit.
+std::vector<std::uint8_t> adjacency_row(NodeCtx& ctx) {
   const BitVector& adj = ctx.adj_row();
   std::vector<std::uint8_t> row(ctx.n());
   for (NodeId j = 0; j < ctx.n(); ++j) row[j] = adj.get(j) ? 1 : 0;
-  return mm_distributed_3d<BoolSemiring>(ctx, row, row, 1);
+  return row;
 }
 
-void mm_bool_3d_program(NodeCtx& ctx) {
+// (min,+): the weight matrix (weight 1 on an unweighted family), ∞
+// off-edge and on the diagonal. Entries travel at 8 bits, ∞ being the
+// all-ones code, so the family's weights must keep every product entry
+// below 255 (gnp_weighted max_w ≤ 127); a wider one is a named
+// ModelViolation from the entry codec.
+constexpr unsigned kMinPlusEntryBits = 8;
+
+std::vector<std::uint64_t> weight_row(NodeCtx& ctx) {
+  const BitVector& adj = ctx.adj_row();
+  std::vector<std::uint64_t> row(ctx.n(), MinPlusSemiring::infinity());
+  for (NodeId j = 0; j < ctx.n(); ++j)
+    if (adj.get(j)) row[j] = ctx.weighted() ? ctx.edge_weight(j) : 1;
+  return row;
+}
+
+// Row v of A·A for the cell's matrix A over S.
+template <Semiring S, Schedule kSchedule>
+std::vector<typename S::Value> squared_row(NodeCtx& ctx) {
+  constexpr bool kBool = std::is_same_v<S, BoolSemiring>;
+  const auto row = [&] {
+    if constexpr (kBool)
+      return adjacency_row(ctx);
+    else
+      return weight_row(ctx);
+  }();
+  const unsigned bits = kBool ? 1 : kMinPlusEntryBits;
+  if constexpr (kSchedule == Schedule::kNaive)
+    return mm_distributed_naive<S>(ctx, row, row, bits);
+  else if constexpr (kSchedule == Schedule::k3d)
+    return mm_distributed_3d<S>(ctx, row, row, bits);
+  else
+    return mm_distributed_sparse<S>(ctx, MmShape{ctx.n(), ctx.n(), ctx.n()},
+                                    row, row, bits);
+}
+
+template <Semiring S, Schedule kSchedule>
+void mm_square_program(NodeCtx& ctx) {
   std::uint64_t fp = kFnvOffset;
-  for (std::uint8_t c : adjacency_squared_row(ctx)) fp = fnv_fold(fp, c);
+  for (const auto c : squared_row<S, kSchedule>(ctx)) fp = fnv_fold(fp, c);
   ctx.output(fp);
 }
 
 // Triangle count through v: |{ j : (A²)[v][j] ∧ A[v][j] }| — the MM-based
 // detector pattern, output-sensitive to the family's clustering.
 void triangle_mm_program(NodeCtx& ctx) {
-  const auto row_c = adjacency_squared_row(ctx);
+  const auto row_c = squared_row<BoolSemiring, Schedule::k3d>(ctx);
   std::uint64_t count = 0;
   for (NodeId j = 0; j < ctx.n(); ++j)
     if (row_c[j] != 0 && ctx.adj_row().get(j)) ++count;
@@ -152,6 +198,9 @@ void ring_rounds_load(NodeCtx& ctx) {
 struct Algo {
   const char* name;
   void (*fn)(NodeCtx&);
+  // Programs naming one product compute equal outputs on any instance by
+  // different schedules; nullptr when no other program computes it.
+  const char* product = nullptr;
 };
 
 // The ccqd job surface: perfbench's ccqd-mix enumerates this table, so an
@@ -160,16 +209,42 @@ constexpr Algo kAlgos[] = {
     {"routing_direct", routing_program<route_direct>},
     {"routing_balanced", routing_program<route_balanced>},
     {"broadcast_adj", broadcast_adj_program},
-    {"mm_bool_3d", mm_bool_3d_program},
+    {"mm_bool_3d", mm_square_program<BoolSemiring, Schedule::k3d>,
+     "bool_square"},
     {"triangle_mm", triangle_mm_program},
 };
 
-// Manifest-only engine loads.
-constexpr Algo kLoads[] = {
+// Manifest-only programs: the synthetic engine loads and the squarings by
+// the other schedules.
+constexpr Algo kManifestOnly[] = {
     {"exchange_skewed", exchange_skewed_load},
     {"routing_uniform", routing_uniform_load},
     {"ring_rounds", ring_rounds_load},
+    {"mm_bool_naive", mm_square_program<BoolSemiring, Schedule::kNaive>,
+     "bool_square"},
+    {"mm_bool_sparse", mm_square_program<BoolSemiring, Schedule::kSparse>,
+     "bool_square"},
+    {"mm_minplus_naive",
+     mm_square_program<MinPlusSemiring, Schedule::kNaive>, "minplus_square"},
+    {"mm_minplus_3d", mm_square_program<MinPlusSemiring, Schedule::k3d>,
+     "minplus_square"},
+    {"mm_minplus_sparse",
+     mm_square_program<MinPlusSemiring, Schedule::kSparse>, "minplus_square"},
 };
+
+const Algo* find_entry(const std::string& name) {
+  for (const Algo& a : kAlgos)
+    if (name == a.name) return &a;
+  for (const Algo& a : kManifestOnly)
+    if (name == a.name) return &a;
+  return nullptr;
+}
+
+// The product `name` computes, or "" when no other program computes it.
+std::string_view product_of(const std::string& name) {
+  const Algo* a = find_entry(name);
+  return a != nullptr && a->product != nullptr ? a->product : "";
+}
 
 template <std::size_t N>
 std::vector<std::string> names_of(const Algo (&table)[N]) {
@@ -185,16 +260,13 @@ const std::vector<std::string>& algorithm_names() {
   return names;
 }
 
-const std::vector<std::string>& load_names() {
-  static const std::vector<std::string> names = names_of(kLoads);
+const std::vector<std::string>& manifest_only_names() {
+  static const std::vector<std::string> names = names_of(kManifestOnly);
   return names;
 }
 
 NodeProgram find_algorithm(const std::string& name) {
-  for (const Algo& a : kAlgos)
-    if (name == a.name) return NodeProgram(a.fn);
-  for (const Algo& a : kLoads)
-    if (name == a.name) return NodeProgram(a.fn);
+  if (const Algo* a = find_entry(name)) return NodeProgram(a->fn);
   std::ostringstream os;
   os << "unknown sweep algorithm '" << name << "'";
   throw ModelViolation(os.str());
@@ -241,10 +313,12 @@ Engine::Config cell_engine_config(const CellSpec& spec) {
   cfg.backend = spec.backend;
   cfg.workers = std::min<std::size_t>(spec.workers, spec.n);
   cfg.bandwidth_multiplier = spec.bandwidth;
-  // A load reads only n and the node id, so the cell seed does not reach
-  // it: loads keep the engine's default common seed.
-  const auto is_load = [&](const Algo& a) { return spec.algorithm == a.name; };
-  if (std::none_of(std::begin(kLoads), std::end(kLoads), is_load))
+  // Manifest-only programs keep the engine's default common seed: the
+  // loads' rows were pinned with it (route_balanced salts its stripes
+  // with it), and the squarings never draw on it.
+  const auto is_named = [&](const Algo& a) { return spec.algorithm == a.name; };
+  if (std::none_of(std::begin(kManifestOnly), std::end(kManifestOnly),
+                   is_named))
     cfg.seed = mix64(spec.seed ^ 0x5ce9a11ceull);
   return cfg;
 }
@@ -373,6 +447,28 @@ std::vector<std::string> check_equivalence(
         diags.push_back(b.spec.id() + " disagrees with " + a.spec.id() +
                         " on " + what +
                         " (the cells differ only in backend and workers)");
+      break;
+    }
+    // A chaos-off cell of a product is also compared against the first
+    // earlier cell computing that product by another schedule: a spec equal
+    // to b's once algorithm, backend and workers are set to b's. Meters may
+    // differ; the answer may not.
+    const std::string_view product = product_of(b.spec.algorithm);
+    if (b.spec.chaos || product.empty()) continue;
+    for (std::size_t i = 0; i < j; ++i) {
+      const CellResult& a = results[i];
+      if (a.spec.algorithm == b.spec.algorithm ||
+          product_of(a.spec.algorithm) != product)
+        continue;
+      CellSpec probe = a.spec;
+      probe.algorithm = b.spec.algorithm;
+      probe.backend = b.spec.backend;
+      probe.workers = b.spec.workers;
+      if (!(probe == b.spec)) continue;
+      if (a.output_fp != b.output_fp)
+        diags.push_back(b.spec.id() + " disagrees with " + a.spec.id() +
+                        " on output_fp (the cells compute the same product "
+                        "by different schedules)");
       break;
     }
   }

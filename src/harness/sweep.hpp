@@ -13,8 +13,10 @@
 // never be committed as a baseline.
 //
 // Programs are registered by name in two tables, algorithm_names() and
-// load_names(), and depend only on the instance, so every cell is a pure
-// function of its CellSpec.
+// manifest_only_names(), and depend only on the instance, so every cell is
+// a pure function of its CellSpec. The registry also records which
+// programs compute the same product by different schedules (the MM
+// squarings), which check_equivalence holds to equal outputs.
 
 #include <cstdint>
 #include <string>
@@ -31,16 +33,17 @@ namespace ccq::harness {
 /// routing_balanced, broadcast_adj, mm_bool_3d, triangle_mm.
 const std::vector<std::string>& algorithm_names();
 
-/// Manifest-only engine loads: exchange_skewed, routing_uniform,
-/// ring_rounds.
-const std::vector<std::string>& load_names();
+/// Manifest-only programs: the engine loads exchange_skewed,
+/// routing_uniform and ring_rounds, and the squarings mm_bool_naive,
+/// mm_bool_sparse, mm_minplus_naive, mm_minplus_3d and mm_minplus_sparse.
+const std::vector<std::string>& manifest_only_names();
 
-/// Resolve an algorithm or load by name (ModelViolation if unknown).
+/// Resolve a program of either table by name (ModelViolation if unknown).
 NodeProgram find_algorithm(const std::string& name);
 
 /// The Engine::Config a cell names: backend, workers (clamped to n),
-/// bandwidth, and the cell-derived engine seed (a load keeps the engine's
-/// default seed). trace/chaos are left null — callers attach per-run
+/// bandwidth, and the cell-derived engine seed (a manifest-only program
+/// keeps the engine's default seed). trace/chaos are left null — callers attach per-run
 /// instruments.
 Engine::Config cell_engine_config(const CellSpec& spec);
 
@@ -81,10 +84,13 @@ CellResult run_cell(const CellSpec& spec, int trials);
 /// Returns empty string on agreement, a diagnostic otherwise.
 std::string check_worker_determinism(const CellSpec& spec);
 
-/// Cross-backend equivalence over the cells of one bench run: any two
-/// cells whose specs differ only in backend and workers must agree on
-/// output_fp, faults and all six meters. Returns one diagnostic per cell
-/// that disagrees with the first cell of its group, naming both ids.
+/// Equivalence over the cells of one bench run. Any two cells whose specs
+/// differ only in backend and workers must agree on output_fp, faults and
+/// all six meters. Two chaos-off cells whose specs differ only in
+/// algorithm (and backend and workers), where both programs compute the
+/// same product, must agree on output_fp; their meters may differ. Returns
+/// one diagnostic per cell and rule that disagrees with the first cell of
+/// its group, naming both ids.
 std::vector<std::string> check_equivalence(
     const std::vector<CellResult>& results);
 

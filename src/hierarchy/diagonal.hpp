@@ -44,10 +44,6 @@ class ToyDiagonalisation {
   /// broadcasts its prefix and evaluates f_n locally.
   RunResult decide_clique(const Graph& g) const;
 
-  /// Certified lower bound: no protocol in space() computes f_n (true by
-  /// construction; re-verified in tests via the achievability bitmap).
-  bool hard_by_construction() const { return true; }
-
  private:
   ToyDiagonalisation(ProtocolSpace space, BitVector hard_fn, unsigned L)
       : space_(space), hard_fn_(std::move(hard_fn)), L_(L) {}

@@ -72,11 +72,6 @@ struct ProtocolSpace {
   /// most significant). Returns nullopt if every function is achievable.
   std::optional<BitVector> first_hard_function(
       unsigned max_genome_bits = 24) const;
-
-  /// Evaluate a function table on an input.
-  static bool eval_table(const BitVector& table, std::uint64_t x) {
-    return table.get(x);
-  }
 };
 
 /// Convert the achievability bitmap index convention to a table.

@@ -129,18 +129,14 @@ void Server::drain() {
   // delivering the response of a just-finished job can complete its write
   // — severing both directions here would race that final write and lose
   // an accepted job's answer.
+  std::map<std::uint64_t, Connection> conns;
   {
     std::lock_guard<std::mutex> lk(conn_mu_);
-    for (const int fd : conn_fds_)
-      if (fd >= 0) ::shutdown(fd, SHUT_RD);
+    for (const auto& [id, c] : conns_)
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
+    conns.swap(conns_);
   }
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
+  for (auto& [id, c] : conns) c.thread.join();
 
   if (opts_.tcp_port == 0 && !opts_.unix_path.empty())
     ::unlink(opts_.unix_path.c_str());
@@ -158,15 +154,33 @@ void Server::acceptor_loop(int listen_fd) {
       ::close(fd);
       return;
     }
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    const std::uint64_t conn_id = connections_++;
-    conn_fds_.push_back(fd);
-    const std::size_t slot = conn_fds_.size() - 1;
-    conn_threads_.emplace_back([this, fd, conn_id, slot] {
-      connection_loop(fd, conn_id);
-      std::lock_guard<std::mutex> lk2(conn_mu_);
-      conn_fds_[slot] = -1;
-    });
+    // Reap: every connection whose loop has returned gives its thread
+    // (and the thread's stack) back now, not at drain.
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lk(conn_mu_);
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        if (it->second.fd >= 0) {
+          ++it;
+          continue;
+        }
+        finished.push_back(std::move(it->second.thread));
+        it = conns_.erase(it);
+      }
+      const std::uint64_t conn_id = connections_++;
+      Connection& c = conns_[conn_id];
+      c.fd = fd;
+      c.thread = std::thread([this, fd, conn_id] {
+        connection_loop(fd, conn_id);
+        // Close under the lock, so drain never shuts down a reused fd.
+        std::lock_guard<std::mutex> lk2(conn_mu_);
+        ::close(fd);
+        // drain() may already have taken the entry to join it.
+        if (const auto it = conns_.find(conn_id); it != conns_.end())
+          it->second.fd = -1;
+      });
+    }
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -210,7 +224,6 @@ void Server::connection_loop(int fd, std::uint64_t conn_id) {
     // keep getting named kErrDraining answers until drain()'s SHUT_RD
     // lands, which ends this loop at the next read_frame.
   }
-  ::close(fd);
 }
 
 std::string Server::handle_request(const std::string& payload,
@@ -312,6 +325,7 @@ Server::Stats Server::stats() const {
   {
     std::lock_guard<std::mutex> lk(conn_mu_);
     s.connections = connections_;
+    s.connection_threads = conns_.size();
   }
   s.jobs_ok = jobs_ok_.load(std::memory_order_relaxed);
   s.jobs_failed = jobs_failed_.load(std::memory_order_relaxed);

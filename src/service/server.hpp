@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,6 +68,9 @@ class Server {
 
   struct Stats {
     std::uint64_t connections = 0;
+    /// Connection threads held: live connections plus finished ones not
+    /// yet joined (the acceptor joins those on its next accept).
+    std::size_t connection_threads = 0;
     std::uint64_t jobs_ok = 0;
     std::uint64_t jobs_failed = 0;       ///< ran but failed (kErrJobFailed)
     std::uint64_t jobs_rejected = 0;     ///< kErrQueueFull + kErrDraining
@@ -123,10 +127,15 @@ class Server {
   std::thread acceptor_;
   std::vector<std::thread> executors_;
 
-  // Connection registry: live fds (for drain's SHUT_RD nudge) + threads.
+  // Connection registry, keyed by connection id: each thread and its fd
+  // (for drain's SHUT_RD nudge). A finished connection closes its fd and
+  // sets it to -1 under conn_mu_; the acceptor then joins and drops it.
+  struct Connection {
+    std::thread thread;
+    int fd = -1;
+  };
   mutable std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;  // parallel slots; -1 once closed
+  std::map<std::uint64_t, Connection> conns_;
 
   // Bounded job queue.
   mutable std::mutex queue_mu_;

@@ -24,10 +24,6 @@ BitVector BitVector::from_words(std::vector<std::uint64_t> words,
   return b;
 }
 
-void BitVector::clear_all() {
-  for (auto& w : words_) w = 0;
-}
-
 void BitVector::resize(std::size_t nbits) {
   nbits_ = nbits;
   words_.resize((nbits + 63) / 64, 0);

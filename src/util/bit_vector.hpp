@@ -50,7 +50,6 @@ class BitVector {
   }
   bool operator[](std::size_t i) const { return get(i); }
 
-  void clear_all();
   void resize(std::size_t nbits);
   void push_back(bool v);
 

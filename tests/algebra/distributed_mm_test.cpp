@@ -117,33 +117,48 @@ TEST(DistributedMM, TinyCliques) {
   check_distributed<BoolSemiring>(3, 1, 2, 502);
 }
 
+// Meters of one dense schedule on seeded rows with entries below max_val
+// (the dense schedules' costs do not depend on the entry values).
+template <Semiring S>
+CostMeter dense_cost(NodeId n, MmAlgo algo, unsigned entry_bits,
+                     std::uint64_t max_val) {
+  using V = typename S::Value;
+  return Engine::run(gen::empty(n), [&](NodeCtx& ctx) {
+           SplitMix64 rng(ctx.id() * 0x9e37ULL + 5);
+           std::vector<V> ra(n), rb(n);
+           for (NodeId j = 0; j < n; ++j) {
+             ra[j] = static_cast<V>(rng.next_below(max_val));
+             rb[j] = static_cast<V>(rng.next_below(max_val));
+           }
+           auto rc = algo == MmAlgo::kNaiveBroadcast
+                         ? mm_distributed_naive<S>(ctx, ra, rb, entry_bits)
+                         : mm_distributed_3d<S>(ctx, ra, rb, entry_bits);
+           ctx.output(rc[0]);
+         })
+      .cost;
+}
+
 TEST(DistributedMM, ThreeDCheaperThanNaiveAtScale) {
   // Boolean MM on n = 64: naive broadcasts n bits/node (⌈64/6⌉ = 11
-  // rounds); 3-D moves ~3·n^{4/3}/n words ≈ n^{1/3} scaled — measure both.
-  const NodeId n = 64;
-  SplitMix64 rng(7);
-  Matrix<std::uint8_t> a(n, n, 0), b(n, n, 0);
-  for (NodeId i = 0; i < n; ++i)
-    for (NodeId j = 0; j < n; ++j) {
-      a.at(i, j) = rng.next_bool(0.5);
-      b.at(i, j) = rng.next_bool(0.5);
-    }
-  CostMeter naive_cost, tri_cost;
-  for (bool use_3d : {false, true}) {
-    auto res = Engine::run(gen::empty(n), [&](NodeCtx& ctx) {
-      std::vector<std::uint8_t> ra(n), rb(n);
-      for (NodeId j = 0; j < n; ++j) {
-        ra[j] = a.at(ctx.id(), j);
-        rb[j] = b.at(ctx.id(), j);
-      }
-      auto rc = use_3d ? mm_distributed_3d<BoolSemiring>(ctx, ra, rb, 1)
-                       : mm_distributed_naive<BoolSemiring>(ctx, ra, rb, 1);
-      ctx.output(rc[0]);
-    });
-    (use_3d ? tri_cost : naive_cost) = res.cost;
-  }
-  // The 3-D algorithm must win on rounds at this size.
-  EXPECT_LT(tri_cost.rounds, naive_cost.rounds);
+  // rounds); 3-D moves ~3·n^{4/3}/n words ≈ n^{1/3} scaled. The 3-D
+  // algorithm must win on rounds at this size.
+  EXPECT_LT(dense_cost<BoolSemiring>(64, MmAlgo::k3dPartition, 1, 2).rounds,
+            dense_cost<BoolSemiring>(64, MmAlgo::kNaiveBroadcast, 1, 2).rounds);
+  // At n = 256, Boolean at 1 bit and (min,+) at 8 bits: 3-D rounds within
+  // 1.15x naive (at these sizes it wins outright, 18 vs 32 and 129 vs 256;
+  // the slack only guards small-n block granularity).
+  const CostMeter bool_3d =
+      dense_cost<BoolSemiring>(256, MmAlgo::k3dPartition, 1, 2);
+  const CostMeter bool_naive =
+      dense_cost<BoolSemiring>(256, MmAlgo::kNaiveBroadcast, 1, 2);
+  EXPECT_LE(static_cast<double>(bool_3d.rounds),
+            1.15 * static_cast<double>(bool_naive.rounds));
+  const CostMeter mp_3d =
+      dense_cost<MinPlusSemiring>(256, MmAlgo::k3dPartition, 8, 30);
+  const CostMeter mp_naive =
+      dense_cost<MinPlusSemiring>(256, MmAlgo::kNaiveBroadcast, 8, 30);
+  EXPECT_LE(static_cast<double>(mp_3d.rounds),
+            1.15 * static_cast<double>(mp_naive.rounds));
 }
 
 // ---------- pinned meters of the block schedules ----------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "algebra/distributed_mm.hpp"
@@ -242,6 +243,65 @@ TEST(SparseMM, BitsScaleWithDensity) {
     EXPECT_GT(cost.bits, prev) << "density " << d;
     prev = cost.bits;
   }
+  // The same at n = 256 over 0.1% .. dense, Boolean at 1 bit and (min,+)
+  // at 8 bits.
+  const NodeId big = 256;
+  std::uint64_t prev_bool = 0, prev_mp = 0;
+  for (double d : {0.001, 0.01, 0.1, 1.0}) {
+    CostMeter cost;
+    check_rect<BoolSemiring>(big, {big, big, big}, d, 1, 2, /*sparse=*/true,
+                             2100, &cost);
+    EXPECT_GT(cost.bits, prev_bool) << "Boolean, n = 256, density " << d;
+    prev_bool = cost.bits;
+    check_rect<MinPlusSemiring>(big, {big, big, big}, d, 8, 30,
+                                /*sparse=*/true, 2101, &cost);
+    EXPECT_GT(cost.bits, prev_mp) << "(min,+), n = 256, density " << d;
+    prev_mp = cost.bits;
+  }
+}
+
+// Meters of the dense 3-D schedule and of the sparse schedule on one pair
+// of seeded n×n matrices of the given density.
+template <Semiring S>
+std::pair<CostMeter, CostMeter> dense_and_sparse_cost(
+    NodeId n, double density, unsigned entry_bits, std::uint64_t max_val,
+    std::uint64_t seed) {
+  using V = typename S::Value;
+  SplitMix64 rng(seed);
+  const auto a = random_matrix<S>(n, n, density, max_val, rng);
+  const auto b = random_matrix<S>(n, n, density, max_val, rng);
+  CostMeter cost[2];
+  for (bool sparse : {false, true}) {
+    cost[sparse] = Engine::run(gen::empty(n), [&](NodeCtx& ctx) {
+                     std::vector<V> ra(n), rb(n);
+                     for (NodeId j = 0; j < n; ++j) {
+                       ra[j] = a.at(ctx.id(), j);
+                       rb[j] = b.at(ctx.id(), j);
+                     }
+                     if (sparse)
+                       mm_distributed_sparse<S>(ctx, MmShape{n, n, n}, ra,
+                                                rb, entry_bits);
+                     else
+                       mm_distributed_3d<S>(ctx, ra, rb, entry_bits);
+                     ctx.output(0);
+                   }).cost;
+  }
+  return {cost[0], cost[1]};
+}
+
+TEST(SparseMM, OnePercentDensityRatioOverDense3d) {
+  // At 1% density the sparse schedule moves at least 2x fewer bits than
+  // the dense 3-D schedule at n = 256, where descriptor overhead weighs
+  // most, and at least 5x fewer at n = 512.
+  const auto [bool256_3d, bool256_sp] =
+      dense_and_sparse_cost<BoolSemiring>(256, 0.01, 1, 2, 2200);
+  EXPECT_GE(bool256_3d.bits, 2 * bool256_sp.bits);
+  const auto [mp256_3d, mp256_sp] =
+      dense_and_sparse_cost<MinPlusSemiring>(256, 0.01, 8, 30, 2201);
+  EXPECT_GE(mp256_3d.bits, 2 * mp256_sp.bits);
+  const auto [bool512_3d, bool512_sp] =
+      dense_and_sparse_cost<BoolSemiring>(512, 0.01, 1, 2, 2202);
+  EXPECT_GE(bool512_3d.bits, 5 * bool512_sp.bits);
 }
 
 // ---------- determinism across substrates ----------

@@ -361,7 +361,7 @@ TEST(Sweep, LoadsAreManifestCellsNotJobs) {
       "algorithm": ["exchange_skewed", "routing_uniform", "ring_rounds"],
       "family": "empty", "n": 16}]})json", "inline");
   EXPECT_EQ(m.cells.size(), 3u);
-  for (const std::string& load : harness::load_names()) {
+  for (const std::string& load : harness::manifest_only_names()) {
     json::Value job = json::parse(
         "{\"algorithm\": \"" + load + "\", \"family\": \"empty\", \"n\": 16}",
         "job");
@@ -440,6 +440,49 @@ TEST(Sweep, EquivalenceCheckGroupsOnlyBackendAndWorkers) {
   harness::CellResult c = fake_result(spec);
   c.output_fp ^= 1;
   EXPECT_TRUE(harness::check_equivalence({a, c}).empty());
+}
+
+TEST(Sweep, EquivalenceCheckHoldsSchedulesOfOneProductToOneOutput) {
+  harness::CellSpec spec;
+  spec.label = "p=0.01";
+  spec.algorithm = "mm_bool_naive";
+  spec.family.name = "gnp";
+  spec.family.p = 0.01;
+  spec.n = 256;
+  harness::CellResult naive = fake_result(spec);
+  spec.algorithm = "mm_bool_sparse";
+  harness::CellResult sparse = fake_result(spec);
+  // Schedules of one product differ in meters, never in the answer.
+  sparse.cost.rounds = 12;
+  sparse.cost.bits = 123;
+  EXPECT_TRUE(harness::check_equivalence({naive, sparse}).empty());
+
+  sparse.output_fp ^= 1;
+  auto diags = harness::check_equivalence({naive, sparse});
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find(naive.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find(sparse.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find("output_fp"), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find("different schedules"), std::string::npos)
+      << diags[0];
+  // On another team the pair is still one product.
+  sparse.spec.workers = 2;
+  EXPECT_EQ(harness::check_equivalence({naive, sparse}).size(), 1u);
+
+  // Under chaos a schedule's faults change its answer: not compared.
+  harness::CellResult naive_chaos = naive, sparse_chaos = sparse;
+  naive_chaos.spec.chaos = sparse_chaos.spec.chaos = true;
+  EXPECT_TRUE(harness::check_equivalence({naive_chaos, sparse_chaos}).empty());
+  // Another density, another product, or a program no other one
+  // computes: never compared.
+  harness::CellResult other = sparse;
+  other.spec.family.p = 0.1;
+  EXPECT_TRUE(harness::check_equivalence({naive, other}).empty());
+  other = sparse;
+  other.spec.algorithm = "mm_minplus_sparse";
+  EXPECT_TRUE(harness::check_equivalence({naive, other}).empty());
+  other.spec.algorithm = "triangle_mm";
+  EXPECT_TRUE(harness::check_equivalence({naive, other}).empty());
 }
 
 TEST(Sweep, TraceOverheadGate) {

@@ -40,13 +40,6 @@ jobs/sec strictly above cold at every shared client count) is checked
 within the *current* run, unnormalized: it is the service's reason to
 exist, not a machine artifact.
 
-With `--mm-sparse` it reads BENCH_mm_sparse.json (bench_mm_sparse)
-instead, keyed by (n, density, semiring, algo) over the distributed rows:
-rounds, messages and bits are costs with the matrix gate's semantics, nnz
-is an identity, and wall clock is never gated. Local SpGEMM kernel rows
-carry only wall clock and are skipped; baseline rows absent from the run
-(CI sweeps n = 256 only) are a note.
-
 `--selftest` exercises the gate against synthetic fixtures — including the
 "baseline round count hand-lowered" case — and exits non-zero if the gate
 fails to fire. No dependencies beyond the standard library.
@@ -56,9 +49,6 @@ fails to fire. No dependencies beyond the standard library.
 COST_FIELDS = ("rounds", "messages", "bits", "collectives", "max_sent",
                "max_received")
 IDENTITY_FIELDS = ("faults", "output_fp")
-# The same two classes for a BENCH_mm_sparse.json distributed row.
-MM_SPARSE_COST_FIELDS = ("rounds", "messages", "bits")
-MM_SPARSE_IDENTITY_FIELDS = ("nnz",)
 
 import argparse
 import json
@@ -95,35 +85,13 @@ def load_cells(path):
     return cells
 
 
-def mm_sparse_cells(rows, path):
-    """BENCH_mm_sparse.json's distributed rows as
-    {"n=../density=../semiring/algo": row}; kernel rows have no "algo"."""
-    cells = {}
-    for row in rows:
-        if "algo" not in row:
-            continue
-        cid = (f"n={row.get('n')}/density={row.get('density')}/"
-               f"{row.get('semiring')}/{row['algo']}")
-        if cid in cells:
-            sys.exit(f"check_trajectory: {path}: duplicate row '{cid}'")
-        cells[cid] = row
-    if not cells:
-        sys.exit(f"check_trajectory: {path}: no distributed rows found")
-    return cells
-
-
-def load_mm_sparse(path):
-    return mm_sparse_cells(read_rows(path), path)
-
-
 def median(values):
     s = sorted(values)
     mid = len(s) // 2
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
-def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0,
-            cost_fields=COST_FIELDS, identity_fields=IDENTITY_FIELDS):
+def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0):
     """Returns (failures, notes): lists of diagnostic strings."""
     failures, notes = [], []
     shared = [cid for cid in current if cid in baseline]
@@ -148,7 +116,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0,
     # Deterministic quantities: exact, machine-independent.
     for cid in shared:
         base, cur = baseline[cid], current[cid]
-        for field in cost_fields:
+        for field in COST_FIELDS:
             b, c = base.get(field), cur.get(field)
             if b is None or c is None:
                 continue
@@ -159,7 +127,7 @@ def compare(baseline, current, wall_mode, tolerance, wall_min_ms=0.0,
                 notes.append(
                     f"{cid}: {field} improved {b} -> {c} "
                     f"(refresh the baseline to lock it in)")
-        for field in identity_fields:
+        for field in IDENTITY_FIELDS:
             b, c = base.get(field), cur.get(field)
             if b is not None and c is not None and b != c:
                 failures.append(f"{cid}: {field} changed {b} -> {c}")
@@ -315,23 +283,11 @@ def run_service_gate(args):
     return 0
 
 
-def compare_mm_sparse(baseline, current):
-    """The --mm-sparse gate: exact meters and nnz, no wall clock."""
-    return compare(baseline, current, "off", 0.0,
-                   cost_fields=MM_SPARSE_COST_FIELDS,
-                   identity_fields=MM_SPARSE_IDENTITY_FIELDS)
-
-
 def run_gate(args):
-    if args.mm_sparse:
-        baseline = load_mm_sparse(args.baseline)
-        current = load_mm_sparse(args.current)
-        failures, notes = compare_mm_sparse(baseline, current)
-    else:
-        baseline = load_cells(args.baseline)
-        current = load_cells(args.current)
-        failures, notes = compare(baseline, current, args.wall_mode,
-                                  args.wall_tolerance, args.wall_min_ms)
+    baseline = load_cells(args.baseline)
+    current = load_cells(args.current)
+    failures, notes = compare(baseline, current, args.wall_mode,
+                              args.wall_tolerance, args.wall_min_ms)
     for n in notes:
         print(f"note: {n}")
     for f in failures:
@@ -430,35 +386,6 @@ def selftest():
     checks.append(("subset run passes with a note",
                    not f and any("not in this run" in n for n in notes)))
 
-    # --- mm-sparse gate fixtures (BENCH_mm_sparse.json shape) ---
-    def mm_row(n, algo, bits):
-        return {"n": n, "density": 0.01, "semiring": "Boolean", "nnz": 655,
-                "algo": algo, "rounds": 9, "messages": bits // 8,
-                "bits": bits, "wall_ms": 50.0}
-
-    mm_rows = [mm_row(256, "sparse", 27000), mm_row(256, "dense-3d", 98000),
-               mm_row(512, "sparse", 90000),
-               {"n": 256, "density": 0.1, "semiring": "minplus",
-                "kernel": "spgemm_serial", "wall_ms": 3.0, "speedup": 1.0}]
-    mbase = mm_sparse_cells(mm_rows, "fixture")
-    checks.append(("mm-sparse kernel rows skipped", len(mbase) == 3))
-    msame = {k: dict(row, wall_ms=row["wall_ms"] * 5)
-             for k, row in mbase.items() if row["n"] == 256}
-    f, notes = compare_mm_sparse(mbase, msame)
-    checks.append(("mm-sparse n=256 subset passes, wall never gated",
-                   not f and any("not in this run" in x for x in notes)))
-    mraised = {k: dict(row) for k, row in msame.items()}
-    mraised["n=256/density=0.01/Boolean/sparse"]["bits"] = 27001
-    f, _ = compare_mm_sparse(mbase, mraised)
-    checks.append(("mm-sparse raised bits fails", any(
-        "n=256/density=0.01/Boolean/sparse: bits regressed 27000 -> 27001"
-        in x for x in f)))
-    mnnz = {k: dict(row) for k, row in msame.items()}
-    mnnz["n=256/density=0.01/Boolean/dense-3d"]["nnz"] = 654
-    f, _ = compare_mm_sparse(mbase, mnnz)
-    checks.append(("mm-sparse changed nnz fails", any(
-        "nnz changed 655 -> 654" in x for x in f)))
-
     # --- service gate fixtures (BENCH_service.json shape) ---
     def svc(mode, clients, jps, p99):
         return {"mode": mode, "clients": clients, "jobs_per_sec": jps,
@@ -537,9 +464,6 @@ def main():
     ap.add_argument("--service-tolerance", type=float, default=0.40,
                     help="allowed normalized jobs/sec + p99 slack for "
                          "--service (default 0.40 = 40%%)")
-    ap.add_argument("--mm-sparse", action="store_true",
-                    help="gate BENCH_mm_sparse.json (bench_mm_sparse) "
-                         "instead of the scenario matrix")
     ap.add_argument("--selftest", action="store_true",
                     help="verify the gate fires on synthetic regressions")
     args = ap.parse_args()

@@ -6,7 +6,6 @@
 #
 #   BENCH_kernels.json    bench_kernels     (local-compute kernels)
 #   BENCH_chaos.json      bench_chaos_verifiers (soundness campaign)
-#   BENCH_mm_sparse.json  bench_mm_sparse   (sparse vs dense MM)
 #   BENCH_matrix.json     bench_matrix      (scenario matrix, default manifest)
 #   BENCH_scale.json      bench_matrix      (scale manifest: routing_uniform
 #                                            at n = 4096 over four team caps;
@@ -33,8 +32,7 @@ cd "$(dirname "$0")/.."
 
 BUILD=build-rel
 BENCHES=(
-  bench_kernels bench_chaos_verifiers bench_mm_sparse bench_matrix
-  bench_service
+  bench_kernels bench_chaos_verifiers bench_matrix bench_service
 )
 
 # --only=<bench> selects a subset; the selection is validated against
@@ -98,7 +96,6 @@ run_bench() {
 
 run_bench bench_kernels
 run_bench bench_chaos_verifiers
-run_bench bench_mm_sparse
 run_bench bench_matrix --manifest=bench/manifests/default.json --check \
   --out=BENCH_matrix.json
 run_bench bench_matrix --manifest=bench/manifests/scale.json \
