@@ -11,9 +11,9 @@
 // Every correctness gate is always on: a cell whose ledger does not
 // reproduce its meter, whose runs disagree (traced vs untraced, or across
 // trials), or whose run throws, names itself; so does any pair of cells
-// that differ only in backend and workers yet disagree on outputs, faults
-// or meters. The bench then exits non-zero without writing its JSON — a
-// broken cell can never be committed as a baseline.
+// that differ only in backend and workers yet disagree on outputs, faults,
+// meters or trace ledger. The bench then exits non-zero without writing its
+// JSON — a broken cell can never be committed as a baseline.
 //
 // Usage: bench_matrix [--manifest=PATH] [--out=PATH] [--trials=N] [--check]
 //   --manifest=PATH  manifest to run (default bench/manifests/default.json;
@@ -23,10 +23,10 @@
 //                    stays intact for the trajectory comparison.
 //   --trials=N       override the manifest's trials count
 //   --check          CI smoke mode: additionally rerun every cell at a
-//                    different worker count and fail unless outputs and
-//                    meters are bit-identical (the engine's cross-team
-//                    determinism contract, per cell), and fail any cell
-//                    whose tracing overhead is out of bounds
+//                    different worker count and fail unless outputs,
+//                    meters and ledger are bit-identical (the engine's
+//                    cross-team determinism contract, per cell), and fail
+//                    any cell whose tracing overhead is out of bounds
 //                    (harness::check_trace_overhead)
 
 #include <cstdio>
@@ -111,9 +111,6 @@ int run(const std::string& manifest_path, const std::string& out_path,
   benchjson::Writer json;
   for (const harness::CellResult& r : results) {
     const harness::CellSpec& spec = r.spec;
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "%016llx",
-                  static_cast<unsigned long long>(r.output_fp));
     json.add({{"cell", spec.id()},
               {"manifest", manifest.name},
               {"algorithm", spec.algorithm},
@@ -130,7 +127,8 @@ int run(const std::string& manifest_path, const std::string& out_path,
               {"wall_ms", r.wall_ms},
               {"untraced_ms", r.untraced_ms},
               {"faults", r.faults},
-              {"output_fp", fp}});
+              {"output_fp", harness::fp_hex(r.output_fp)},
+              {"ledger_fp", harness::fp_hex(r.ledger_fp)}});
   }
   if (!json.write(out_path)) {
     std::fprintf(stderr, "bench_matrix: cannot write %s\n", out_path.c_str());

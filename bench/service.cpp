@@ -20,8 +20,8 @@
 //   * all results across every config are bit-identical (output_fp,
 //     ledger_fp, rounds, messages, bits) — the warm path may not change
 //     a single bit of what is measured;
-//   * a daemon result equals the library path (Engine::run with the same
-//     cell config) — fingerprints, cost meter, trace ledger;
+//   * a daemon result equals the library path (harness::run_traced on a
+//     fresh engine) — fingerprints, cost meter, trace ledger;
 //   * warm jobs/sec strictly above cold at 8 clients.
 //
 // Usage: bench_service [--jobs=N] [--executors=N] [--queue=N] [--out=PATH]
@@ -46,10 +46,6 @@
 
 #include "bench_args.hpp"
 #include "bench_json.hpp"
-#include "clique/chaos.hpp"
-#include "clique/engine.hpp"
-#include "clique/trace.hpp"
-#include "graph/corpus.hpp"
 #include "harness/manifest.hpp"
 #include "harness/sweep.hpp"
 #include "service/protocol.hpp"
@@ -227,36 +223,6 @@ ConfigResult reduce_reps(const std::vector<ConfigResult>& samples) {
   return best;
 }
 
-// Library-path replay of the bench cell: the same config the daemon
-// builds, run through plain Engine::run. The daemon must match this bit
-// for bit — fingerprints, meter, and trace ledger.
-Fingerprints library_replay() {
-  const json::Value job = json::parse(kJobCell, "bench cell");
-  const harness::CellSpec spec = harness::parse_job_cell(job, "bench cell");
-  const Graph g = corpus::make_family(spec.family, spec.n);
-  const NodeProgram program = harness::find_algorithm(spec.algorithm);
-  Engine::Config cfg = harness::cell_engine_config(spec);
-  RoundTrace trace;
-  cfg.trace = &trace;
-  ChaosPlan plan(harness::cell_chaos_config(spec));
-  cfg.chaos = spec.chaos ? &plan : nullptr;
-  const RunResult res = Engine::run(g, program, cfg);
-  Fingerprints fp;
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(
-                    harness::outputs_fp(res.outputs)));
-  fp.output_fp = buf;
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(
-                    harness::ledger_fingerprint(trace)));
-  fp.ledger_fp = buf;
-  fp.rounds = res.cost.rounds;
-  fp.messages = res.cost.messages;
-  fp.bits = res.cost.bits;
-  return fp;
-}
-
 int run(int jobs, std::size_t executors, std::size_t queue, int reps,
         const std::string& out_path, bool check) {
   std::printf(
@@ -340,8 +306,24 @@ int run(int jobs, std::size_t executors, std::size_t queue, int reps,
   }
 
   if (check) {
-    const Fingerprints lib = library_replay();
-    if (!(lib == results[0].fp)) {
+    // Library-path replay of the bench cell: one traced run on a fresh
+    // engine. The daemon must match it bit for bit — fingerprints, meter
+    // and trace ledger.
+    const harness::CellSpec spec = harness::parse_job_cell(
+        json::parse(kJobCell, "bench cell"), "bench cell");
+    const harness::CellResult replay =
+        harness::run_traced(spec, harness::cell_instance(spec));
+    Fingerprints lib;
+    lib.output_fp = harness::fp_hex(replay.output_fp);
+    lib.ledger_fp = harness::fp_hex(replay.ledger_fp);
+    lib.rounds = replay.cost.rounds;
+    lib.messages = replay.cost.messages;
+    lib.bits = replay.cost.bits;
+    if (!replay.ok) {
+      std::fprintf(stderr, "FAIL: library replay: %s\n",
+                   replay.fail_reason.c_str());
+      ok = false;
+    } else if (!(lib == results[0].fp)) {
       std::fprintf(
           stderr,
           "FAIL: daemon result diverges from the library path\n"

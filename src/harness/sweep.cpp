@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -332,74 +333,108 @@ ChaosPlan::Config cell_chaos_config(const CellSpec& spec) {
   return ch;
 }
 
+std::string fp_hex(std::uint64_t fp) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
+}
+
+Instance cell_instance(const CellSpec& spec) {
+  Instance instance = Instance::of(corpus::make_family(spec.family, spec.n));
+  instance.private_bits = private_bit_encoding(instance.graph);
+  return instance;
+}
+
+namespace {
+
+// One run of the cell with a fresh fault plan, traced when `trace` is set,
+// on `session` or else on a fresh engine. Only the engine run is timed.
+CellResult run_once(const CellSpec& spec, const Instance& instance,
+                    RoundTrace* trace, EngineSession* session) {
+  CellResult out;
+  out.spec = spec;
+  const NodeProgram program = find_algorithm(spec.algorithm);
+  ChaosPlan plan(cell_chaos_config(spec));
+  Engine::Config cfg = cell_engine_config(spec);
+  cfg.trace = trace;
+  cfg.chaos = spec.chaos ? &plan : nullptr;
+  RunResult res;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    res = session != nullptr ? session->run(instance, program, cfg)
+                             : Engine::run(instance, program, cfg);
+  } catch (const std::exception& e) {
+    out.fail_reason = std::string("engine run failed: ") + e.what();
+    return out;
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  out.cost = res.cost;
+  out.output_fp = outputs_fp(res.outputs);
+  out.faults = plan.total_faults();
+  out.ok = true;
+  return out;
+}
+
+}  // namespace
+
+CellResult run_traced(const CellSpec& spec, const Instance& instance,
+                      EngineSession* session) {
+  RoundTrace trace;
+  CellResult out = run_once(spec, instance, &trace, session);
+  if (!out.ok) return out;
+  out.ledger_fp = ledger_fingerprint(trace);
+  // Ledger cross-check: the trace's per-record sums must reproduce its own
+  // metered totals, and those totals must be exactly the run's CostMeter —
+  // the meter and the ledger are two independent accountings of the same
+  // collectives.
+  if (!trace.totals_match())
+    out.fail_reason = "trace ledger does not sum to its metered totals";
+  else if (!meters_equal(trace.metered_totals(), out.cost))
+    out.fail_reason = "trace metered totals diverge from the run's meter";
+  out.ok = out.fail_reason.empty();
+  return out;
+}
+
 CellResult run_cell(const CellSpec& spec, int trials) {
   CCQ_CHECK_MSG(trials >= 1, "run_cell requires trials >= 1");
   CellResult out;
   out.spec = spec;
-
-  const Graph g = corpus::make_family(spec.family, spec.n);
-  const NodeProgram program = find_algorithm(spec.algorithm);
-  const Engine::Config base = cell_engine_config(spec);
-
-  // One run of the cell with a fresh fault plan; a traced run also
-  // cross-checks its ledger. Returns a diagnostic, or "" on success.
-  RunResult res;
-  std::uint64_t faults = 0;
-  double ms = 0;
-  auto run_once = [&](bool traced) -> std::string {
-    RoundTrace trace;
-    ChaosPlan plan(cell_chaos_config(spec));
-    Engine::Config cfg = base;
-    cfg.trace = traced ? &trace : nullptr;
-    cfg.chaos = spec.chaos ? &plan : nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      res = Engine::run(g, program, cfg);
-    } catch (const std::exception& e) {
-      return std::string("engine run failed: ") + e.what();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    faults = plan.total_faults();
-    if (!traced) return "";
-    // Per-cell ledger cross-check: the trace's per-record sums must
-    // reproduce its own metered totals, and those totals must be exactly
-    // the run's CostMeter — the meter and the ledger are two independent
-    // accountings of the same collectives.
-    if (!trace.totals_match())
-      return "trace ledger does not sum to its metered totals";
-    if (!meters_equal(trace.metered_totals(), res.cost))
-      return "trace metered totals diverge from the run's meter";
-    return "";
-  };
+  const Instance instance = cell_instance(spec);
 
   // Each trial runs the cell traced and untraced, alternating which goes
   // first. The first run (traced) is the reference every later run must
   // reproduce: tracing may cost wall-clock, never a metered word.
-  std::vector<std::uint64_t> ref_outputs;
   for (int t = 0; t < trials; ++t) {
     for (int k = 0; k < 2; ++k) {
       const bool traced = (k == 0) == (t % 2 == 0);
-      if (std::string diag = run_once(traced); !diag.empty()) {
-        out.fail_reason = std::move(diag);
+      const CellResult r = traced ? run_traced(spec, instance)
+                                  : run_once(spec, instance, nullptr, nullptr);
+      if (!r.ok) {
+        out.fail_reason = r.fail_reason;
         return out;
       }
       double& best = traced ? out.wall_ms : out.untraced_ms;
-      if (t == 0 || ms < best) best = ms;
+      if (t == 0 || r.wall_ms < best) best = r.wall_ms;
       if (t == 0 && k == 0) {
-        ref_outputs = res.outputs;
-        out.cost = res.cost;
-        out.output_fp = outputs_fp(res.outputs);
-        out.faults = faults;
+        out.cost = r.cost;
+        out.output_fp = r.output_fp;
+        out.ledger_fp = r.ledger_fp;
+        out.faults = r.faults;
         continue;
       }
-      if (res.outputs != ref_outputs || !meters_equal(res.cost, out.cost)) {
+      if (r.output_fp != out.output_fp || !meters_equal(r.cost, out.cost)) {
         out.fail_reason = traced ? "trials disagree (nondeterministic cell)"
                                  : "the untraced run's outputs or meters "
                                    "differ from the traced run's";
         return out;
       }
-      if (faults != out.faults) {
+      if (traced && r.ledger_fp != out.ledger_fp) {
+        out.fail_reason = "trace ledgers disagree across trials";
+        return out;
+      }
+      if (r.faults != out.faults) {
         out.fail_reason = "fault schedule not reproducible across runs";
         return out;
       }
@@ -443,6 +478,8 @@ std::vector<std::string> check_equivalence(
         what = "faults";
       else if (!meters_equal(a.cost, b.cost))
         what = "meters";
+      else if (a.ledger_fp != b.ledger_fp)
+        what = "ledger_fp";
       if (what != nullptr)
         diags.push_back(b.spec.id() + " disagrees with " + a.spec.id() +
                         " on " + what +

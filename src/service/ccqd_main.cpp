@@ -21,7 +21,7 @@ int usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--socket=PATH] [--tcp=PORT] [--executors=N] [--queue=N]\n"
-      "          [--cache=N] [--trials=N] [--cold]\n"
+      "          [--cache=N] [--cold]\n"
       "\n"
       "  --socket=PATH   Unix-domain socket to listen on "
       "(default /tmp/ccqd.sock)\n"
@@ -30,7 +30,6 @@ int usage(const char* prog) {
       "  --queue=N       bounded job-queue depth; beyond it submits are\n"
       "                  rejected with queue_full (default 16)\n"
       "  --cache=N       warm EngineSessions kept idle (default 8)\n"
-      "  --trials=N      trials per job, cross-checked (default 1)\n"
       "  --cold          disable the engine cache (--cache=0)\n",
       prog);
   return 2;
@@ -73,8 +72,6 @@ int main(int argc, char** argv) {
       opts.queue_capacity = static_cast<std::size_t>(v);
     } else if (parse_flag_uint(arg, "--cache=", 0, 256, &v, &bad)) {
       opts.cache_sessions = static_cast<std::size_t>(v);
-    } else if (parse_flag_uint(arg, "--trials=", 1, 64, &v, &bad)) {
-      opts.trials = static_cast<int>(v);
     } else if (std::strcmp(arg, "--cold") == 0) {
       opts.cache_sessions = 0;
     } else {

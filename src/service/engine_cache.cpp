@@ -62,11 +62,8 @@ std::shared_ptr<const Instance> EngineCache::instance(
   // Generate outside the lock (O(n²) work); racing jobs on the same key may
   // both generate — the results are identical pure functions of the spec,
   // so the duplicate work is a startup blip, not a correctness issue.
-  auto inst = std::make_shared<Instance>(
-      Instance::of(corpus::make_family(spec.family, spec.n)));
-  // Precompute the §3 encoding the engine would otherwise derive per run.
-  inst->private_bits = private_bit_encoding(inst->graph);
-  std::shared_ptr<const Instance> shared = std::move(inst);
+  std::shared_ptr<const Instance> shared =
+      std::make_shared<const Instance>(harness::cell_instance(spec));
   {
     std::lock_guard<std::mutex> lk(mu_);
     instances_.push_back({key, shared});

@@ -10,8 +10,8 @@
 // process-wide stack store, DESIGN.md §12):
 //
 //   * InstanceCache — keyed by the family identity (name, n, seed, tuning
-//     parameters): the generated Graph wrapped in an Instance whose
-//     private_bits are precomputed once. private_bit_encoding is a pure
+//     parameters): harness::cell_instance(spec), the generated Graph with
+//     its private_bits precomputed once. private_bit_encoding is a pure
 //     function of the graph, so a cached instance is bit-identical to what
 //     Engine::run would derive per run.
 //
@@ -80,12 +80,11 @@ class EngineCache {
 
   Lease acquire(const EngineSession::Shape& shape);
 
-  /// The family instance for `spec`, with private_bits precomputed.
-  /// Throws ModelViolation for unknown families / unloadable corpus files.
+  /// harness::cell_instance(spec), shared from the LRU tier. Throws
+  /// ModelViolation for unknown families / unloadable corpus files.
   std::shared_ptr<const Instance> instance(const harness::CellSpec& spec);
 
   CacheStats stats() const;
-  bool enabled() const { return session_capacity_ > 0; }
 
  private:
   friend class Lease;

@@ -11,7 +11,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "service/jobs.hpp"
+#include "harness/sweep.hpp"
 #include "service/protocol.hpp"
 #include "util/check.hpp"
 
@@ -54,6 +54,33 @@ int bind_tcp(std::uint16_t port) {
   return fd;
 }
 
+// The result response: the cell id, the meters, faults and fingerprints
+// of its bench_matrix row, the engine run's wall_ms, and whether the
+// session came warm from the cache.
+std::string job_result_json(const harness::CellResult& r, bool warm) {
+  const harness::CellSpec& spec = r.spec;
+  std::ostringstream os;
+  os << "{\"type\": \"result\""
+     << ", \"cell\": \"" << json_escape(spec.id()) << "\""
+     << ", \"algorithm\": \"" << json_escape(spec.algorithm) << "\""
+     << ", \"family\": \"" << json_escape(spec.family.name) << "\""
+     << ", \"n\": " << spec.n
+     << ", \"backend\": \"" << harness::backend_name(spec.backend) << "\""
+     << ", \"chaos\": \"" << (spec.chaos ? "on" : "off") << "\""
+     << ", \"rounds\": " << r.cost.rounds
+     << ", \"messages\": " << r.cost.messages
+     << ", \"bits\": " << r.cost.bits
+     << ", \"collectives\": " << r.cost.collectives
+     << ", \"max_sent\": " << r.cost.max_node_sent
+     << ", \"max_received\": " << r.cost.max_node_received
+     << ", \"wall_ms\": " << r.wall_ms
+     << ", \"faults\": " << r.faults
+     << ", \"output_fp\": \"" << harness::fp_hex(r.output_fp) << "\""
+     << ", \"ledger_fp\": \"" << harness::fp_hex(r.ledger_fp) << "\""
+     << ", \"warm\": " << (warm ? "true" : "false") << "}";
+  return os.str();
+}
+
 }  // namespace
 
 Server::Server(Options opts)
@@ -66,7 +93,6 @@ Server::Server(Options opts)
   CCQ_CHECK_MSG(opts_.executors >= 1, "ccqd: need at least one executor");
   CCQ_CHECK_MSG(opts_.queue_capacity >= 1,
                 "ccqd: need a queue capacity of at least 1");
-  CCQ_CHECK_MSG(opts_.trials >= 1, "ccqd: trials must be >= 1");
 }
 
 Server::~Server() {
@@ -302,17 +328,23 @@ void Server::executor_loop() {
     }
     std::string response;
     try {
-      const JobResult r = run_job(job.spec, opts_.trials, &cache_);
+      // One traced run on a leased session; the lease goes back to the
+      // cache before the client hears the answer.
+      const std::shared_ptr<const Instance> instance =
+          cache_.instance(job.spec);
+      EngineCache::Lease lease = cache_.acquire(cell_shape(job.spec));
+      const harness::CellResult r =
+          harness::run_traced(job.spec, *instance, &lease.session());
       if (r.ok) {
         jobs_ok_.fetch_add(1, std::memory_order_relaxed);
-        response = job_result_json(job.spec, r);
+        response = job_result_json(r, lease.warm());
       } else {
         jobs_failed_.fetch_add(1, std::memory_order_relaxed);
         response = error_response(kErrJobFailed, r.fail_reason);
       }
     } catch (const std::exception& e) {
-      // Unknown family, unloadable corpus file, bad trials — anything
-      // run_job throws is this job's failure, never the executor's death.
+      // Unknown family or algorithm — anything the run throws is this
+      // job's failure, never the executor's death.
       jobs_failed_.fetch_add(1, std::memory_order_relaxed);
       response = error_response(kErrJobFailed, e.what());
     }

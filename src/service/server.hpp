@@ -14,8 +14,9 @@
 //     submit that does not fit the queue is answered kErrQueueFull *now*
 //     rather than silently parked — a load generator can tell "slow" from
 //     "overloaded", and no job is ever accepted and then forgotten;
-//   * a fixed executor pool runs jobs through service/jobs.hpp (per-job
-//     RoundTrace, ledger cross-checks, warm EngineSession lease);
+//   * a fixed executor pool runs each job as one harness::run_traced on
+//     a warm EngineSession lease (a fresh RoundTrace, the meter↔ledger
+//     cross-check) and answers with the cell's matrix-row fields;
 //   * graceful drain: drain() (the SIGTERM path, also triggered by a
 //     shutdown request) stops accepting connections, answers every further
 //     submit kErrDraining, finishes the jobs already queued, then joins
@@ -58,9 +59,6 @@ class Server {
     /// Warm EngineSessions kept idle (0 = cold mode: every job constructs
     /// and destroys its engine — the bench_service baseline).
     std::size_t cache_sessions = 8;
-    /// Trials per job (every trial cross-checked; >1 additionally asserts
-    /// trial agreement, exactly like bench_matrix).
-    int trials = 1;
     /// Test hook: every executor sleeps this long before starting a job,
     /// making queue_full admission control deterministic to provoke.
     std::uint64_t job_delay_ms = 0;

@@ -419,6 +419,14 @@ TEST(Sweep, EquivalenceCheckNamesBothCellsOfAPair) {
   diags = harness::check_equivalence({w0, w3});
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0].find("meters"), std::string::npos) << diags[0];
+
+  // The determinism contract names trace ledgers too.
+  w3.cost = w0.cost;
+  w3.ledger_fp = w0.ledger_fp ^ 1;
+  diags = harness::check_equivalence({w0, w3});
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_NE(diags[0].find(w3.spec.id()), std::string::npos) << diags[0];
+  EXPECT_NE(diags[0].find("ledger_fp"), std::string::npos) << diags[0];
 }
 
 TEST(Sweep, EquivalenceCheckGroupsOnlyBackendAndWorkers) {

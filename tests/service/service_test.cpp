@@ -25,8 +25,6 @@
 #include "graph/corpus.hpp"
 #include "graph/generators.hpp"
 #include "harness/sweep.hpp"
-#include "service/engine_cache.hpp"
-#include "service/jobs.hpp"
 #include "service/protocol.hpp"
 #include "util/json.hpp"
 
@@ -517,32 +515,59 @@ TEST(Protocol, ShutdownRequestDrainsTheServer) {
 }
 
 TEST(Jobs, DaemonResultEqualsLibraryPath) {
-  // The acceptance gate in miniature: a deterministic job through run_job
-  // (the daemon's execution path, warm cache) yields bit-identical outputs
-  // and trace ledger to the plain library path.
-  const json::Value job = json::parse(kGoodJob, "job");
-  const harness::CellSpec spec = harness::parse_job_cell(job, "job");
+  // The acceptance gate in miniature: a job answered by the daemon, cold
+  // and then warm, carries its cell's matrix row (harness::run_cell), and
+  // that row equals a hand-built library run.
+  constexpr const char* kChaosJob =
+      "{\"algorithm\": \"routing_direct\", \"family\": \"powerlaw\", "
+      "\"n\": 32, \"backend\": \"pooled\", \"chaos\": true, "
+      "\"chaos_dup\": 0.01}";
+  Server server(base_options("jobs"));
+  server.start();
+  Client client(server.options().unix_path);
+  for (const char* job : {kGoodJob, kChaosJob}) {
+    const harness::CellSpec spec =
+        harness::parse_job_cell(json::parse(job, "job"), "job");
+    const harness::CellResult row = harness::run_cell(spec, 2);
+    ASSERT_TRUE(row.ok) << row.fail_reason;
+    EXPECT_EQ(row.faults > 0, spec.chaos) << spec.id();
 
-  EngineCache cache(/*session_capacity=*/2);
-  const JobResult cold = run_job(spec, /*trials=*/2, &cache);
-  ASSERT_TRUE(cold.ok) << cold.fail_reason;
-  EXPECT_FALSE(cold.warm);
-  const JobResult warm = run_job(spec, /*trials=*/2, &cache);
-  ASSERT_TRUE(warm.ok) << warm.fail_reason;
-  EXPECT_TRUE(warm.warm);
-  EXPECT_EQ(cold.output_fp, warm.output_fp);
-  EXPECT_EQ(cold.ledger_fp, warm.ledger_fp);
+    // The first job of a shape builds its session; the second leases it.
+    for (const bool warm : {false, true}) {
+      const std::string response = client.request(submit_body(job));
+      ASSERT_EQ(response_type(response), "result") << response;
+      const json::Value v = json::parse(response, "result");
+      auto uint_field = [&](const char* key) {
+        return json::as_uint(*v.find(key), 0, ~0ull, key, "result");
+      };
+      EXPECT_EQ(json::as_bool(*v.find("warm"), "warm", "result"), warm);
+      EXPECT_EQ(v.find("trials"), nullptr) << response;
+      EXPECT_EQ(uint_field("rounds"), row.cost.rounds);
+      EXPECT_EQ(uint_field("messages"), row.cost.messages);
+      EXPECT_EQ(uint_field("bits"), row.cost.bits);
+      EXPECT_EQ(uint_field("collectives"), row.cost.collectives);
+      EXPECT_EQ(uint_field("max_sent"), row.cost.max_node_sent);
+      EXPECT_EQ(uint_field("max_received"), row.cost.max_node_received);
+      EXPECT_EQ(uint_field("faults"), row.faults);
+      EXPECT_EQ(v.find("output_fp")->str, harness::fp_hex(row.output_fp));
+      EXPECT_EQ(v.find("ledger_fp")->str, harness::fp_hex(row.ledger_fp));
+    }
 
-  // Library path: fresh Engine::run with the identical cell config.
-  const Graph g = corpus::make_family(spec.family, spec.n);
-  Engine::Config cfg = harness::cell_engine_config(spec);
-  RoundTrace trace;
-  cfg.trace = &trace;
-  const RunResult res =
-      Engine::run(g, harness::find_algorithm(spec.algorithm), cfg);
-  EXPECT_EQ(harness::outputs_fp(res.outputs), cold.output_fp);
-  EXPECT_EQ(harness::ledger_fingerprint(trace), cold.ledger_fp);
-  EXPECT_TRUE(harness::meters_equal(res.cost, cold.cost));
+    // Library path: fresh Engine::run with the identical cell config.
+    const Graph g = corpus::make_family(spec.family, spec.n);
+    Engine::Config cfg = harness::cell_engine_config(spec);
+    RoundTrace trace;
+    cfg.trace = &trace;
+    ChaosPlan plan(harness::cell_chaos_config(spec));
+    cfg.chaos = spec.chaos ? &plan : nullptr;
+    const RunResult res =
+        Engine::run(g, harness::find_algorithm(spec.algorithm), cfg);
+    EXPECT_EQ(harness::outputs_fp(res.outputs), row.output_fp);
+    EXPECT_EQ(harness::ledger_fingerprint(trace), row.ledger_fp);
+    EXPECT_TRUE(harness::meters_equal(res.cost, row.cost));
+    EXPECT_EQ(plan.total_faults(), row.faults);
+  }
+  server.drain();
 }
 
 }  // namespace

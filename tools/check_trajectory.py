@@ -10,10 +10,12 @@ and exits non-zero on any regression:
   *decrease* is reported as an improvement (refresh the baseline to lock it
   in).
 
-* **Identity** — faults and output_fp — is deterministic too, but has no
-  better direction: any change is a hard failure (a different output
-  fingerprint is a different answer; a different fault count is a
-  different chaos schedule).
+* **Identity** — faults, output_fp and ledger_fp — is deterministic too,
+  but has no better direction: any change is a hard failure (a different
+  output fingerprint is a different answer; a different fault count is a
+  different chaos schedule; a different ledger fingerprint is a different
+  per-collective account of the run, even when the totals agree). A row
+  without a field (a baseline written before it existed) skips it.
 
 * **Wall-clock** is machine-shaped, so the default mode (`normalized`)
   first estimates the machine-speed ratio as the median of
@@ -48,7 +50,7 @@ fails to fire. No dependencies beyond the standard library.
 # Deterministic cell fields: costs may only fall, identities never change.
 COST_FIELDS = ("rounds", "messages", "bits", "collectives", "max_sent",
                "max_received")
-IDENTITY_FIELDS = ("faults", "output_fp")
+IDENTITY_FIELDS = ("faults", "output_fp", "ledger_fp")
 
 import argparse
 import json
@@ -307,7 +309,8 @@ def selftest():
         return {"cell": cid, "rounds": rounds, "messages": rounds * 10,
                 "bits": rounds * 100, "collectives": 2, "max_sent": 7,
                 "max_received": 7, "faults": 0,
-                "output_fp": "00000000000000aa", "wall_ms": wall}
+                "output_fp": "00000000000000aa",
+                "ledger_fp": "00000000000000bb", "wall_ms": wall}
 
     base = {r["cell"]: r for r in
             [cell("a/x/n=64", 8, 1.0), cell("b/x/n=64", 12, 2.0),
@@ -345,6 +348,13 @@ def selftest():
     f, _ = compare(base, fp, "off", 0.15)
     checks.append(("changed output_fp fails", any(
         "c/x/n=64: output_fp changed" in x for x in f)))
+
+    # A renamed span moves no meter and no output, only the ledger.
+    ledger = {cid: dict(row) for cid, row in same.items()}
+    ledger["b/x/n=64"]["ledger_fp"] = "00000000000000bc"
+    f, _ = compare(base, ledger, "off", 0.15)
+    checks.append(("changed ledger_fp fails", any(
+        "b/x/n=64: ledger_fp changed" in x for x in f)))
 
     # A fault count has no better direction: fewer faults fail too.
     faults = {cid: dict(row) for cid, row in base.items()}
