@@ -79,16 +79,16 @@ class Writer {
 };
 
 // Per-bench round-trace session (clique/trace.hpp). Construction scans argv
-// for --trace=<path> (falling back to the CCQ_TRACE environment variable)
-// and strips it so bench-specific flag parsing never sees it; when enabled,
-// it installs the process-wide trace, so every Engine::run the bench
-// performs lands in one timeline. finish() writes <path> in Chrome Trace
-// Event Format (load in chrome://tracing or https://ui.perfetto.dev) plus
-// the raw per-collective ledger next to it as <path>l / <path>.jsonl,
-// prints a per-phase rounds/bits breakdown, appends the same breakdown to
-// the bench's BENCH_*.json rows, and self-checks that the per-record sums
-// reproduce the CostMeter totals exactly — a false return is a tracing bug,
-// and benches exit non-zero on it.
+// for --trace=<path> and strips it so bench-specific flag parsing never
+// sees it; when enabled, it installs the process-wide trace, so every
+// Engine::run the bench performs lands in one timeline. finish() writes
+// <path> in Chrome Trace Event Format (load in chrome://tracing or
+// https://ui.perfetto.dev) plus the raw per-collective ledger next to it
+// as <path>l / <path>.jsonl, prints a per-phase rounds/bits breakdown,
+// appends the same breakdown to the bench's BENCH_*.json rows, and
+// self-checks that the per-record sums reproduce the CostMeter totals
+// exactly — a false return is a tracing bug, and benches exit non-zero on
+// it.
 //
 // Usage:
 //   int main(int argc, char** argv) {
@@ -110,10 +110,6 @@ class TraceSession {
     }
     *argc = keep;
     argv[keep] = nullptr;
-    if (path_.empty()) {
-      const char* env = std::getenv("CCQ_TRACE");
-      if (env != nullptr && env[0] != '\0') path_ = env;
-    }
     if (enabled()) trace::set_global(&trace_);
   }
 

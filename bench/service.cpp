@@ -6,9 +6,9 @@
 // measuring per-job latency. Two daemon modes are compared:
 //
 //   cold  engine cache disabled — every job constructs and destroys its
-//         scheduler, message plane and private-bit encoding (exactly what
-//         a plain Engine::run pays; fiber stacks come from the
-//         process-wide stack store either way);
+//         scheduler and message plane (exactly what a plain Engine::run
+//         pays; fiber stacks come from the process-wide stack store
+//         either way);
 //   warm  engine cache on — jobs lease a kept-alive EngineSession and an
 //         LRU-cached instance, paying only the run itself.
 //

@@ -6,30 +6,13 @@
 
 #include "algebra/simd.hpp"
 #include "clique/scheduler.hpp"
-#include "util/env.hpp"
 
 namespace ccq::kernels {
 
 // ---- worker pool ----------------------------------------------------------
 
-namespace {
-
-std::size_t configured_threads() {
-  // CCQ_KERNEL_THREADS sizes the kernel pool independently of the
-  // scheduler's superstep pool (CCQ_POOL_THREADS), so single-core CI hosts
-  // can oversubscribe the parallel kernels without perturbing the engine.
-  // Strict parse (util/env.hpp): a malformed value throws instead of
-  // silently falling back to hardware concurrency.
-  if (const auto env = parse_env_uint("CCQ_KERNEL_THREADS", 1, 1024)) {
-    return static_cast<std::size_t>(*env);
-  }
-  return 0;  // ThreadPool default: CCQ_POOL_THREADS / hardware_concurrency
-}
-
-}  // namespace
-
 ThreadPool& pool() {
-  static ThreadPool p(configured_threads());
+  static ThreadPool p;
   return p;
 }
 

@@ -51,12 +51,10 @@ namespace ccq::kernels {
 
 // ---- worker pool ----------------------------------------------------------
 
-/// Process-wide pool for centralised kernel calls. Sized by
-/// CCQ_KERNEL_THREADS if set (so single-core hosts can still stress the
-/// parallel paths), else the ThreadPool default (CCQ_POOL_THREADS /
-/// hardware_concurrency). Distinct from the scheduler's superstep pool: a
-/// kernel call must never queue behind — or be queued behind — engine
-/// fibers.
+/// Process-wide pool for centralised kernel calls, of the ThreadPool
+/// default size (CCQ_POOL_THREADS / hardware_concurrency). Distinct from
+/// the scheduler's superstep pool: a kernel call must never queue behind —
+/// or be queued behind — engine fibers.
 ThreadPool& pool();
 
 /// True when mm_auto may shard onto the pool: more than one worker and the

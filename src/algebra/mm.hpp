@@ -1,13 +1,11 @@
 #pragma once
 
-// Centralised matrix multiplication: the reference oracle and the
-// closure/power drivers.
+// Centralised matrix multiplication: the reference oracle and Strassen.
 //
 // mm_naive is the single oracle every kernel in algebra/kernels.hpp is
 // pinned against bit for bit. mm_strassen is the "galactic substitute": the
 // paper's Ring-MM exponent 1−2/ω rests on fast centralised MM, which we
-// represent with Strassen (ω = log₂7) — see DESIGN.md §1. mm_power and
-// semiring_closure square through kernels::mm_auto.
+// represent with Strassen (ω = log₂7) — see DESIGN.md §1.
 
 #include <algorithm>
 
@@ -45,47 +43,6 @@ template <Ring R>
 Matrix<typename R::Value> mm_strassen(const Matrix<typename R::Value>& a,
                                       const Matrix<typename R::Value>& b,
                                       std::size_t cutoff = 64);
-
-/// Matrix power A^e over a semiring by repeated squaring (e ≥ 1).
-template <Semiring S>
-Matrix<typename S::Value> mm_power(Matrix<typename S::Value> a,
-                                   std::uint64_t e) {
-  CCQ_CHECK(a.rows() == a.cols());
-  CCQ_CHECK(e >= 1);
-  Matrix<typename S::Value> result = a;
-  --e;
-  while (e > 0) {
-    if (e & 1) result = kernels::mm_auto<S>(result, a);
-    e >>= 1;
-    if (e) a = kernels::mm_auto<S>(a, a);
-  }
-  return result;
-}
-
-/// Reflexive closure fixed point: (I ⊕ A)^(n-1) computed by repeated
-/// squaring. For BoolSemiring this is reflexive-transitive closure; for
-/// MinPlusSemiring, all-pairs distances. Squaring stops as soon as the
-/// doubling covers walks of length n−1 — for the path-summable (idempotent)
-/// semirings this is already the fixed point, so the final full-matrix
-/// compare of the old stop rule is unnecessary; the compare remains only as
-/// an early exit when the closure converges before ⌈log₂(n−1)⌉ rounds.
-template <Semiring S>
-Matrix<typename S::Value> semiring_closure(
-    const Matrix<typename S::Value>& a) {
-  CCQ_CHECK(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  Matrix<typename S::Value> m = a;
-  for (std::size_t i = 0; i < n; ++i)
-    m.at(i, i) = S::add(m.at(i, i), S::one());
-  std::uint64_t covered = 1;  // (I ⊕ A)^covered so far
-  while (n > 1 && covered < n - 1) {
-    Matrix<typename S::Value> sq = kernels::mm_auto<S>(m, m);
-    covered *= 2;
-    if (sq == m) break;  // fixpoint reached early
-    m = std::move(sq);
-  }
-  return m;
-}
 
 // ---- Strassen implementation ----
 

@@ -28,7 +28,7 @@ class BcastCtx {
   std::uint32_t edge_weight(NodeId u) const {
     return inner_.edge_weight(u);
   }
-  const BitVector& private_bits() const { return inner_.private_bits(); }
+  BitVector private_bits() const { return inner_.private_bits(); }
   const BitVector& label(std::size_t i) const { return inner_.label(i); }
   std::uint64_t common_seed() const { return inner_.common_seed(); }
 

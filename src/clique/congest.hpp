@@ -29,7 +29,7 @@ class CongestCtx {
   std::uint32_t edge_weight(NodeId u) const {
     return inner_.edge_weight(u);
   }
-  const BitVector& private_bits() const { return inner_.private_bits(); }
+  BitVector private_bits() const { return inner_.private_bits(); }
   std::uint64_t common_seed() const { return inner_.common_seed(); }
 
   /// One synchronous round: send at most one word along each *incident

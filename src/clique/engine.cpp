@@ -27,11 +27,6 @@ struct SharedState {
   std::uint64_t max_rounds = 0;
   std::uint64_t seed = 0;
   std::vector<BitVector> in_rows;  // transposed adjacency (directed)
-  // Resolved §3 encoding: instance-provided bits are borrowed (no per-run
-  // O(n²) copy — warm-path instances precompute them once), the fallback
-  // encoding is computed into the owned storage.
-  const std::vector<BitVector>* private_bits = nullptr;
-  std::vector<BitVector> private_bits_storage;
 
   // Rendezvous backend; provides the ordering guarantees for the plane and
   // accounting below (deposits write only node-owned slots; the serial
@@ -206,8 +201,15 @@ std::uint32_t NodeCtx::edge_weight(NodeId u) const {
   return g.weight(u, id_);  // throws for a non-edge
 }
 
-const BitVector& NodeCtx::private_bits() const {
-  return (*st_->private_bits)[id_];
+BitVector NodeCtx::private_bits() const {
+  const Instance& instance = *st_->instance;
+  if (!instance.private_bits.empty()) return instance.private_bits[id_];
+  // The §3 encoding, read off this node's own row: the bit of edge
+  // {id, v}, v > id, belongs to id, and has_edge(id, v) reads row id.
+  const BitVector& row = adj_row();
+  BitVector bits;
+  for (NodeId v = id_ + 1; v < st_->n; ++v) bits.push_back(row.get(v));
+  return bits;
 }
 
 const BitVector& NodeCtx::label(std::size_t i) const {
@@ -471,13 +473,6 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
       }
     }
   }
-  if (instance.private_bits.empty()) {
-    st.private_bits_storage = private_bit_encoding(instance.graph);
-    st.private_bits = &st.private_bits_storage;
-  } else {
-    st.private_bits = &instance.private_bits;
-  }
-
   // A node program that itself calls Engine::run (nested simulation) must
   // not re-enter the shared worker pool from one of its fibers.
   Scheduler* sched = session_sched;

@@ -69,8 +69,9 @@ class NodeCtx {
   bool weighted() const;
   /// Weight of the incident edge {id(), u} (must exist).
   std::uint32_t edge_weight(NodeId u) const;
-  /// Private input bits (§3 encoding or instance-provided).
-  const BitVector& private_bits() const;
+  /// Private input bits: the instance's, or else the §3 encoding's bits
+  /// of this node (bits id()+1 … n−1 of adj_row()), derived per call.
+  BitVector private_bits() const;
   /// Nondeterministic label z_{i}[v] for this node (i is 0-based).
   const BitVector& label(std::size_t i) const;
   std::size_t label_count() const;

@@ -38,7 +38,8 @@ struct Instance {
 /// endpoint u; node v's private string lists its owned bits in increasing
 /// order of the other endpoint. Every node owns n-1-v ≥ 0 bits; the paper's
 /// ⌊(n-1)/2⌋ lower bound per node is an inessential normalisation (one round
-/// converts between encodings either way, as noted in §3).
+/// converts between encodings either way, as noted in §3). The whole-graph
+/// reference for what NodeCtx::private_bits derives per node.
 std::vector<BitVector> private_bit_encoding(const Graph& g);
 
 }  // namespace ccq

@@ -123,7 +123,10 @@ std::vector<std::pair<NodeId, BitVector>> route_blocks(
     for (const RoutedBlock& b : blocks) {
       CCQ_CHECK_MSG(b.dst < n, "route_blocks: destination out of range");
       CCQ_CHECK_MSG(b.payload.size() < max_len,
-                    "route_blocks: block too large to frame");
+                    "route_blocks: a block of " << b.payload.size()
+                        << " bits is too large to frame; the length field "
+                           "of two "
+                        << idb << "-bit words holds at most " << max_len - 1);
       if (b.dst == ctx.id()) {
         self_blocks.push_back(&b.payload);
         continue;
@@ -132,7 +135,10 @@ std::vector<std::pair<NodeId, BitVector>> route_blocks(
     }
     for (NodeId v = 0; v < n; ++v) {
       CCQ_CHECK_MSG(next_seq[v] <= (std::uint64_t{1} << idb),
-                    "route_blocks: too many blocks for one destination");
+                    "route_blocks: " << next_seq[v] << " blocks for node "
+                        << v << " exceed the " << (std::uint64_t{1} << idb)
+                        << " per destination that a " << idb
+                        << "-bit sequence number can number");
     }
   }
   std::stable_sort(items.begin(), items.end(),

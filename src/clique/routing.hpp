@@ -61,7 +61,11 @@ struct RoutedBlock {
 /// intermediaries block-wise. Received blocks are sorted by (source,
 /// submission order at the source). This is the collective behind the
 /// Theorem 9 pattern, where every block is one adjacency row.
-/// Requires every block's word count to be < n (true for row-sized blocks).
+/// The length travels as two ⌈log₂n⌉-bit words and the sequence number as
+/// one, so every block must be shorter than 2^(2⌈log₂n⌉) bits (4095 at
+/// n = 64, but only 3 at n = 2) and a node may send at most 2^⌈log₂n⌉
+/// blocks to one destination; either excess is a ModelViolation naming
+/// the numbers.
 std::vector<std::pair<NodeId, BitVector>> route_blocks(
     NodeCtx& ctx, const std::vector<RoutedBlock>& blocks);
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -66,62 +64,6 @@ void append_dbl(std::string& out, const char* key, double v,
   out += "\":";
   out += buf;
   if (comma) out += ",";
-}
-
-// ---------------------------------------------------------------------------
-// Minimal extractors for load_jsonl. The input is our own flat, unescaped
-// schema, so a key scan is sufficient; every helper reports failure rather
-// than guessing so a truncated/foreign file fails loudly.
-// ---------------------------------------------------------------------------
-
-bool find_key(const std::string& line, const char* key, std::size_t* pos) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  *pos = at + needle.size();
-  return true;
-}
-
-bool get_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  std::size_t pos;
-  if (!find_key(line, key, &pos)) return false;
-  char* end = nullptr;
-  *out = std::strtoull(line.c_str() + pos, &end, 10);
-  return end != line.c_str() + pos;
-}
-
-bool get_dbl(const std::string& line, const char* key, double* out) {
-  std::size_t pos;
-  if (!find_key(line, key, &pos)) return false;
-  char* end = nullptr;
-  *out = std::strtod(line.c_str() + pos, &end);
-  return end != line.c_str() + pos;
-}
-
-bool get_str(const std::string& line, const char* key, std::string* out) {
-  std::size_t pos;
-  if (!find_key(line, key, &pos)) return false;
-  if (pos >= line.size() || line[pos] != '"') return false;
-  const std::size_t close = line.find('"', pos + 1);
-  if (close == std::string::npos) return false;
-  *out = line.substr(pos + 1, close - pos - 1);
-  return true;
-}
-
-bool get_hist(const std::string& line, const char* key, TraceHistogram* out) {
-  std::size_t pos;
-  if (!find_key(line, key, &pos)) return false;
-  if (pos >= line.size() || line[pos] != '[') return false;
-  ++pos;
-  for (unsigned i = 0; i < TraceHistogram::kBuckets; ++i) {
-    char* end = nullptr;
-    out->bucket[i] =
-        static_cast<std::uint32_t>(std::strtoull(line.c_str() + pos, &end, 10));
-    if (end == line.c_str() + pos) return false;
-    pos = static_cast<std::size_t>(end - line.c_str());
-    if (pos < line.size() && line[pos] == ',') ++pos;
-  }
-  return pos < line.size() && line[pos] == ']';
 }
 
 }  // namespace
@@ -289,7 +231,7 @@ bool RoundTrace::deterministic_eq(const RoundTrace& o) const {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL export / import
+// JSONL export
 // ---------------------------------------------------------------------------
 
 bool RoundTrace::write_jsonl(const std::string& path) const {
@@ -359,79 +301,6 @@ bool RoundTrace::write_jsonl(const std::string& path) const {
     f << line << "}\n";
   }
   return static_cast<bool>(f);
-}
-
-bool RoundTrace::load_jsonl(const std::string& path, RoundTrace* out) {
-  std::ifstream f(path);
-  if (!f) return false;
-  out->clear();
-  CostMeter totals;
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.empty()) continue;
-    std::string type;
-    if (!get_str(line, "type", &type)) return false;
-    if (type == "trace") {
-      if (!get_u64(line, "total_rounds", &totals.rounds) ||
-          !get_u64(line, "total_messages", &totals.messages) ||
-          !get_u64(line, "total_bits", &totals.bits) ||
-          !get_u64(line, "total_collectives", &totals.collectives)) {
-        return false;
-      }
-    } else if (type == "run") {
-      TraceRunInfo r;
-      std::uint64_t n = 0, bw = 0;
-      if (!get_u64(line, "n", &n) || !get_u64(line, "bandwidth", &bw) ||
-          !get_u64(line, "round_offset", &r.round_offset) ||
-          !get_u64(line, "rounds", &r.rounds) ||
-          !get_u64(line, "fresh_stacks", &r.fresh_stacks)) {
-        return false;
-      }
-      r.n = static_cast<NodeId>(n);
-      r.bandwidth = static_cast<unsigned>(bw);
-      out->runs_info_.push_back(r);
-    } else if (type == "collective") {
-      TraceRecord r;
-      if (!get_u64(line, "run", &r.run) ||
-          !get_u64(line, "collective", &r.collective) ||
-          !get_str(line, "op", &r.op) || !get_str(line, "phase", &r.phase) ||
-          !get_u64(line, "round_begin", &r.round_begin) ||
-          !get_u64(line, "rounds", &r.rounds) ||
-          !get_u64(line, "messages", &r.messages) ||
-          !get_u64(line, "bits", &r.bits) ||
-          !get_u64(line, "max_sent", &r.max_sent) ||
-          !get_u64(line, "max_received", &r.max_received) ||
-          !get_hist(line, "sent_hist", &r.sent_hist) ||
-          !get_hist(line, "received_hist", &r.received_hist) ||
-          !get_dbl(line, "cap_utilisation", &r.cap_utilisation) ||
-          !get_dbl(line, "delivery_ms", &r.delivery_ms) ||
-          !get_u64(line, "fiber_switches", &r.fiber_switches) ||
-          !get_u64(line, "parallel_jobs", &r.parallel_jobs) ||
-          !get_u64(line, "parallel_chunks", &r.parallel_chunks)) {
-        return false;
-      }
-      out->records_.push_back(std::move(r));
-    } else if (type == "span") {
-      TraceSpanEvent s;
-      std::uint64_t node = 0, depth = 0;
-      if (!get_u64(line, "run", &s.run) || !get_u64(line, "node", &node) ||
-          !get_str(line, "label", &s.label) ||
-          !get_u64(line, "depth", &depth) ||
-          !get_u64(line, "begin_collective", &s.begin_collective) ||
-          !get_u64(line, "begin_round", &s.begin_round) ||
-          !get_u64(line, "end_collective", &s.end_collective) ||
-          !get_u64(line, "end_round", &s.end_round)) {
-        return false;
-      }
-      s.node = static_cast<NodeId>(node);
-      s.depth = static_cast<unsigned>(depth);
-      out->spans_.push_back(std::move(s));
-    } else {
-      return false;  // unknown record type: not one of our files
-    }
-  }
-  out->metered_ = totals;
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -35,9 +35,10 @@
 // cost per cell (harness::check_trace_overhead).
 //
 // Exports: write_jsonl() (one self-describing JSON object per line; schema
-// below, round-trips through load_jsonl) and write_chrome() (Trace Event
-// Format, loadable in chrome://tracing / Perfetto: collectives on one lane
-// per run, spans on one lane per node, 1 µs ≡ 1 model round).
+// in DESIGN.md §9, carrying every field deterministic_eq reads) and
+// write_chrome() (Trace Event Format, loadable in chrome://tracing /
+// Perfetto: collectives on one lane per run, spans on one lane per node,
+// 1 µs ≡ 1 model round). Nothing in the library reads either file back.
 
 #include <array>
 #include <atomic>
@@ -188,9 +189,6 @@ class RoundTrace {
   /// "collective"|"span"} object per line (schema documented in DESIGN.md
   /// §9). Returns false if the file cannot be written.
   bool write_jsonl(const std::string& path) const;
-  /// Load a write_jsonl file back (used by the round-trip test and offline
-  /// tooling). Returns false on unreadable file or malformed line.
-  static bool load_jsonl(const std::string& path, RoundTrace* out);
   /// Chrome Trace Event Format (chrome://tracing, Perfetto). One process
   /// per run; collectives on tid 0, node spans on tid node+1; 1 µs ≡ 1
   /// model round. Runs are laid out back to back on the timeline.

@@ -1,25 +1,25 @@
 #pragma once
 
-// Graph corpus: loaders and the named graph-family registry.
+// Graph corpus: the edge-list loader and the named graph-family registry.
 //
 // Every bench used to run synthetic generators at a handful of sizes; the
 // corpus layer makes graph *inputs* first-class so the scenario matrix
 // (DESIGN.md §14, bench_matrix) can sweep {algorithm} × {graph family} ×
 // {n} × {plane/backend} × {chaos} from a declarative manifest. Two halves:
 //
-//  * Loaders — a text edge-list format and a binary CSR format, both with
-//    strict validation. A malformed file is a ModelViolation naming the
-//    offending line/offset, never a silently-wrong graph: corpus inputs
-//    feed cost measurements, so "garbage in" must be loud. save_* writers
-//    round-trip bit-for-bit (asserted in tests/graph/corpus_test.cpp).
+//  * Loader — a text edge-list format with strict validation. A malformed
+//    file is a ModelViolation naming the offending line, never a
+//    silently-wrong graph: corpus inputs feed cost measurements, so
+//    "garbage in" must be loud. save_edge_list round-trips bit-for-bit
+//    (asserted in tests/graph/corpus_test.cpp).
 //
 //  * Family registry — make_family() maps a FamilySpec (family name +
 //    parameters, as written in a manifest cell) onto the generators in
 //    graph/generators.hpp (including the Chung–Lu power-law and
-//    planted-community families) or onto a loader. Every family is a pure
+//    planted-community families) or onto the loader. Every family is a pure
 //    function of (spec, n): same spec, same graph, on any machine.
 //
-// Format grammars are specified normatively in DESIGN.md §14.
+// The format grammar is specified normatively in DESIGN.md §14.
 
 #include <cstdint>
 #include <string>
@@ -41,7 +41,7 @@ namespace ccq::corpus {
 // weight present iff the header says weighted, zero or > 2^32-1 weights,
 // trailing tokens, n > kMaxNodes.
 
-/// Largest n any loader accepts (far above the engine's own cap; guards
+/// Largest n the loader accepts (far above the engine's own cap; guards
 /// integer overflow in size computations, not model fidelity).
 constexpr std::uint64_t kMaxNodes = 1u << 20;
 
@@ -50,27 +50,6 @@ Graph load_edge_list(const std::string& path);
 Graph parse_edge_list(std::string_view text, const std::string& origin);
 /// Write `g` in the grammar above (edges in increasing (u,v) order).
 void save_edge_list(const Graph& g, const std::string& path);
-
-// ---- CSR binary format ---------------------------------------------------
-//
-//   offset  size        field
-//   0       8           magic "CCQCSR01"
-//   8       4           u32 n
-//   12      4           u32 flags (bit 0 directed, bit 1 weighted)
-//   16      8           u64 nnz (stored arcs; an undirected edge appears
-//                       in both endpoint rows)
-//   24      8·(n+1)     u64 row_ptr, row_ptr[0] = 0, nondecreasing,
-//                       row_ptr[n] = nnz
-//   ...     4·nnz       u32 col (strictly increasing within a row)
-//   [...    4·nnz       u32 w, iff weighted; all weights >= 1]
-//
-// Little-endian throughout. Rejected (ModelViolation): short/oversized
-// file, bad magic, non-monotone row_ptr, col >= n, self loops, unsorted or
-// duplicate columns, zero weights, and asymmetric adjacency or weights
-// when the directed flag is clear.
-
-Graph load_csr(const std::string& path);
-void save_csr(const Graph& g, const std::string& path);
 
 // ---- family registry -----------------------------------------------------
 
@@ -87,20 +66,20 @@ struct FamilySpec {
   unsigned k = 4;                ///< community count
   double p_in = 0.5;             ///< community in-block density
   double p_out = 0.05;           ///< community cross-block density
-  std::string path;              ///< edgelist / csr file to load
+  std::string path;              ///< edgelist file to load
 
   bool operator==(const FamilySpec&) const = default;
 };
 
 /// Registered family names: empty, complete, cycle, path, star, gnp,
-/// gnp_weighted, powerlaw, community, edgelist, csr.
+/// gnp_weighted, powerlaw, community, edgelist.
 const std::vector<std::string>& family_names();
 
-/// True for the families make_family loads from spec.path: edgelist, csr.
+/// True for the family make_family loads from spec.path: edgelist.
 bool reads_file(const std::string& name);
 
-/// Instantiate `spec` at size n. File-backed families (edgelist, csr) load
-/// spec.path and require the file's n to equal the requested n — the
+/// Instantiate `spec` at size n. The file-backed family (edgelist) loads
+/// spec.path and requires the file's n to equal the requested n — the
 /// manifest's n axis is part of every cell's identity, so a silent mismatch
 /// would mislabel measurements. Unknown names and invalid parameters are
 /// ModelViolations.

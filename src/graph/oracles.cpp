@@ -443,10 +443,11 @@ std::vector<std::uint64_t> apsp(const Graph& g) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t dik = d[i * n + k];
       if (dik == kInfDist) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::uint64_t via = dik + d[k * n + j];
-        if (via < d[i * n + j]) d[i * n + j] = via;
-      }
+      // Branch-free: the compare-and-store form ran 20–25% faster or slower
+      // at n = 512 depending only on where the linker placed the loop.
+      std::uint64_t* di = d.data() + i * n;
+      const std::uint64_t* dk = d.data() + k * n;
+      for (std::size_t j = 0; j < n; ++j) di[j] = std::min(di[j], dik + dk[j]);
     }
   return d;
 }

@@ -73,8 +73,8 @@ Manifest load_manifest(const std::string& path);
 /// must expand to exactly one cell — axis arrays are rejected — and name
 /// one of algorithm_names(), not a manifest-only program, on the pooled
 /// backend (the thread-per-node oracle starts one OS thread per node) and
-/// a family that reads no file (edgelist and csr would open a path the
-/// client chose). `origin` names the connection in errors.
+/// a family that reads no file (edgelist would open a path the client
+/// chose). `origin` names the connection in errors.
 CellSpec parse_job_cell(const json::Value& job, const std::string& origin);
 
 const char* backend_name(ExecutionBackend b);

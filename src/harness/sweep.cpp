@@ -341,9 +341,7 @@ std::string fp_hex(std::uint64_t fp) {
 }
 
 Instance cell_instance(const CellSpec& spec) {
-  Instance instance = Instance::of(corpus::make_family(spec.family, spec.n));
-  instance.private_bits = private_bit_encoding(instance.graph);
-  return instance;
+  return Instance::of(corpus::make_family(spec.family, spec.n));
 }
 
 namespace {

@@ -3,11 +3,11 @@
 // Scenario-matrix sweep runner (DESIGN.md §14).
 //
 // This is the one place a cell is run and checked. cell_instance() builds
-// the cell's graph family with its §3 private bits precomputed, and
-// run_traced() makes one traced run of it under the Engine::Config the
-// cell names (backend, workers, bandwidth), with a fresh ChaosPlan for a
-// chaos cell, and cross-checks the run's CostMeter against the trace
-// ledger. ccqd runs each job with run_traced() on a leased EngineSession.
+// the cell's graph family, and run_traced() makes one traced run of it
+// under the Engine::Config the cell names (backend, workers, bandwidth),
+// with a fresh ChaosPlan for a chaos cell, and cross-checks the run's
+// CostMeter against the trace ledger. ccqd runs each job with run_traced()
+// on a leased EngineSession.
 // run_cell() builds the instance once and runs the program twice per trial
 // — once traced, once untraced — and every run must reproduce the first
 // run's outputs, meters and fault count, every traced run its ledger too.
@@ -80,8 +80,7 @@ struct CellResult {
   std::uint64_t faults = 0;     ///< chaos faults injected (0 when off)
 };
 
-/// The cell's family graph with its §3 private bits precomputed, so a run
-/// does not re-derive them. Throws ModelViolation for unknown families or
+/// The cell's family graph. Throws ModelViolation for unknown families or
 /// unloadable corpus files.
 Instance cell_instance(const CellSpec& spec);
 

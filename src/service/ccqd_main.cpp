@@ -21,7 +21,7 @@ int usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--socket=PATH] [--tcp=PORT] [--executors=N] [--queue=N]\n"
-      "          [--cache=N] [--cold]\n"
+      "          [--cache=N]\n"
       "\n"
       "  --socket=PATH   Unix-domain socket to listen on "
       "(default /tmp/ccqd.sock)\n"
@@ -29,8 +29,8 @@ int usage(const char* prog) {
       "  --executors=N   executor threads running jobs (default 2)\n"
       "  --queue=N       bounded job-queue depth; beyond it submits are\n"
       "                  rejected with queue_full (default 16)\n"
-      "  --cache=N       warm EngineSessions kept idle (default 8)\n"
-      "  --cold          disable the engine cache (--cache=0)\n",
+      "  --cache=N       warm EngineSessions kept idle (default 8; 0\n"
+      "                  disables the engine cache)\n",
       prog);
   return 2;
 }
@@ -72,8 +72,6 @@ int main(int argc, char** argv) {
       opts.queue_capacity = static_cast<std::size_t>(v);
     } else if (parse_flag_uint(arg, "--cache=", 0, 256, &v, &bad)) {
       opts.cache_sessions = static_cast<std::size_t>(v);
-    } else if (std::strcmp(arg, "--cold") == 0) {
-      opts.cache_sessions = 0;
     } else {
       std::fprintf(stderr, "ccqd: unknown flag '%s'\n", arg);
       return usage(argv[0]);

@@ -3,17 +3,15 @@
 // Warm engine + instance caches for ccqd (DESIGN.md §15).
 //
 // A ccqd job names a scenario cell; executing it cold costs, beyond the
-// protocol itself, (a) regenerating the graph family and its §3 private-bit
-// encoding (O(n²)) and (b) constructing a scheduler and a message plane
-// and sizing the plane's arrays per run. The two caches below amortise
-// both (fiber stacks are recycled for warm and cold runs alike by the
-// process-wide stack store, DESIGN.md §12):
+// protocol itself, (a) regenerating the graph family and (b) constructing
+// a scheduler and a message plane and sizing the plane's arrays per run.
+// The two caches below amortise both (fiber stacks are recycled for warm
+// and cold runs alike by the process-wide stack store, DESIGN.md §12):
 //
 //   * InstanceCache — keyed by the family identity (name, n, seed, tuning
-//     parameters): harness::cell_instance(spec), the generated Graph with
-//     its private_bits precomputed once. private_bit_encoding is a pure
-//     function of the graph, so a cached instance is bit-identical to what
-//     Engine::run would derive per run.
+//     parameters): harness::cell_instance(spec), the generated Graph. A
+//     family is a pure function of its spec, so a cached instance is
+//     bit-identical to a fresh one.
 //
 //   * EngineCache — keyed by EngineSession::Shape (n, B-multiplier,
 //     backend, workers): a pool of idle warm sessions.

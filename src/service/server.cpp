@@ -87,8 +87,8 @@ Server::Server(Options opts)
     : opts_(std::move(opts)),
       // cache_sessions == 0 means *cold*: no session reuse and no instance
       // reuse either — every job pays the full cold-start bill (graph
-      // generation, private-bit encoding, scheduler, plane), which is the
-      // bench_service baseline being compared against.
+      // generation, scheduler, plane), which is the bench_service baseline
+      // being compared against.
       cache_(opts_.cache_sessions, opts_.cache_sessions == 0 ? 0 : 32) {
   CCQ_CHECK_MSG(opts_.executors >= 1, "ccqd: need at least one executor");
   CCQ_CHECK_MSG(opts_.queue_capacity >= 1,

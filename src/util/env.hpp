@@ -2,11 +2,11 @@
 
 // Strict environment-variable parsing.
 //
-// CCQ_POOL_THREADS / CCQ_KERNEL_THREADS size the worker pools; before this
-// helper they were read with strtoul(env, nullptr, 10), so "8x" silently
-// ran 8 workers and pure garbage silently fell back to hardware
-// concurrency — a mistyped override was indistinguishable from no override,
-// which is exactly the failure mode a perf-tuning knob must not have.
+// CCQ_POOL_THREADS sizes the worker pools; before this helper it was read
+// with strtoul(env, nullptr, 10), so "8x" silently ran 8 workers and pure
+// garbage silently fell back to hardware concurrency — a mistyped override
+// was indistinguishable from no override, which is exactly the failure
+// mode a perf-tuning knob must not have.
 // parse_env_uint accepts only a whole decimal number in [lo, hi] and throws
 // ModelViolation (naming the variable and its value) on anything else, so a
 // malformed override fails the run loudly at pool construction.

@@ -58,15 +58,4 @@ inline std::uint64_t floor_root(std::uint64_t x, unsigned k) {
   return lo;
 }
 
-/// Overflow-checked integer power (small exponents).
-inline std::uint64_t ipow(std::uint64_t base, unsigned exp) {
-  std::uint64_t r = 1;
-  for (unsigned i = 0; i < exp; ++i) {
-    CCQ_CHECK_MSG(base == 0 || r <= ~std::uint64_t{0} / (base ? base : 1),
-                  "ipow overflow");
-    r *= base;
-  }
-  return r;
-}
-
 }  // namespace ccq

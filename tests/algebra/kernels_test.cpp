@@ -267,37 +267,6 @@ TEST(ParallelDeterminism, AllSemiringsOnOversubscribedPool) {
 
 // ---- dispatched call sites ------------------------------------------------
 
-TEST(Dispatch, MmPowerMatchesRepeatedNaive) {
-  const auto a = random_matrix<I64Ring>(17, 17, 42);
-  auto expect = a;
-  for (int i = 1; i < 5; ++i) expect = mm_naive<I64Ring>(expect, a);
-  EXPECT_EQ(mm_power<I64Ring>(a, 5), expect);
-
-  const auto ba = random_matrix<BoolSemiring>(70, 70, 43);
-  auto bexpect = ba;
-  for (int i = 1; i < 3; ++i) bexpect = mm_naive<BoolSemiring>(bexpect, ba);
-  EXPECT_EQ(mm_power<BoolSemiring>(ba, 3), bexpect);
-}
-
-TEST(Dispatch, ClosureRoundCapMatchesFixpoint) {
-  // The capped doubling must land on the same matrix the old
-  // square-until-stable loop produced (it computes (I ⊕ A)^m for some
-  // m ≥ n−1, which equals the fixpoint for idempotent semirings).
-  for (std::size_t n : {1ul, 2ul, 5ul, 33ul, 64ul}) {
-    auto adj = random_bool(n, n, 9 * n + 4, 0.07);
-    for (std::size_t i = 0; i < n; ++i) adj.at(i, i) = 0;
-    auto m = adj;
-    for (std::size_t i = 0; i < n; ++i)
-      m.at(i, i) = BoolSemiring::add(m.at(i, i), BoolSemiring::one());
-    while (true) {  // reference: the seed's fixpoint loop
-      auto sq = mm_naive<BoolSemiring>(m, m);
-      if (sq == m) break;
-      m = std::move(sq);
-    }
-    EXPECT_EQ(semiring_closure<BoolSemiring>(adj), m) << "n=" << n;
-  }
-}
-
 TEST(Dispatch, StrassenStillMatchesNaive) {
   for (std::size_t n : {50ul, 90ul, 129ul}) {
     const auto a = random_matrix<I64Ring>(n, n, n);

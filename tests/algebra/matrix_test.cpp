@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "algebra/mm.hpp"
-#include "graph/generators.hpp"
-#include "graph/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace ccq {
@@ -103,49 +101,6 @@ TEST(MM, StrassenRectangular) {
     for (std::size_t j = 0; j < 3; ++j)
       b.at(i, j) = static_cast<std::int64_t>(rng.next_below(100));
   EXPECT_EQ(mm_strassen<I64Ring>(a, b, 2), mm_naive<I64Ring>(a, b));
-}
-
-TEST(MM, PowerBySquaring) {
-  auto a = random_matrix<I64Ring>(5, 17, 5);
-  auto a3 = mm_naive<I64Ring>(mm_naive<I64Ring>(a, a), a);
-  EXPECT_EQ(mm_power<I64Ring>(a, 3), a3);
-  EXPECT_EQ(mm_power<I64Ring>(a, 1), a);
-}
-
-TEST(MM, BooleanClosureIsTransitiveClosure) {
-  Graph g = gen::gnp_directed(12, 0.15, 23);
-  Matrix<std::uint8_t> adj(12, 12, 0);
-  for (NodeId u = 0; u < 12; ++u)
-    for (NodeId v = 0; v < 12; ++v)
-      if (u != v && g.has_edge(u, v)) adj.at(u, v) = 1;
-  auto closure = semiring_closure<BoolSemiring>(adj);
-  auto dist = oracle::apsp(g);
-  for (NodeId u = 0; u < 12; ++u)
-    for (NodeId v = 0; v < 12; ++v)
-      EXPECT_EQ(closure.at(u, v) != 0,
-                dist[u * 12 + v] != oracle::kInfDist)
-          << u << "," << v;
-}
-
-TEST(MM, MinPlusClosureIsApsp) {
-  Graph g = gen::gnp_weighted(10, 0.3, 9, 29);
-  using V = MinPlusSemiring::Value;
-  Matrix<V> w(10, 10, MinPlusSemiring::infinity());
-  for (const Edge& e : g.edges()) {
-    w.at(e.u, e.v) = e.w;
-    w.at(e.v, e.u) = e.w;
-  }
-  auto closure = semiring_closure<MinPlusSemiring>(w);
-  auto dist = oracle::apsp(g);
-  for (NodeId u = 0; u < 10; ++u)
-    for (NodeId v = 0; v < 10; ++v) {
-      const auto expect = dist[u * 10 + v];
-      if (expect == oracle::kInfDist) {
-        EXPECT_GE(closure.at(u, v), MinPlusSemiring::infinity());
-      } else {
-        EXPECT_EQ(closure.at(u, v), expect);
-      }
-    }
 }
 
 TEST(MM, MaxMinSemiringWidestPath) {

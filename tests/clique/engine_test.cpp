@@ -362,6 +362,30 @@ TEST(Engine, PrivateBitEncodingMatchesSpec) {
     EXPECT_TRUE(ctx.private_bits() == enc[ctx.id()]);
     ctx.output(0);
   });
+
+  // Directed: the bit of {u,v}, u<v, is the arc u→v (row u again), so
+  // 1→0 and 3→1 belong to no node.
+  Graph d = Graph::directed(4);
+  d.add_edge(0, 2);
+  d.add_edge(1, 0);
+  d.add_edge(2, 3);
+  d.add_edge(3, 1);
+  const auto denc = private_bit_encoding(d);
+  EXPECT_EQ(denc[0].to_string(), "010");
+  EXPECT_EQ(denc[1].to_string(), "00");
+  EXPECT_EQ(denc[2].to_string(), "1");
+  EXPECT_EQ(denc[3].size(), 0u);
+  const NodeProgram check = [&denc](NodeCtx& ctx) {
+    EXPECT_TRUE(ctx.private_bits() == denc[ctx.id()]);
+    ctx.output(0);
+  };
+  Engine::run(d, check);
+  // A warm session derives the same bits.
+  EngineSession::Shape shape;
+  shape.n = 4;
+  EngineSession session(shape);
+  session.run(Instance::of(d), check, Engine::Config{});
+  EXPECT_EQ(session.runs_completed(), 1u);
 }
 
 TEST(Engine, ExplicitPrivateBitsOverride) {

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <string>
 
 #include "graph/generators.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace ccq {
@@ -247,6 +249,46 @@ TEST(Engine, PerNodeLoadMetersExact) {
   });
   EXPECT_EQ(res.cost.max_node_sent, 5u);
   EXPECT_EQ(res.cost.max_node_received, 3u);
+}
+
+TEST(RouteBlocks, TwoNodeCliqueFramingLimits) {
+  // At n = 2 a block's length travels as two 1-bit words, so 3 bits is the
+  // longest block, and a 1-bit sequence number numbers 2 blocks for one
+  // destination.
+  const BitVector three = BitVector::from_string("101");
+  Engine::run(gen::empty(2), [&three](NodeCtx& ctx) {
+    const NodeId peer = 1 - ctx.id();
+    const auto received = route_blocks(ctx, {{peer, three}});
+    EXPECT_EQ(received.size(), 1u);
+    for (const auto& [src, bits] : received) {
+      EXPECT_EQ(src, peer);
+      EXPECT_TRUE(bits == three) << bits.to_string();
+    }
+    ctx.output(0);
+  });
+
+  // The refusal of `count` blocks of `bits` bits from each node to the
+  // other.
+  const auto refusal = [](std::size_t bits, std::size_t count) {
+    try {
+      Engine::run(gen::empty(2), [bits, count](NodeCtx& ctx) {
+        const RoutedBlock block{1 - ctx.id(), BitVector(bits)};
+        route_blocks(ctx, std::vector<RoutedBlock>(count, block));
+        ctx.output(0);
+      });
+    } catch (const ModelViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string too_long = refusal(4, 1);
+  EXPECT_NE(too_long.find("a block of 4 bits"), std::string::npos) << too_long;
+  EXPECT_NE(too_long.find("holds at most 3"), std::string::npos) << too_long;
+  const std::string too_many = refusal(3, 3);
+  EXPECT_NE(too_many.find("3 blocks for node"), std::string::npos)
+      << too_many;
+  EXPECT_NE(too_many.find("exceed the 2 per destination"), std::string::npos)
+      << too_many;
 }
 
 }  // namespace

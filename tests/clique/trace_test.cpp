@@ -11,8 +11,8 @@
 //     engine CCQ_CHECKs that on every traced collective);
 //   * lifecycle — spans unwind and close on ModelViolation aborts, the
 //     acquire is released on every exit path, nested/concurrent runs fall
-//     back to untraced instead of interleaving, and the JSONL schema
-//     round-trips through load_jsonl.
+//     back to untraced instead of interleaving, and the JSONL and Chrome
+//     exports parse as strict JSON carrying every recorded field.
 
 #include "clique/trace.hpp"
 
@@ -28,6 +28,7 @@
 #include "clique/engine.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace ccq {
@@ -441,9 +442,50 @@ TEST(TraceLifecycle, UntracedRunsCostNoRecordsAndSpansNoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Export round-trips
+// Exports, read back with the strict JSON parser (util/json.hpp)
 // ---------------------------------------------------------------------------
 
+std::string read_all(const std::string& path) {
+  std::ifstream f(path);
+  return std::string((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
+}
+
+const json::Value& field(const json::Value& obj, const char* key) {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr)
+    throw ModelViolation(std::string("trace line lacks '") + key + "'");
+  return *v;
+}
+
+std::uint64_t u64(const json::Value& obj, const char* key) {
+  return json::as_uint(field(obj, key), 0, ~std::uint64_t{0}, key, "trace");
+}
+
+double dbl(const json::Value& obj, const char* key) {
+  return json::as_number(field(obj, key), key, "trace");
+}
+
+std::string str(const json::Value& obj, const char* key) {
+  return json::as_string(field(obj, key), key, "trace");
+}
+
+TraceHistogram hist(const json::Value& obj, const char* key) {
+  const json::Value& v = field(obj, key);
+  if (v.kind != json::Value::Kind::kArray ||
+      v.arr.size() != TraceHistogram::kBuckets)
+    throw ModelViolation(std::string(key) + " is not a histogram");
+  TraceHistogram h;
+  for (unsigned i = 0; i < TraceHistogram::kBuckets; ++i)
+    h.bucket[i] = static_cast<std::uint32_t>(
+        json::as_uint(v.arr[i], 0, ~0u, key, "trace"));
+  return h;
+}
+
+// Every line of the JSONL file must parse on its own, and together the
+// lines must carry every recorded field: the header the metered totals,
+// then one line per run, collective and span in recording order. The
+// doubles are written as %.17g, so they read back exactly.
 TEST(TraceExport, JsonlRoundTrip) {
   RoundTrace trace;
   run_traced(kSetups[kPooled2], &trace, 11, 5);
@@ -451,40 +493,79 @@ TEST(TraceExport, JsonlRoundTrip) {
 
   const std::string path = temp_path("trace_roundtrip.jsonl");
   ASSERT_TRUE(trace.write_jsonl(path));
-
-  RoundTrace loaded;
-  ASSERT_TRUE(RoundTrace::load_jsonl(path, &loaded));
-  EXPECT_TRUE(trace.deterministic_eq(loaded));
-  EXPECT_EQ(loaded.runs(), trace.runs());
-  EXPECT_EQ(loaded.metered_totals().rounds, trace.metered_totals().rounds);
-  EXPECT_EQ(loaded.metered_totals().messages,
-            trace.metered_totals().messages);
-  EXPECT_EQ(loaded.metered_totals().bits, trace.metered_totals().bits);
-  EXPECT_TRUE(loaded.totals_match());
-  // Observability-only fields survive the round-trip too.
-  for (std::size_t i = 0; i < trace.records().size(); ++i) {
-    EXPECT_EQ(trace.records()[i].delivery_ms, loaded.records()[i].delivery_ms);
-    EXPECT_EQ(trace.records()[i].fiber_switches,
-              loaded.records()[i].fiber_switches);
-  }
-  for (std::size_t i = 0; i < trace.runs(); ++i) {
-    EXPECT_EQ(trace.run_info()[i].fresh_stacks,
-              loaded.run_info()[i].fresh_stacks);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceExport, LoadRejectsGarbage) {
-  const std::string path = temp_path("trace_garbage.jsonl");
+  std::vector<json::Value> lines;
   {
-    std::ofstream f(path);
-    f << "{\"type\":\"nonsense\"}\n";
+    std::ifstream f(path);
+    std::string line;
+    while (std::getline(f, line))
+      lines.push_back(
+          json::parse(line, path + ":" + std::to_string(lines.size() + 1)));
   }
-  RoundTrace loaded;
-  EXPECT_FALSE(RoundTrace::load_jsonl(path, &loaded));
-  EXPECT_FALSE(RoundTrace::load_jsonl(temp_path("does_not_exist.jsonl"),
-                                      &loaded));
   std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 1 + trace.runs() + trace.records().size() +
+                              trace.spans().size());
+
+  const json::Value& head = lines[0];
+  const CostMeter& total = trace.metered_totals();
+  EXPECT_EQ(str(head, "type"), "trace");
+  EXPECT_EQ(u64(head, "version"), 1u);
+  EXPECT_EQ(u64(head, "runs"), trace.runs());
+  EXPECT_EQ(u64(head, "records"), trace.records().size());
+  EXPECT_EQ(u64(head, "spans"), trace.spans().size());
+  EXPECT_EQ(u64(head, "total_rounds"), total.rounds);
+  EXPECT_EQ(u64(head, "total_messages"), total.messages);
+  EXPECT_EQ(u64(head, "total_bits"), total.bits);
+  EXPECT_EQ(u64(head, "total_collectives"), total.collectives);
+
+  std::size_t at = 1;
+  for (std::size_t i = 0; i < trace.runs(); ++i) {
+    const json::Value& line = lines[at++];
+    const TraceRunInfo& r = trace.run_info()[i];
+    SCOPED_TRACE("run line " + std::to_string(i));
+    EXPECT_EQ(str(line, "type"), "run");
+    EXPECT_EQ(u64(line, "run"), i);
+    EXPECT_EQ(u64(line, "n"), r.n);
+    EXPECT_EQ(u64(line, "bandwidth"), r.bandwidth);
+    EXPECT_EQ(u64(line, "round_offset"), r.round_offset);
+    EXPECT_EQ(u64(line, "rounds"), r.rounds);
+    EXPECT_EQ(u64(line, "fresh_stacks"), r.fresh_stacks);
+  }
+  for (const TraceRecord& r : trace.records()) {
+    const json::Value& line = lines[at++];
+    SCOPED_TRACE("collective " + std::to_string(r.run) + "/" +
+                 std::to_string(r.collective));
+    EXPECT_EQ(str(line, "type"), "collective");
+    EXPECT_EQ(u64(line, "run"), r.run);
+    EXPECT_EQ(u64(line, "collective"), r.collective);
+    EXPECT_EQ(str(line, "op"), r.op);
+    EXPECT_EQ(str(line, "phase"), r.phase);
+    EXPECT_EQ(u64(line, "round_begin"), r.round_begin);
+    EXPECT_EQ(u64(line, "rounds"), r.rounds);
+    EXPECT_EQ(u64(line, "messages"), r.messages);
+    EXPECT_EQ(u64(line, "bits"), r.bits);
+    EXPECT_EQ(u64(line, "max_sent"), r.max_sent);
+    EXPECT_EQ(u64(line, "max_received"), r.max_received);
+    EXPECT_TRUE(hist(line, "sent_hist") == r.sent_hist);
+    EXPECT_TRUE(hist(line, "received_hist") == r.received_hist);
+    EXPECT_EQ(dbl(line, "cap_utilisation"), r.cap_utilisation);
+    EXPECT_EQ(dbl(line, "delivery_ms"), r.delivery_ms);
+    EXPECT_EQ(u64(line, "fiber_switches"), r.fiber_switches);
+    EXPECT_EQ(u64(line, "parallel_jobs"), r.parallel_jobs);
+    EXPECT_EQ(u64(line, "parallel_chunks"), r.parallel_chunks);
+  }
+  for (const TraceSpanEvent& s : trace.spans()) {
+    const json::Value& line = lines[at++];
+    SCOPED_TRACE("span " + s.label + " on node " + std::to_string(s.node));
+    EXPECT_EQ(str(line, "type"), "span");
+    EXPECT_EQ(u64(line, "run"), s.run);
+    EXPECT_EQ(u64(line, "node"), s.node);
+    EXPECT_EQ(str(line, "label"), s.label);
+    EXPECT_EQ(u64(line, "depth"), s.depth);
+    EXPECT_EQ(u64(line, "begin_collective"), s.begin_collective);
+    EXPECT_EQ(u64(line, "begin_round"), s.begin_round);
+    EXPECT_EQ(u64(line, "end_collective"), s.end_collective);
+    EXPECT_EQ(u64(line, "end_round"), s.end_round);
+  }
 }
 
 TEST(TraceExport, ChromeFileIsWellFormed) {
@@ -492,25 +573,38 @@ TEST(TraceExport, ChromeFileIsWellFormed) {
   run_traced(kSetups[kPooled2], &trace, 9, 2);
   const std::string path = temp_path("trace_chrome.json");
   ASSERT_TRUE(trace.write_chrome(path));
-
-  // Structural smoke check without a JSON parser: the writer emits one
-  // event object per line between the traceEvents brackets; brace balance
-  // and the required keys must hold.
-  std::ifstream f(path);
-  std::string all((std::istreambuf_iterator<char>(f)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(all.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(all.find("\"cat\":\"collective\""), std::string::npos);
-  EXPECT_NE(all.find("\"cat\":\"span\""), std::string::npos);
-  std::int64_t depth = 0;
-  for (char c : all) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
+  const json::Value doc = json::parse(read_all(path), path);
   std::remove(path.c_str());
+
+  // One metadata event per run, then one complete ("X") event per
+  // collective and per span.
+  EXPECT_EQ(str(doc, "displayTimeUnit"), "ms");
+  const json::Value& events = field(doc, "traceEvents");
+  ASSERT_EQ(events.kind, json::Value::Kind::kArray);
+  ASSERT_EQ(events.arr.size(),
+            trace.runs() + trace.records().size() + trace.spans().size());
+  std::size_t collectives = 0, spans = 0;
+  for (const json::Value& ev : events.arr) {
+    const std::string ph = str(ev, "ph");
+    if (ph == "M") {
+      EXPECT_EQ(str(ev, "name"), "process_name");
+      continue;
+    }
+    ASSERT_EQ(ph, "X");
+    EXPECT_LT(u64(ev, "pid"), trace.runs());
+    EXPECT_GT(dbl(ev, "dur"), 0);
+    const std::string cat = str(ev, "cat");
+    if (cat == "collective") {
+      EXPECT_EQ(u64(ev, "tid"), 0u);
+      ++collectives;
+    } else {
+      ASSERT_EQ(cat, "span");
+      EXPECT_EQ(u64(ev, "tid"), u64(field(ev, "args"), "node") + 1);
+      ++spans;
+    }
+  }
+  EXPECT_EQ(collectives, trace.records().size());
+  EXPECT_EQ(spans, trace.spans().size());
 }
 
 }  // namespace

@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,12 +19,6 @@ namespace {
 
 std::string tmp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
-
-void write_file(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
 }
 
 // ---- edge-list loader ----------------------------------------------------
@@ -99,98 +90,6 @@ TEST(Corpus, EdgeListRejectionTable) {
   }
 }
 
-// ---- CSR loader ----------------------------------------------------------
-
-struct CsrBytes {
-  std::string s;
-  CsrBytes& raw(std::string_view t) { s.append(t); return *this; }
-  CsrBytes& u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
-    return *this;
-  }
-  CsrBytes& u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
-    return *this;
-  }
-};
-
-// The path 0-1-2 as stored CSR arcs (undirected: both endpoint rows).
-std::string path3_csr(std::uint32_t flags,
-                      const std::vector<std::uint64_t>& row_ptr,
-                      const std::vector<std::uint32_t>& col,
-                      const std::vector<std::uint32_t>& w = {}) {
-  CsrBytes b;
-  b.raw("CCQCSR01").u32(3).u32(flags).u64(col.size());
-  for (std::uint64_t r : row_ptr) b.u64(r);
-  for (std::uint32_t c : col) b.u32(c);
-  for (std::uint32_t x : w) b.u32(x);
-  return b.s;
-}
-
-TEST(Corpus, CsrRoundTrip) {
-  Graph g = gen::gnp(40, 0.25, 13);
-  const std::string path = tmp_path("rt_plain.csr");
-  corpus::save_csr(g, path);
-  EXPECT_TRUE(corpus::load_csr(path) == g);
-}
-
-TEST(Corpus, CsrRoundTripWeightedAndDirected) {
-  for (Graph g : {gen::gnp_weighted(24, 0.4, 50, 3), gen::gnp_directed(20, 0.3, 4)}) {
-    const std::string path = tmp_path("rt_flags.csr");
-    corpus::save_csr(g, path);
-    EXPECT_TRUE(corpus::load_csr(path) == g);
-  }
-}
-
-TEST(Corpus, EdgeListCsrCrossRoundTrip) {
-  // graph -> edge list -> graph -> CSR -> graph preserves identity exactly.
-  Graph g = gen::gnp_weighted(32, 0.3, 16, 21);
-  const std::string edges = tmp_path("cross.edges");
-  const std::string csr = tmp_path("cross.csr");
-  corpus::save_edge_list(g, edges);
-  Graph via_edges = corpus::load_edge_list(edges);
-  corpus::save_csr(via_edges, csr);
-  EXPECT_TRUE(corpus::load_csr(csr) == g);
-}
-
-TEST(Corpus, CsrAcceptsWellFormed) {
-  const std::string path = tmp_path("ok.csr");
-  write_file(path, path3_csr(0, {0, 1, 3, 4}, {1, 0, 2, 1}));
-  Graph g = corpus::load_csr(path);
-  EXPECT_EQ(g.n(), 3u);
-  EXPECT_EQ(g.m(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_FALSE(g.has_edge(0, 2));
-}
-
-TEST(Corpus, CsrRejectionTable) {
-  const std::string valid = path3_csr(0, {0, 1, 3, 4}, {1, 0, 2, 1});
-  std::vector<std::pair<const char*, std::string>> bad;
-  bad.emplace_back("bad magic", "XXQCSR01" + valid.substr(8));
-  bad.emplace_back("truncated", valid.substr(0, valid.size() - 1));
-  bad.emplace_back("trailing bytes", valid + '\0');
-  bad.emplace_back("header only", valid.substr(0, 24));
-  bad.emplace_back("unknown flag bit", path3_csr(4, {0, 1, 3, 4}, {1, 0, 2, 1}));
-  bad.emplace_back("row_ptr[0] != 0", path3_csr(0, {1, 1, 3, 4}, {1, 0, 2, 1}));
-  bad.emplace_back("row_ptr not monotone", path3_csr(0, {0, 3, 1, 4}, {1, 0, 2, 1}));
-  bad.emplace_back("row_ptr[n] != nnz", path3_csr(0, {0, 1, 3, 3}, {1, 0, 2, 1}));
-  bad.emplace_back("col out of range", path3_csr(0, {0, 1, 3, 4}, {1, 0, 5, 1}));
-  bad.emplace_back("self loop", path3_csr(0, {0, 1, 3, 4}, {0, 0, 2, 1}));
-  bad.emplace_back("columns unsorted", path3_csr(0, {0, 1, 3, 4}, {1, 2, 0, 1}));
-  bad.emplace_back("asymmetric undirected", path3_csr(0, {0, 1, 1, 1}, {1}));
-  bad.emplace_back("asymmetric weights",
-                   path3_csr(2, {0, 1, 3, 4}, {1, 0, 2, 1}, {5, 9, 1, 1}));
-  bad.emplace_back("zero weight",
-                   path3_csr(2, {0, 1, 3, 4}, {1, 0, 2, 1}, {0, 0, 1, 1}));
-  for (const auto& [what, bytes] : bad) {
-    const std::string path = tmp_path("bad.csr");
-    write_file(path, bytes);
-    EXPECT_THROW(corpus::load_csr(path), ModelViolation)
-        << "accepted malformed CSR: " << what;
-  }
-}
-
 // ---- generators & family registry ----------------------------------------
 
 TEST(Corpus, NewGeneratorsDeterministicPerSeed) {
@@ -212,7 +111,7 @@ TEST(Corpus, PowerlawDensityRoughlyRight) {
 TEST(Corpus, FamilyRegistryDeterministic) {
   // Every non-file family is a pure function of (spec, n).
   for (const std::string& name : corpus::family_names()) {
-    if (name == "edgelist" || name == "csr") continue;
+    if (name == "edgelist") continue;
     corpus::FamilySpec spec;
     spec.name = name;
     spec.seed = 5;
@@ -279,6 +178,11 @@ TEST(Corpus, ManifestRejectionTable) {
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "nope", "n": 16}]})",
        "unknown family 'nope'"},
+      // The binary CSR format is gone: its family name is unknown.
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "csr", "n": 16, "path": "g.csr"}]})",
+       "unknown family 'csr' (known: empty complete cycle path star gnp "
+       "gnp_weighted powerlaw community edgelist)"},
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 16, "backend": "warped"}]})",
        "unknown backend 'warped'"},

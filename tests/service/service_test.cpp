@@ -237,7 +237,7 @@ std::string job_refusal(const std::string& job) {
 }
 
 void expect_file_job_refused(const char* path) {
-  for (const std::string family : {"edgelist", "csr"}) {
+  for (const std::string family : {"edgelist"}) {
     const std::string pathless = job_refusal(file_job(family, nullptr));
     EXPECT_NE(pathless.find("'" + family +
                             "' reads a file and cannot run as a job"),
@@ -268,7 +268,7 @@ TEST(Protocol, FileFamilyJobDoesNotRevealWhetherAPathExists) {
   Server server(base_options("filejob"));
   server.start();
   Client client(server.options().unix_path);
-  for (const std::string family : {"edgelist", "csr"}) {
+  for (const std::string family : {"edgelist"}) {
     const std::string missing_reply = client.request(
         submit_body(file_job(family, "/nonexistent/ccqd.edges")));
     const std::string existing_reply =

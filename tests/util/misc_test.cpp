@@ -70,13 +70,6 @@ TEST(MathProperty, FloorRootBrackets) {
   }
 }
 
-TEST(Math, Ipow) {
-  EXPECT_EQ(ipow(2, 10), 1024u);
-  EXPECT_EQ(ipow(7, 0), 1u);
-  EXPECT_EQ(ipow(0, 3), 0u);
-  EXPECT_THROW(ipow(1u << 31, 3), ModelViolation);
-}
-
 // ---------- Log2Real ----------
 
 TEST(Log2Real, BasicOps) {
