@@ -12,34 +12,21 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/check.hpp"
+#include "util/env.hpp"
+
 namespace ccq::benchargs {
 
-/// Whole decimal number in [lo, hi], nothing else.
+/// Whole decimal number in [lo, hi], nothing else (parse_uint_strict).
 inline std::uint64_t parse_uint(const char* prog, const char* flag,
                                 const char* text, std::uint64_t lo,
                                 std::uint64_t hi) {
-  std::uint64_t value = 0;
-  bool ok = text[0] != '\0';
-  for (const char* p = text; ok && *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      ok = false;
-      break;
-    }
-    const auto digit = static_cast<std::uint64_t>(*p - '0');
-    if (value > (~std::uint64_t{0} - digit) / 10) {
-      ok = false;
-      break;
-    }
-    value = value * 10 + digit;
-  }
-  if (!ok || value < lo || value > hi) {
-    std::fprintf(stderr,
-                 "%s: %s expects a whole number in [%llu, %llu], got '%s'\n",
-                 prog, flag, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi), text);
+  try {
+    return parse_uint_strict(text, lo, hi, flag);
+  } catch (const ModelViolation& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
     std::exit(2);
   }
-  return value;
 }
 
 /// "--n=123" against name "--n" → "123"; nullptr when arg is not name=… .

@@ -3,7 +3,8 @@
 // Machine-readable benchmark output: a minimal JSON array writer so CI (and
 // EXPERIMENTS.md tooling) can diff benchmark runs without scraping the
 // printed tables. Keys and string values in this repo are plain
-// identifiers, so no escaping is needed; numbers are emitted verbatim.
+// identifiers, so no escaping is needed (parse_manifest refuses a manifest
+// name or cell label that would need it); numbers are emitted verbatim.
 //
 // Usage:
 //   benchjson::Writer out;

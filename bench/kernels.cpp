@@ -1,26 +1,24 @@
 // Local-compute kernel comparison bench (DESIGN.md §11, §16).
 //
-// Sweeps the serial/bit-packed/parallel MM kernels against mm_naive per
-// semiring, the (min,+) SpGEMM kernels at 10% density, and the entry codec
+// Sweeps the tiled/bit-packed/dispatched MM kernels against mm_naive per
+// semiring, the (min,+) SpGEMM kernel at 10% density, and the entry codec
 // that the block MM schedules send — Boolean entries at 1 bit and (min,+)
 // entries at 20 bits — at both SIMD dispatch levels against the per-entry
 // reference, printing speedup tables. Every timed result is compared
-// bit-for-bit against mm_naive (or the serial SpGEMM, or the per-entry
-// codec) before it is reported — a kernel that is fast but wrong fails the
+// bit-for-bit against mm_naive (the SpGEMM at n <= 512), or the per-entry
+// codec, before it is reported — a kernel that is fast but wrong fails the
 // run, not just --check.
 //
 // Usage: bench_kernels [--n=N] [--check]
 //   --n=N     run a single size instead of the 128/256/512 sweep (and
 //             the SpGEMM table's 256/512/1024 sweep)
 //   --check   CI smoke mode: exit non-zero if any kernel disagrees with
-//             mm_naive, if mm_parallel is not identical across worker
-//             counts, or if the headline speedups regress (bit-packed
+//             mm_naive, or if the headline speedups regress (bit-packed
 //             Boolean < 4x, best min-plus < 1.2x at n ≥ 256, and — when
 //             AVX2 is active — SIMD min-plus tiled ≥ 1.3x over the forced
 //             scalar tiled kernel at n ≥ 512; the target is 1.5x and the
 //             gate keeps a 15% noise margin so a shared runner cannot
-//             flake it), or if pool-parallel SpGEMM is under 1.7x serial
-//             at n ≥ 512 on a pool of more than one worker)
+//             flake it)
 //
 // Respects CCQ_SIMD=off (forces the scalar paths); the SIMD columns are
 // measured by forcing each dispatch level around the same kernel, so the
@@ -48,7 +46,6 @@
 #include "bench_json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ccq {
 namespace {
@@ -188,11 +185,9 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
 void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
                       const std::vector<std::size_t>& sizes, int trials) {
   std::printf("\n(min,+) MM (the APSP inner loop; tiled uses the "
-              "saturation-shortcut\nmicro-kernel, parallel shards rows over "
-              "the kernel pool, %zu worker(s)):\n\n",
-              kernels::pool().size());
-  Table t({"n", "naive ms", "tiled scalar ms", "tiled ms", "parallel ms",
-           "auto ms", "simd speedup"});
+              "saturation-shortcut\nmicro-kernel):\n\n");
+  Table t({"n", "naive ms", "tiled scalar ms", "tiled ms", "auto ms",
+           "simd speedup"});
   for (std::size_t n : sizes) {
     const auto a = random_minplus(n, 21);
     const auto b = random_minplus(n, 22);
@@ -214,18 +209,13 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
     const double tiled_ms =
         mm_row(json, n, "minplus", "tiled", trials, expect, naive_ms,
                [&] { return kernels::mm_tiled<MinPlusSemiring>(a, b); });
-    const double parallel_ms =
-        mm_row(json, n, "minplus", "parallel", trials, expect, naive_ms,
-               [&] { return kernels::mm_parallel<MinPlusSemiring>(a, b); });
     const double auto_ms =
         mm_row(json, n, "minplus", "auto", trials, expect, naive_ms,
                [&] { return kernels::mm_auto<MinPlusSemiring>(a, b); });
-    const double best =
-        std::min({tiled_ms, parallel_ms, auto_ms});
+    const double best = std::min(tiled_ms, auto_ms);
     t.add_row({std::to_string(n), Table::fmt(naive_ms, 2),
                Table::fmt(tiled_scalar_ms, 2),
-               Table::fmt(tiled_ms, 2), Table::fmt(parallel_ms, 2),
-               Table::fmt(auto_ms, 2),
+               Table::fmt(tiled_ms, 2), Table::fmt(auto_ms, 2),
                fmt_speedup(tiled_scalar_ms, tiled_ms)});
     if (cs.check && n >= 256 && naive_ms < 1.2 * best)
       cs.fail("min-plus best kernel speedup < 1.2x at n=" +
@@ -243,10 +233,9 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
 
 void ring_mm_table(benchjson::Writer& json,
                    const std::vector<std::size_t>& sizes, int trials) {
-  std::printf("\nRing MM (I64Ring; auto shards onto the kernel pool when it "
-              "is available,\nelse runs the tiled kernel; Strassen is the "
-              "DESIGN.md §1 stand-in for\nfast ring MM and no dispatch "
-              "picks it):\n\n");
+  std::printf("\nRing MM (I64Ring; auto runs the tiled kernel on dense "
+              "inputs; Strassen is\nthe DESIGN.md §1 stand-in for fast ring "
+              "MM and no dispatch picks it):\n\n");
   Table t({"n", "naive ms", "tiled ms", "strassen ms", "auto ms",
            "auto speedup"});
   for (std::size_t n : sizes) {
@@ -276,20 +265,12 @@ void ring_mm_table(benchjson::Writer& json,
   t.print();
 }
 
-// The local kernels behind the sparse schedule's Step B (and spgemm_auto on
-// any centralised caller) at 10% density. Node programs run on scheduler
-// fibers where the pool is unavailable, so the parallel column is about the
-// centralised callers; its determinism contract (output CSR-identical to
-// serial for every worker count) is what makes routing them to the pool
-// safe. The serial kernel is checked against mm_naive at n <= 512, the
-// parallel one against serial at every n.
-void spgemm_table(benchjson::Writer& json, CheckState& cs,
+// The local kernel behind the sparse schedule's Step B at 10% density,
+// checked against mm_naive at n <= 512.
+void spgemm_table(benchjson::Writer& json,
                   const std::vector<std::size_t>& sizes, int trials) {
-  const std::size_t workers = kernels::pool().size();
-  std::printf("\n(min,+) SpGEMM at density 0.1 (serial Gustavson vs its "
-              "row sharding over\nthe kernel pool, %zu worker(s)):\n\n",
-              workers);
-  Table t({"n", "serial ms", "parallel ms", "serial/parallel"});
+  std::printf("\n(min,+) SpGEMM at density 0.1 (serial Gustavson):\n\n");
+  Table t({"n", "serial ms"});
   for (std::size_t n : sizes) {
     const auto da = random_minplus(n, 0x5b9 + n, 0.9);
     const auto db = random_minplus(n, 0x5ca + n, 0.9);
@@ -309,22 +290,7 @@ void spgemm_table(benchjson::Writer& json, CheckState& cs,
               {"kernel", "spgemm_serial"},
               {"wall_ms", serial_ms},
               {"speedup", 1.0}});
-    const double parallel_ms = mm_row(
-        json, n, "minplus", "spgemm_parallel", trials, expect, serial_ms,
-        [&] { return kernels::spgemm_parallel<MinPlusSemiring>(a, b); });
-    t.add_row({std::to_string(n), Table::fmt(serial_ms, 2),
-               Table::fmt(parallel_ms, 2),
-               fmt_speedup(serial_ms, parallel_ms)});
-    // The 2x target at n >= 512 with a 15% noise margin. A 1-worker pool
-    // cannot speed anything up, so the gate needs a multi-core host.
-    if (cs.check && n >= 512) {
-      if (workers <= 1)
-        std::printf("  gate: parallel SpGEMM speedup skipped (pool = %zu)\n",
-                    workers);
-      else if (serial_ms < 1.7 * parallel_ms)
-        cs.fail("parallel SpGEMM speedup < 1.7x over serial at n=" +
-                std::to_string(n));
-    }
+    t.add_row({std::to_string(n), Table::fmt(serial_ms, 2)});
   }
   t.print();
 }
@@ -454,36 +420,6 @@ void packing_table(benchjson::Writer& json, int trials) {
   t.print();
 }
 
-// mm_parallel must be a pure function of its inputs: identical output for
-// every worker count and grain. Explicit pools make this meaningful even on
-// a single-core host (oversubscription still interleaves block order).
-void determinism_check(CheckState& cs) {
-  std::printf("\nParallel determinism (mm_parallel across pools of 1/4/8 "
-              "workers,\ngrains 8/16/100):\n");
-  ThreadPool p1(1), p4(4), p8(8);
-  const std::size_t n = 200;
-  const auto a = random_minplus(n, 41);
-  const auto b = random_minplus(n, 42);
-  const auto expect = mm_naive<MinPlusSemiring>(a, b);
-  bool ok = true;
-  for (std::size_t grain : {8ul, 16ul, 100ul}) {
-    for (ThreadPool* tp : {&p1, &p4, &p8}) {
-      if (!(kernels::mm_parallel<MinPlusSemiring>(a, b, grain, tp) ==
-            expect))
-        ok = false;
-    }
-  }
-  const auto ia = random_square<I64Ring>(150, 43, 50);
-  const auto ib = random_square<I64Ring>(150, 44, 50);
-  const auto iexpect = mm_naive<I64Ring>(ia, ib);
-  for (ThreadPool* tp : {&p4, &p8})
-    if (!(kernels::mm_parallel<I64Ring>(ia, ib, 8, tp) == iexpect))
-      ok = false;
-  std::printf("  %s\n", ok ? "identical across all worker counts"
-                           : "MISMATCH ACROSS WORKER COUNTS");
-  if (!ok) cs.fail("mm_parallel result depends on the worker count");
-}
-
 int run_comparison(const std::vector<std::size_t>& sizes,
                    const std::vector<std::size_t>& spgemm_sizes, bool check) {
   const int trials = check ? 5 : 3;
@@ -500,9 +436,8 @@ int run_comparison(const std::vector<std::size_t>& sizes,
   bool_mm_table(json, cs, sizes, trials);
   minplus_mm_table(json, cs, sizes, trials);
   ring_mm_table(json, sizes, trials);
-  spgemm_table(json, cs, spgemm_sizes, trials);
+  spgemm_table(json, spgemm_sizes, trials);
   packing_table(json, trials);
-  determinism_check(cs);
 
   if (json.write("BENCH_kernels.json"))
     std::printf("\nwrote BENCH_kernels.json\n");
@@ -514,8 +449,7 @@ int run_comparison(const std::vector<std::size_t>& sizes,
       return 1;
     }
     std::printf("CHECK OK: all kernels bit-for-bit equal to mm_naive, "
-                "parallel kernel\ndeterministic, headline speedups within "
-                "bounds\n");
+                "headline speedups\nwithin bounds\n");
   }
   return 0;
 }

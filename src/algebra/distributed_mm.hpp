@@ -486,8 +486,7 @@ std::vector<typename S::Value> dense_block_mm(
       if (sends_b)
         unpack_row(src, na, rj, b_blk.row_data(src - L.begin(1, k)));
     }
-    // Serial kernel dispatch: this runs inside a node program (scheduler
-    // fiber), so the local step must never block on the kernel pool.
+    // Local computation, free in the model: no meter moves here.
     partial = kernels::mm_local<S>(a_blk, b_blk);
   }
 
@@ -799,9 +798,6 @@ std::vector<typename S::Value> mm_distributed_sparse(
         a_csr.density() <= kernels::kSparseDispatchMaxDensity &&
         b_csr.density() <= kernels::kSparseDispatchMaxDensity;
     if (sparse_local) {
-      // spgemm_auto: serial here (node programs run on engine fibers, so
-      // the kernel pool is never available), pool-parallel for any future
-      // centralised caller — identical output either way.
       const auto c_csr = kernels::spgemm_auto<S>(a_csr, b_csr);
       for (NodeId r = 0; r < ri; ++r)
         for (std::size_t t = c_csr.row_begin(r); t < c_csr.row_end(r); ++t)

@@ -5,21 +5,8 @@
 #include <vector>
 
 #include "algebra/simd.hpp"
-#include "clique/scheduler.hpp"
 
 namespace ccq::kernels {
-
-// ---- worker pool ----------------------------------------------------------
-
-ThreadPool& pool() {
-  static ThreadPool p;
-  return p;
-}
-
-bool pool_available() {
-  if (ccq::detail::on_scheduler_fiber()) return false;
-  return pool().size() > 1;
-}
 
 // ---- BitMatrix ------------------------------------------------------------
 

@@ -4,29 +4,26 @@
 //
 // Every algebraic result the repo reproduces (the semiring-MM edge of
 // Figure 1, Theorem 9's row products, APSP/closure, the triangle/subgraph
-// reductions) bottoms out in a *local computation* step: a centralised
-// matrix product or an entry (un)packing loop. This layer makes those steps
-// as fast as the hardware allows without ever touching the communication
+// reductions) bottoms out in a *local computation* step: a node's block
+// product or an entry (un)packing loop. This layer makes those steps as
+// fast as the hardware allows without ever touching the communication
 // schedule — CostMeter round counts are invariant under every kernel here.
 //
 // Three pillars (DESIGN.md §11 has the dispatch table):
 //
 //  * BitMatrix — Boolean matrices packed 64 entries per uint64_t word.
 //    bit_mm (OR-row) gives word-level parallelism for mm over BoolSemiring
-//    (mm_local's Boolean blocks, and through mm_auto the Boolean closure);
-//    bit_first_common is the word scan behind triangle_clique.
+//    (mm_local's Boolean blocks); bit_first_common is the word scan behind
+//    triangle_clique.
 //
-//  * mm_tiled / mm_parallel — register-tiled scalar kernels (row-pointer
-//    inner loops, no at() in the hot path) with micro-kernel
-//    specialisations for (min,+), and a row-sharded parallel wrapper over
-//    ThreadPool. mm_parallel is bit-for-bit equal to mm_tiled for every
-//    worker count and grain: output rows are disjoint, each computed by the
-//    same serial micro-kernel, so the partition cannot leak into results.
+//  * mm_tiled — register-tiled scalar kernels (row-pointer inner loops, no
+//    at() in the hot path) with micro-kernel specialisations for (min,+).
 //
-//  * mm_auto / mm_local — dispatch (semiring × size × density × pool
-//    availability) so callers pick up the best kernel without hand-tuning.
-//    mm_local is the serial subset, safe inside engine node programs (a
-//    pooled-scheduler fiber must never block on the kernel pool).
+//  * mm_local / mm_auto — dispatch (semiring × size, and for mm_auto
+//    density) so callers pick up the best kernel without hand-tuning. Every
+//    kernel is serial: node programs call them for their local steps, and a
+//    clique run's parallelism comes from the scheduler spreading those node
+//    programs over its worker pool.
 //
 // All kernels produce results bit-for-bit identical to mm_naive<S>: the
 // accumulation order over k is increasing for every output entry, and the
@@ -44,23 +41,8 @@
 #include "algebra/sparse.hpp"
 #include "util/bit_vector.hpp"
 #include "util/check.hpp"
-#include "util/math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ccq::kernels {
-
-// ---- worker pool ----------------------------------------------------------
-
-/// Process-wide pool for centralised kernel calls, of the ThreadPool
-/// default size (CCQ_POOL_THREADS / hardware_concurrency). Distinct from
-/// the scheduler's superstep pool: a kernel call must never queue behind —
-/// or be queued behind — engine fibers.
-ThreadPool& pool();
-
-/// True when mm_auto may shard onto the pool: more than one worker and the
-/// calling thread is not an engine fiber (local compute inside a node
-/// program stays serial; the node programs themselves are the parallelism).
-bool pool_available();
 
 // ---- BitMatrix ------------------------------------------------------------
 
@@ -219,40 +201,8 @@ Matrix<typename S::Value> mm_tiled(const Matrix<typename S::Value>& a,
   return c;
 }
 
-/// Default rows per parallel task. Fixed (never derived from the worker
-/// count) so the work partition — and therefore which serial kernel call
-/// produces each row — is identical for every pool size.
-inline constexpr std::size_t kParallelGrainRows = 16;
-
-/// Row-sharded parallel product over `tp` (default: the kernel pool).
-/// Deterministic across worker counts: output rows are disjoint and each
-/// block runs the same serial micro-kernel as mm_tiled.
-template <Semiring S>
-Matrix<typename S::Value> mm_parallel(const Matrix<typename S::Value>& a,
-                                      const Matrix<typename S::Value>& b,
-                                      std::size_t grain = 0,
-                                      ThreadPool* tp = nullptr) {
-  CCQ_CHECK(a.cols() == b.rows());
-  using V = typename S::Value;
-  Matrix<V> c(a.rows(), b.cols(), S::zero());
-  const bool fast = detail::fast_path_ok<S>(a, b);
-  if (grain == 0) grain = kParallelGrainRows;
-  const std::size_t blocks = ceil_div(a.rows(), grain);
-  ThreadPool& workers = tp != nullptr ? *tp : pool();
-  if (blocks <= 1 || workers.size() <= 1) {
-    detail::mm_rows<S>(a, b, c, 0, a.rows(), fast);
-    return c;
-  }
-  workers.parallel_for(blocks, [&](std::size_t blk) {
-    const std::size_t lo = blk * grain;
-    const std::size_t hi = lo + grain < a.rows() ? lo + grain : a.rows();
-    detail::mm_rows<S>(a, b, c, lo, hi, fast);
-  });
-  return c;
-}
-
-/// Serial dispatch — the best kernel that never blocks on the pool. Safe as
-/// the local-computation step inside engine node programs.
+/// Dense dispatch, the block product of the 3-D, rect and sparse
+/// schedules' local steps: bit-packed for 0/1 Boolean inputs, else mm_tiled.
 template <Semiring S>
 Matrix<typename S::Value> mm_local(const Matrix<typename S::Value>& a,
                                    const Matrix<typename S::Value>& b) {
@@ -266,70 +216,26 @@ Matrix<typename S::Value> mm_local(const Matrix<typename S::Value>& a,
   return mm_tiled<S>(a, b);
 }
 
-/// Minimum dimension before mm_auto shards onto the pool: below this the
-/// fork/join overhead exceeds the row work.
-inline constexpr std::size_t kParallelMinRows = 128;
-
-/// Pool-parallel Gustavson SpGEMM over fixed-grain row blocks — the same
-/// determinism contract mm_parallel pins: the partition is never derived
-/// from the worker count, each output row is produced by the serial
-/// Gustavson core with block-local scratch, and the rows are assembled
-/// serially in order afterwards, so the result is bit-for-bit identical to
-/// spgemm<S> for every pool size and grain.
-template <Semiring S>
-SparseMatrix<typename S::Value> spgemm_parallel(
-    const SparseMatrix<typename S::Value>& a,
-    const SparseMatrix<typename S::Value>& b, std::size_t grain = 0,
-    ThreadPool* tp = nullptr) {
-  using V = typename S::Value;
-  CCQ_CHECK(a.cols() == b.rows());
-  if (grain == 0) grain = kParallelGrainRows;
-  const std::size_t blocks = ceil_div(a.rows(), grain);
-  ThreadPool& workers = tp != nullptr ? *tp : pool();
-  if (blocks <= 1 || workers.size() <= 1) return spgemm<S>(a, b);
-  std::vector<std::vector<std::uint32_t>> cols(a.rows());
-  std::vector<std::vector<V>> vals(a.rows());
-  workers.parallel_for(blocks, [&](std::size_t blk) {
-    const std::size_t lo = blk * grain;
-    const std::size_t hi = lo + grain < a.rows() ? lo + grain : a.rows();
-    std::vector<V> acc(b.cols(), S::zero());
-    std::vector<std::uint8_t> touched(b.cols(), 0);
-    detail::spgemm_rows<S>(a, b, lo, hi, acc, touched,
-                           [&](std::size_t i,
-                               const std::vector<std::uint32_t>& rcols,
-                               const std::vector<V>& rvals) {
-                             cols[i] = rcols;
-                             vals[i] = rvals;
-                           });
-  });
-  SparseMatrix<V> c(b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) c.push_row(cols[i], vals[i]);
-  return c;
-}
-
-/// Serial-or-parallel sparse dispatch: shard over the kernel pool when it
-/// is available (never on an engine fiber — mm_distributed_sparse Step B
-/// calls this from node programs and stays serial there) and the row count
-/// clears the same threshold the dense dispatch uses.
+/// Gustavson SpGEMM: the local step of the sparse schedule on blocks under
+/// its density ceiling.
 template <Semiring S>
 SparseMatrix<typename S::Value> spgemm_auto(
     const SparseMatrix<typename S::Value>& a,
     const SparseMatrix<typename S::Value>& b) {
-  if (a.rows() >= kParallelMinRows && pool_available())
-    return spgemm_parallel<S>(a, b);
   return spgemm<S>(a, b);
 }
 
 /// Maximum measured density at which mm_auto routes through the SpGEMM
-/// kernels: below 1/20 the per-nonzero work (p²·n³) clearly beats every
+/// kernel: below 1/20 the per-nonzero work (p²·n³) clearly beats every
 /// dense kernel including the bit-packed Boolean path (n³/64).
 inline constexpr double kSparseDispatchMaxDensity = 0.05;
 
 /// Minimum dimension before the sparse route pays for its CSR conversion.
 inline constexpr std::size_t kSparseDispatchMinDim = 64;
 
-/// Full dispatch: semiring × size × density × pool availability (DESIGN.md
-/// §11, §13). Bit-for-bit equal to mm_naive<S> on every input.
+/// Full dispatch: the SpGEMM route when both inputs are large and sparse
+/// (DESIGN.md §11, §13), else mm_local. Bit-for-bit equal to mm_naive<S>
+/// on every input.
 template <Semiring S>
 Matrix<typename S::Value> mm_auto(const Matrix<typename S::Value>& a,
                                   const Matrix<typename S::Value>& b) {
@@ -342,14 +248,7 @@ Matrix<typename S::Value> mm_auto(const Matrix<typename S::Value>& a,
                           SparseMatrix<V>::template from_dense<S>(b))
         .template to_dense<S>();
   }
-  if constexpr (std::is_same_v<S, BoolSemiring>) {
-    if (a.cols() >= 64 && detail::bool_in_domain(a) &&
-        detail::bool_in_domain(b))
-      return bool_mm_bitpacked(a, b);
-  }
-  if (a.rows() >= kParallelMinRows && pool_available())
-    return mm_parallel<S>(a, b);
-  return mm_tiled<S>(a, b);
+  return mm_local<S>(a, b);
 }
 
 }  // namespace ccq::kernels

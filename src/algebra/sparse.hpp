@@ -13,11 +13,10 @@
 // structure, so they cannot change results.
 //
 // The SpGEMM kernel is Gustavson's (kernels::spgemm): a dense accumulator
-// row — one V[cols] row plus a touched list — per output row. Its
-// pool-parallel sharding (kernels::spgemm_parallel) and the serial-or-
-// parallel dispatch (kernels::spgemm_auto) that sparse Step B calls live in
-// kernels.hpp; mm_auto routes to spgemm_auto, for every semiring, on a
-// measured density scan.
+// row — one V[cols] row plus a touched list — per output row. The sparse
+// schedule's local step calls it through kernels::spgemm_auto, and mm_auto
+// (kernels.hpp) routes to it, for every semiring, on a measured density
+// scan.
 
 #include <algorithm>
 #include <cstdint>
@@ -119,25 +118,23 @@ class SparseMatrix {
 
 namespace kernels {
 
-namespace detail {
-
-/// Gustavson core over output rows [r0, r1): for each row the stored
+/// Gustavson SpGEMM with a dense accumulator row. Each row's stored
 /// a-entries are walked in increasing k (CSR order), so every output entry
-/// folds its contributions exactly as mm_naive does, and the per-row
-/// (cols, vals) pair is handed to `emit(i, cols, vals)` in increasing i.
-/// Shared by the serial driver and the pool-parallel row blocks, so the
-/// fold order — hence the result — is identical by construction. `acc` and
-/// `touched` are caller-provided scratch of size b.cols() (all-zero on
-/// entry, restored to all-zero on return).
-template <Semiring S, typename Emit>
-void spgemm_rows(const SparseMatrix<typename S::Value>& a,
-                 const SparseMatrix<typename S::Value>& b, std::size_t r0,
-                 std::size_t r1, std::vector<typename S::Value>& acc,
-                 std::vector<std::uint8_t>& touched, Emit&& emit) {
+/// folds its contributions exactly as mm_naive does. Every *touched* column
+/// is stored, even when the folded value lands on S::zero() — the
+/// structural support of a product is input-shape-, not value-, determined.
+template <Semiring S>
+SparseMatrix<typename S::Value> spgemm(
+    const SparseMatrix<typename S::Value>& a,
+    const SparseMatrix<typename S::Value>& b) {
   using V = typename S::Value;
+  CCQ_CHECK(a.cols() == b.rows());
+  SparseMatrix<V> c(b.cols());
+  std::vector<V> acc(b.cols(), S::zero());
+  std::vector<std::uint8_t> touched(b.cols(), 0);
   std::vector<std::uint32_t> cols;
   std::vector<V> vals;
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
     cols.clear();
     for (std::size_t t = a.row_begin(i); t < a.row_end(i); ++t) {
       const std::uint32_t k = a.col_idx()[t];
@@ -159,31 +156,8 @@ void spgemm_rows(const SparseMatrix<typename S::Value>& a,
       acc[j] = S::zero();
       touched[j] = 0;
     }
-    emit(i, cols, vals);
+    c.push_row(cols, vals);
   }
-}
-
-}  // namespace detail
-
-/// Gustavson SpGEMM with a dense accumulator row. Every *touched* column is
-/// stored, even when the folded value lands on S::zero() — the structural
-/// support of a product is input-shape-, not value-, determined, which
-/// keeps the output identical across kernel variants (including the
-/// pool-parallel spgemm_parallel in kernels.hpp, which runs this same core
-/// per row block).
-template <Semiring S>
-SparseMatrix<typename S::Value> spgemm(
-    const SparseMatrix<typename S::Value>& a,
-    const SparseMatrix<typename S::Value>& b) {
-  using V = typename S::Value;
-  CCQ_CHECK(a.cols() == b.rows());
-  SparseMatrix<V> c(b.cols());
-  std::vector<V> acc(b.cols(), S::zero());
-  std::vector<std::uint8_t> touched(b.cols(), 0);
-  detail::spgemm_rows<S>(
-      a, b, 0, a.rows(), acc, touched,
-      [&](std::size_t, const std::vector<std::uint32_t>& cols,
-          const std::vector<V>& vals) { c.push_row(cols, vals); });
   return c;
 }
 

@@ -91,6 +91,24 @@ ExecutionBackend parse_backend(const JsonValue& v, bool job,
           what + " (accepted: " + (job ? "pooled" : "pooled, threaded") + ")");
 }
 
+// A manifest's name and a cell's label land in BENCH rows ("manifest", and
+// "cell" through CellSpec::id()), whose writer does not escape strings, so
+// both keep to characters that need no escaping and no quoting in an id.
+std::string as_identifier(const JsonValue& v, const char* what,
+                          const std::string& origin) {
+  std::string s = as_string(v, what, origin);
+  for (const char c : s) {
+    const bool ok = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
+                    c == '.' || c == '=';
+    if (!ok)
+      fail_at(origin, v.line,
+              std::string(what) + " '" + s +
+                  "' has a character outside A-Z a-z 0-9 _ - . =");
+  }
+  return s;
+}
+
 std::string read_file(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr)
@@ -135,7 +153,7 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
 
   CellSpec base;
   if (const JsonValue* v = group.find("label"))
-    base.label = as_string(*v, "label", origin);
+    base.label = as_identifier(*v, "label", origin);
   if (const JsonValue* v = group.find("bandwidth"))
     base.bandwidth =
         static_cast<unsigned>(as_uint(*v, 1, 4, "bandwidth", origin));
@@ -275,7 +293,7 @@ Manifest parse_manifest(const std::string& text, const std::string& origin) {
   Manifest m;
   const JsonValue* name = root.find("name");
   if (name == nullptr) fail_at(origin, root.line, "missing 'name'");
-  m.name = as_string(*name, "name", origin);
+  m.name = as_identifier(*name, "name", origin);
   if (const JsonValue* t = root.find("trials"))
     m.trials = static_cast<int>(as_uint(*t, 1, 100, "trials", origin));
 

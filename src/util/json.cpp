@@ -1,9 +1,12 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+
+#include "util/env.hpp"
 
 namespace ccq::json {
 
@@ -184,6 +187,22 @@ std::uint64_t as_uint(const Value& v, std::uint64_t lo, std::uint64_t hi,
                       const char* what, const std::string& origin) {
   if (v.kind != Value::Kind::kNumber)
     fail_at(origin, v.line, std::string(what) + " must be a number");
+  const auto out_of_range = [&] {
+    std::ostringstream os;
+    os << what << " " << v.str << " out of range [" << lo << ", " << hi << "]";
+    fail_at(origin, v.line, os.str());
+  };
+  // A plain digit string is read exactly: the double in v.num rounds past
+  // 2^53, so 9007199254740993 would load as ...992.
+  if (std::all_of(v.str.begin(), v.str.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c));
+      })) {
+    try {
+      return parse_uint_strict(v.str, lo, hi, what);
+    } catch (const ModelViolation&) {
+      out_of_range();  // all digits: outside [lo, hi] or past 64 bits
+    }
+  }
   const double d = v.num;
   if (d < 0 || d != std::floor(d))
     fail_at(origin, v.line, std::string(what) + " must be a whole number");
@@ -192,11 +211,13 @@ std::uint64_t as_uint(const Value& v, std::uint64_t lo, std::uint64_t hi,
   // exact, so the bounds compare as integers.
   const bool fits = d < 0x1p64;
   const std::uint64_t u = fits ? static_cast<std::uint64_t>(d) : 0;
-  if (!fits || u < lo || u > hi) {
-    std::ostringstream os;
-    os << what << " " << v.str << " out of range [" << lo << ", " << hi << "]";
-    fail_at(origin, v.line, os.str());
-  }
+  if (!fits || u < lo || u > hi) out_of_range();
+  // From 2^53 on a double no longer holds every integer, so "1e19" may not
+  // be the number its writer meant.
+  if (d >= 0x1p53)
+    fail_at(origin, v.line,
+            std::string(what) + " " + v.str +
+                " is not exact as a double; write it as a plain integer");
   return u;
 }
 

@@ -4,7 +4,7 @@
 //
 // The clique engine's fiber scheduler (src/clique/scheduler.cpp,
 // ExecutionBackend::kPooled) hosts its superstep workers here: one
-// process-wide pool sized by hardware_concurrency, onto which each
+// process-wide pool, the only one the library builds, onto which each
 // Engine::run dispatches a worker team, each worker resuming one
 // contiguous block of the n node fibers. On a single-core host the pool
 // degrades gracefully to sequential execution. Results are independent of

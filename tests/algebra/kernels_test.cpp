@@ -1,24 +1,22 @@
 // Property tests for the ccq::kernels layer (DESIGN.md §11): BitMatrix
 // round-trips, bit-for-bit kernel equivalence against mm_naive at
-// degenerate and non-power-of-two sizes over every semiring, determinism of
-// the parallel kernel across worker counts and grains, and word-level
-// pack/unpack equivalence against the per-entry reference path.
+// degenerate and non-power-of-two sizes over every semiring, the dispatch
+// boundaries, and word-level pack/unpack equivalence against the per-entry
+// reference path.
 
 #include "algebra/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "algebra/distributed_mm.hpp"
 #include "algebra/mm.hpp"
 #include "algebra/simd.hpp"
-#include "clique/engine.hpp"
-#include "graph/generators.hpp"
-#include "graphalg/common.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ccq {
 namespace {
@@ -148,7 +146,6 @@ void expect_all_kernels_match(std::size_t n, std::uint64_t seed) {
   EXPECT_EQ(kernels::mm_tiled<S>(a, b), expect) << "tiled n=" << n;
   EXPECT_EQ(kernels::mm_local<S>(a, b), expect) << "local n=" << n;
   EXPECT_EQ(kernels::mm_auto<S>(a, b), expect) << "auto n=" << n;
-  EXPECT_EQ(kernels::mm_parallel<S>(a, b), expect) << "parallel n=" << n;
 }
 
 TEST(KernelEquivalence, BoolSemiring) {
@@ -175,7 +172,6 @@ TEST(KernelEquivalence, Rectangular) {
   const auto expect = mm_naive<I64Ring>(a, b);
   EXPECT_EQ(kernels::mm_tiled<I64Ring>(a, b), expect);
   EXPECT_EQ(kernels::mm_auto<I64Ring>(a, b), expect);
-  EXPECT_EQ(kernels::mm_parallel<I64Ring>(a, b), expect);
 }
 
 TEST(KernelEquivalence, MinPlusOutOfDomainFallsBack) {
@@ -187,7 +183,7 @@ TEST(KernelEquivalence, MinPlusOutOfDomainFallsBack) {
   b.at(0, 0) = ~std::uint64_t{0} - 7;
   const auto expect = mm_naive<MinPlusSemiring>(a, b);
   EXPECT_EQ(kernels::mm_tiled<MinPlusSemiring>(a, b), expect);
-  EXPECT_EQ(kernels::mm_parallel<MinPlusSemiring>(a, b), expect);
+  EXPECT_EQ(kernels::mm_auto<MinPlusSemiring>(a, b), expect);
 }
 
 TEST(KernelEquivalence, BoolNonBinaryEntriesFallBack) {
@@ -205,7 +201,7 @@ TEST(KernelEquivalence, BoolNonBinaryEntriesFallBack) {
 TEST(KernelEquivalence, EmptyAndDegenerate) {
   const Matrix<std::int64_t> a(0, 0), b(0, 0);
   EXPECT_EQ(kernels::mm_tiled<I64Ring>(a, b).rows(), 0u);
-  EXPECT_EQ(kernels::mm_parallel<I64Ring>(a, b).rows(), 0u);
+  EXPECT_EQ(kernels::mm_auto<I64Ring>(a, b).rows(), 0u);
   const auto one = random_matrix<I64Ring>(1, 1, 5);
   EXPECT_EQ(kernels::mm_auto<I64Ring>(one, one),
             mm_naive<I64Ring>(one, one));
@@ -215,54 +211,6 @@ TEST(KernelEquivalence, MismatchedShapesThrow) {
   const Matrix<std::int64_t> a(3, 4), b(5, 3);
   EXPECT_THROW(kernels::mm_tiled<I64Ring>(a, b), ModelViolation);
   EXPECT_THROW(kernels::mm_auto<I64Ring>(a, b), ModelViolation);
-}
-
-// ---- parallel determinism -------------------------------------------------
-
-TEST(ParallelDeterminism, IdenticalAcrossWorkerCountsAndGrains) {
-  // The determinism contract (DESIGN.md §11): the result is a pure
-  // function of the inputs — worker count and grain must not leak in.
-  // Pools are constructed explicitly so this holds even on 1-core hosts.
-  ThreadPool pool1(1), pool3(3), pool7(7);
-  for (std::size_t n : {65ul, 127ul, 200ul}) {
-    const auto a = random_matrix<MinPlusSemiring>(n, n, 7 * n);
-    const auto b = random_matrix<MinPlusSemiring>(n, n, 7 * n + 1);
-    const auto expect = mm_naive<MinPlusSemiring>(a, b);
-    for (std::size_t grain : {1ul, 16ul, 64ul, 1000ul}) {
-      EXPECT_EQ(kernels::mm_parallel<MinPlusSemiring>(a, b, grain, &pool1),
-                expect)
-          << "n=" << n << " grain=" << grain;
-      EXPECT_EQ(kernels::mm_parallel<MinPlusSemiring>(a, b, grain, &pool3),
-                expect)
-          << "n=" << n << " grain=" << grain;
-      EXPECT_EQ(kernels::mm_parallel<MinPlusSemiring>(a, b, grain, &pool7),
-                expect)
-          << "n=" << n << " grain=" << grain;
-    }
-  }
-}
-
-TEST(ParallelDeterminism, AllSemiringsOnOversubscribedPool) {
-  ThreadPool pool4(4);
-  const std::size_t n = 130;
-  {
-    const auto a = random_matrix<BoolSemiring>(n, n, 1);
-    const auto b = random_matrix<BoolSemiring>(n, n, 2);
-    EXPECT_EQ(kernels::mm_parallel<BoolSemiring>(a, b, 8, &pool4),
-              mm_naive<BoolSemiring>(a, b));
-  }
-  {
-    const auto a = random_matrix<I64Ring>(n, n, 3);
-    const auto b = random_matrix<I64Ring>(n, n, 4);
-    EXPECT_EQ(kernels::mm_parallel<I64Ring>(a, b, 8, &pool4),
-              mm_naive<I64Ring>(a, b));
-  }
-  {
-    const auto a = random_matrix<MaxMinSemiring>(n, n, 5);
-    const auto b = random_matrix<MaxMinSemiring>(n, n, 6);
-    EXPECT_EQ(kernels::mm_parallel<MaxMinSemiring>(a, b, 8, &pool4),
-              mm_naive<MaxMinSemiring>(a, b));
-  }
 }
 
 // ---- dispatched call sites ------------------------------------------------
@@ -456,22 +404,33 @@ TEST(Dispatch, SparseMinDimBoundary) {
   }
 }
 
-TEST(Dispatch, PoolStaysUnavailableOnEngineFibers) {
-  // Node programs run on scheduler fibers, where mm_auto and spgemm_auto
-  // must never shard onto the kernel pool (a fiber blocking on the pool
-  // could deadlock the superstep). pool_available() is the single gate.
-  const NodeId nn = 4;
-  const auto a = random_matrix<MinPlusSemiring>(40, 40, 301);
-  const auto b = random_matrix<MinPlusSemiring>(40, 40, 302);
-  const auto expect = mm_naive<MinPlusSemiring>(a, b);
-  PerNode<int> ok(nn);
-  Engine::run(gen::empty(nn), [&](NodeCtx& ctx) {
-    const bool unavailable = !kernels::pool_available();
-    const bool match = kernels::mm_auto<MinPlusSemiring>(a, b) == expect;
-    ok.set(ctx.id(), unavailable && match ? 1 : 0);
-    ctx.output(0);
-  });
-  for (const int v : ok.take()) EXPECT_EQ(v, 1);
+/// The process's OS thread count, from the Threads: line of
+/// /proc/self/status (0 if the line is missing).
+std::size_t os_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+TEST(Dispatch, CentralCallsStartNoThread) {
+  // The kernel layer is serial: a dispatcher called from outside any
+  // clique run computes on the calling thread and starts no other.
+  const std::size_t before = os_threads();
+  ASSERT_GT(before, 0u);
+  const auto a = random_matrix<MinPlusSemiring>(512, 512, 401);
+  const auto b = random_matrix<MinPlusSemiring>(512, 512, 402);
+  const auto dense = kernels::mm_auto<MinPlusSemiring>(a, b);
+  using Csr = SparseMatrix<std::uint64_t>;
+  const auto sa = Csr::from_dense<MinPlusSemiring>(
+      matrix_with_nnz<MinPlusSemiring>(256, 256 * 256 / 50));
+  const auto sb = Csr::from_dense<MinPlusSemiring>(
+      random_matrix<MinPlusSemiring>(256, 256, 403));
+  const auto sparse = kernels::spgemm_auto<MinPlusSemiring>(sa, sb);
+  EXPECT_EQ(os_threads(), before);
+  EXPECT_EQ(dense, mm_naive<MinPlusSemiring>(a, b));
+  EXPECT_TRUE(sparse == kernels::spgemm<MinPlusSemiring>(sa, sb));
 }
 
 }  // namespace

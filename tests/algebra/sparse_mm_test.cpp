@@ -16,7 +16,6 @@
 #include "graphalg/common.hpp"
 #include "graphalg/subgraph.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ccq {
 namespace {
@@ -498,67 +497,6 @@ TEST(SparseRouting, GraphDensityBoundaryExact) {
   ASSERT_GT(graph_density(chord), kSparseMmMaxDensity);
   EXPECT_EQ(apsp_clique(chord, MmAlgo::kAuto).dist,
             apsp_clique(chord, MmAlgo::kNaiveBroadcast).dist);
-}
-
-// ---------- pool-parallel SpGEMM ----------
-
-// Fixed-grain row blocks + serial in-order assembly must make the parallel
-// SpGEMM bit-identical to the serial kernel — same CSR structure including
-// stored zeros — for every worker count and grain, in every semiring.
-template <Semiring S>
-void check_spgemm_parallel(std::uint64_t max_val, std::uint64_t seed) {
-  using V = typename S::Value;
-  SplitMix64 rng(seed);
-  for (const std::size_t n : {1u, 33u, 120u}) {
-    for (const double d : {0.0, 0.03, 0.3}) {
-      const auto a = random_matrix<S>(n, n, d, max_val, rng);
-      const auto b = random_matrix<S>(n, n, d, max_val, rng);
-      const auto sa = SparseMatrix<V>::template from_dense<S>(a);
-      const auto sb = SparseMatrix<V>::template from_dense<S>(b);
-      const auto serial = kernels::spgemm<S>(sa, sb);
-      // Pools sized explicitly so this holds even on 1-core hosts.
-      for (const std::size_t workers : {1u, 3u, 8u}) {
-        ThreadPool tp(workers);
-        for (const std::size_t grain : {1u, 16u, 1000u}) {
-          EXPECT_TRUE(kernels::spgemm_parallel<S>(sa, sb, grain, &tp) ==
-                      serial)
-              << "n=" << n << " d=" << d << " workers=" << workers
-              << " grain=" << grain;
-        }
-      }
-    }
-  }
-}
-
-TEST(SpGemmParallel, BooleanDeterministicAcrossPools) {
-  check_spgemm_parallel<BoolSemiring>(2, 51);
-}
-TEST(SpGemmParallel, MinPlusDeterministicAcrossPools) {
-  check_spgemm_parallel<MinPlusSemiring>(30, 52);
-}
-TEST(SpGemmParallel, I64RingDeterministicAcrossPools) {
-  check_spgemm_parallel<I64Ring>(9, 53);
-}
-TEST(SpGemmParallel, MaxMinDeterministicAcrossPools) {
-  check_spgemm_parallel<MaxMinSemiring>(15, 54);
-}
-
-TEST(SpGemmParallel, AutoDispatchMatchesSerialAroundRowFloor) {
-  // spgemm_auto may or may not shard (host- and caller-dependent); its
-  // result must be the serial kernel's either way, on both sides of the
-  // kParallelMinRows floor.
-  SplitMix64 rng(55);
-  for (const std::size_t n :
-       {kernels::kParallelMinRows - 1, kernels::kParallelMinRows,
-        kernels::kParallelMinRows + 70}) {
-    const auto a = random_matrix<MinPlusSemiring>(n, n, 0.04, 50, rng);
-    const auto b = random_matrix<MinPlusSemiring>(n, n, 0.04, 50, rng);
-    const auto sa = SparseMatrix<std::uint64_t>::from_dense<MinPlusSemiring>(a);
-    const auto sb = SparseMatrix<std::uint64_t>::from_dense<MinPlusSemiring>(b);
-    EXPECT_TRUE(kernels::spgemm_auto<MinPlusSemiring>(sa, sb) ==
-                kernels::spgemm<MinPlusSemiring>(sa, sb))
-        << "n=" << n;
-  }
 }
 
 }  // namespace

@@ -217,6 +217,23 @@ TEST(Corpus, ManifestRejectionTable) {
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 1e30}]})",
        "n 1e30 out of range [1, 8192]"},
+      // Digit strings are read exactly, so 2^64 is a range error; a u64
+      // written any other way must be below 2^53 to be exact.
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "seed": 18446744073709551616}]})",
+       "table:2: seed 18446744073709551616 out of range [0, "
+       "18446744073709551615]"},
+      {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "seed": 1e19}]})",
+       "table:2: seed 1e19 is not exact as a double; write it as a plain "
+       "integer"},
+      // Names and labels reach BENCH rows unescaped.
+      {R"({"name": "x", "cells": [{"label": "a\"b",
+          "algorithm": "routing_direct", "family": "gnp", "n": 16}]})",
+       "table:1: label 'a\"b' has a character outside A-Z a-z 0-9 _ - . ="},
+      {R"({"name": "nightly run/2", "cells": [{
+          "algorithm": "routing_direct", "family": "gnp", "n": 16}]})",
+       "table:1: name 'nightly run/2' has a character outside"},
       // An empty axis array would expand to no cells (or to the default).
       {R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": []}]})",
@@ -245,6 +262,26 @@ TEST(Corpus, ManifestRejectionTable) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << "error '" << e.what() << "' lacks '" << needle << "'";
     }
+  }
+}
+
+TEST(Corpus, SeedsPastTwoToThe53AreExact) {
+  // A double holds every integer only up to 2^53; u64 seeds past it must
+  // come back as written, from a manifest cell and from a ccqd job body.
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993u}, ~std::uint64_t{0}}) {
+    const std::string cell =
+        R"("algorithm": "routing_direct", "family": "gnp", "n": 16, )"
+        R"("seed": )" + std::to_string(seed);
+    const harness::Manifest m = harness::parse_manifest(
+        R"({"name": "x", "cells": [{)" + cell + "}]}", "inline");
+    ASSERT_EQ(m.cells.size(), 1u);
+    EXPECT_EQ(m.cells[0].seed, seed);
+    EXPECT_EQ(m.cells[0].family.seed, seed);
+    const harness::CellSpec job =
+        harness::parse_job_cell(json::parse("{" + cell + "}", "job"), "job");
+    EXPECT_EQ(job.seed, seed);
+    EXPECT_EQ(job.family.seed, seed);
   }
 }
 

@@ -163,6 +163,17 @@ TEST(Protocol, BadJobsAreNamed) {
                     &code),
       "error");
   EXPECT_EQ(code, kErrBadJob);
+  // A job's label keeps the manifest rule: no character that a BENCH row
+  // would have to escape.
+  EXPECT_EQ(
+      response_type(client.request(submit_body(
+                        "{\"label\": \"a\\\"b\", \"algorithm\": "
+                        "\"routing_balanced\", \"family\": \"gnp\", "
+                        "\"p\": 0.25, \"n\": 16, \"backend\": "
+                        "\"pooled\", \"chaos\": false}")),
+                    &code),
+      "error");
+  EXPECT_EQ(code, kErrBadJob);
   // workers is an axis like backend: an array is manifest syntax too.
   EXPECT_EQ(
       response_type(client.request(submit_body(

@@ -1,6 +1,6 @@
-// Strict env parsing (util/env.hpp): CCQ_POOL_THREADS sizes the worker
-// pools; a malformed override must fail loudly, never silently become
-// hardware concurrency or a truncated prefix.
+// Strict env parsing (util/env.hpp): CCQ_POOL_THREADS sizes the
+// scheduler's worker pool; a malformed override must fail loudly, never
+// silently become hardware concurrency or a truncated prefix.
 
 #include "util/env.hpp"
 
